@@ -8,29 +8,20 @@ Usage: python3 scripts/oracle_sweep.py [max_rank] [extra_length]
 import sys
 import time
 
-from siltglue.cyclic_oracle import ext_dim_oracle, hom_dim_oracle, rep_of_arc
-from siltglue.tube import Arc, TubeCtx, ext_dim_arcs, hom_dim_arcs
+from siltglue.cyclic_oracle import sweep_arcs
+from siltglue.tube import TubeCtx, ext_dim_arcs, hom_dim_arcs
 
 
 def sweep(max_rank: int, extra: int) -> int:
     mismatches = 0
     for n in range(1, max_rank + 1):
-        ctx = TubeCtx(n)
-        arcs = [Arc(s, s + 1 + l)
-                for s in range(n) for l in range(1, 2 * n + 1 + extra)]
-        reps = {a: rep_of_arc(a, ctx) for a in arcs}
         t0 = time.perf_counter()
-        pairs = 0
-        for a in arcs:
-            for b in arcs:
-                pairs += 1
-                if ext_dim_arcs(a, b, ctx) != ext_dim_oracle(reps[a], reps[b]):
-                    mismatches += 1
-                    print(f"  ext mismatch at n={n}: {a} vs {b}")
-                if hom_dim_arcs(a, b, ctx) != hom_dim_oracle(reps[a], reps[b]):
-                    mismatches += 1
-                    print(f"  hom mismatch at n={n}: {a} vs {b}")
+        pairs, bad = sweep_arcs(TubeCtx(n), 2 * n + extra, hom_dim_arcs,
+                                ext_dim_arcs)
         dt = time.perf_counter() - t0
+        for kind, a, b in bad:
+            print(f"  {kind} mismatch at n={n}: {a} vs {b}")
+        mismatches += len(bad)
         print(f"rank {n}: {pairs} ordered pairs in {dt:.2f}s")
     return mismatches
 

@@ -129,16 +129,9 @@ def cmd_reduce(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = glue.parse_spec(fh.read())
     point = args.point or glue._resolve_point(spec, None)
-    td = spec.tube(point)
-    espec = expansion.ExpansionSpec(td.rank, tube.parse_arc(args.lam))
-    reducer = expansion.reduce_left if args.adjoint == "left" \
-        else expansion.reduce_right
-    arcs = set()
-    for a in td.sorted_arcs():
-        r = reducer(espec, a)
-        if r is not None:
-            arcs.add(r)
-    out = spec.with_tube(point, glue.TubeData(td.rank - 1, frozenset(arcs)))
+    espec = expansion.ExpansionSpec(spec.tube(point).rank,
+                                    tube.parse_arc(args.lam))
+    out = glue.reduce_spec(spec, point, espec, args.adjoint)
     sys.stdout.write(glue.serialize_spec(out))
     return 0
 
@@ -158,26 +151,13 @@ def cmd_classify_silting(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    ctx = tube.TubeCtx(args.rank)
-    max_len = _maxlen_default(args.max_len)
-    arcs = [tube.Arc(s, s + 1 + l)
-            for s in range(ctx.n) for l in range(1, max_len + 1)]
-    reps = {a: cyclic_oracle.rep_of_arc(a, ctx) for a in arcs}
-    mismatches = 0
-    pairs = 0
-    for a in arcs:
-        for b in arcs:
-            pairs += 1
-            if tube.ext_dim_arcs(a, b, ctx) != cyclic_oracle.ext_dim_oracle(
-                    reps[a], reps[b]):
-                mismatches += 1
-                print(f"ext mismatch: {tube.render_arc(a)} {tube.render_arc(b)}")
-            if tube.hom_dim_arcs(a, b, ctx) != cyclic_oracle.hom_dim_oracle(
-                    reps[a], reps[b]):
-                mismatches += 1
-                print(f"hom mismatch: {tube.render_arc(a)} {tube.render_arc(b)}")
-    print(f"checked {pairs} pairs, {mismatches} mismatches")
-    return 0 if mismatches == 0 else 1
+    pairs, mismatches = cyclic_oracle.sweep_arcs(
+        tube.TubeCtx(args.rank), _maxlen_default(args.max_len),
+        tube.hom_dim_arcs, tube.ext_dim_arcs)
+    for kind, a, b in mismatches:
+        print(f"{kind} mismatch: {tube.render_arc(a)} {tube.render_arc(b)}")
+    print(f"checked {pairs} pairs, {len(mismatches)} mismatches")
+    return 0 if not mismatches else 1
 
 
 def cmd_emit_quiver(args) -> int:

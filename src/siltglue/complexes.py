@@ -8,7 +8,19 @@ Hom(P1, P2) is two-dimensional, spanned by the arrows); Hom(P2, P1) = 0.
 
 Derived Hom spaces between complexes, and against module stalks, are
 homotopy computations carried out by exact linear algebra on flattened
-block coordinates.
+block coordinates.  Between complexes c and d everything is read off two
+linear maps, built by delta_map and partial_map (products f g mean "f,
+then g"):
+
+* delta(c, d): (f_-1, f_0) -> f_-1 d_d - d_c f_0, from
+  Hom(c_-1, d_-1) + Hom(c_0, d_0) into Hom(c_-1, d_0); its kernel is the
+  space of chain maps c -> d;
+* partial(c, d): h -> (d_c h, h d_d), from Hom(c_0, d_-1) into
+  Hom(c_-1, d_-1) + Hom(c_0, d_0); its image is the null-homotopic maps.
+
+Writing n for the dimension of the matching space, dim Hom(c, d[1]) is
+n - rk delta, dim Hom(c, d) is n_-1 + n_0 - rk delta - rk partial and
+dim Hom(c, d[-1]) is n - rk partial.
 """
 
 from __future__ import annotations
@@ -18,7 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactlin import Mat, QONE, QZERO, kernel_basis, rank, rref
+from .exactlin import (Mat, QONE, QZERO, block, hstack, kernel_basis, rank,
+                       rref, sparse_rank, sylvester_rows, vstack)
 from .kronecker import DimVector, ExplicitRep, hom_basis
 
 # ---------------------------------------------------------------------------
@@ -47,48 +60,10 @@ class ProjSum:
         """Explicit representation; vertex-2 coordinates are laid out as
         [P1 generators | P2 alpha socle | P2 beta socle]."""
         a, b = self.p1, self.p2
-        d1, d2 = b, a + 2 * b
-        ma = [[QZERO] * d2 for _ in range(d1)]
-        mb = [[QZERO] * d2 for _ in range(d1)]
-        for i in range(b):
-            ma[i][a + i] = QONE
-            mb[i][a + b + i] = QONE
-        return ExplicitRep(DimVector(d1, d2),
-                           Mat.from_rows(ma, cols=d2) if d1 else Mat(0, d2, ()),
-                           Mat.from_rows(mb, cols=d2) if d1 else Mat(0, d2, ()))
-
-
-def _two_block(ul: Mat, ur: Mat, lr: Mat, rows: int, cols: int) -> Mat:
-    """[[ul, ur], [0, lr]] with zero lower-left block."""
-    out = [[QZERO] * cols for _ in range(rows)]
-    for i in range(ul.rows):
-        for j in range(ul.cols):
-            out[i][j] = ul.at(i, j)
-        for j in range(ur.cols):
-            out[i][ul.cols + j] = ur.at(i, j)
-    for i in range(lr.rows):
-        for j in range(lr.cols):
-            out[ul.rows + i][ul.cols + j] = lr.at(i, j)
-    return Mat.from_rows(out, cols=cols) if rows else Mat(0, cols, ())
-
-
-def _block_diag(mats: Sequence[Mat], rows: int, cols: int) -> Mat:
-    out = [[QZERO] * cols for _ in range(rows)]
-    r0 = c0 = 0
-    for m in mats:
-        for i in range(m.rows):
-            for j in range(m.cols):
-                out[r0 + i][c0 + j] = m.at(i, j)
-        r0 += m.rows
-        c0 += m.cols
-    return Mat.from_rows(out, cols=cols) if rows else Mat(0, cols, ())
-
-
-def _vstack_blocks(mats: Sequence[Mat], cols: int) -> Mat:
-    rows = []
-    for m in mats:
-        rows.extend(m.to_rows())
-    return Mat.from_rows(rows, cols=cols) if rows else Mat(0, cols, ())
+        zero, one = Mat.zeros(b, b), Mat.identity(b)
+        return ExplicitRep(DimVector(b, a + 2 * b),
+                           hstack([Mat.zeros(b, a), one, zero]),
+                           hstack([Mat.zeros(b, a), zero, one]))
 
 
 @dataclass(frozen=True)
@@ -161,22 +136,10 @@ class ProjMorphism:
     def rep_morphism(self) -> tuple:
         """The morphism as a matrix pair (f1, f2) between the explicit
         representations of src and dst."""
-        a, b = self.src.p1, self.src.p2
-        c, d = self.dst.p1, self.dst.p2
-        f1 = self.s22
-        rows2 = [[QZERO] * (c + 2 * d) for _ in range(a + 2 * b)]
-        for i in range(a):
-            for j in range(c):
-                rows2[i][j] = self.s11.at(i, j)
-            for j in range(d):
-                rows2[i][c + j] = self.arr_a.at(i, j)
-                rows2[i][c + d + j] = self.arr_b.at(i, j)
-        for i in range(b):
-            for j in range(d):
-                rows2[a + i][c + j] = self.s22.at(i, j)
-                rows2[a + b + i][c + d + j] = self.s22.at(i, j)
-        f2 = Mat.from_rows(rows2, cols=c + 2 * d) if rows2 else Mat(0, c + 2 * d, ())
-        return f1, f2
+        f2 = block([[self.s11, self.arr_a, self.arr_b],
+                    [None, self.s22, None],
+                    [None, None, self.s22]])
+        return self.s22, f2
 
 
 def morphism_space_dim(src: ProjSum, dst: ProjSum) -> int:
@@ -246,12 +209,13 @@ def zero_complex() -> TwoTermComplex:
 def direct_sum(cs: Sequence[TwoTermComplex]) -> TwoTermComplex:
     m1 = ProjSum(sum(c.deg_m1.p1 for c in cs), sum(c.deg_m1.p2 for c in cs))
     d0 = ProjSum(sum(c.deg_0.p1 for c in cs), sum(c.deg_0.p2 for c in cs))
-    diff = ProjMorphism(
-        m1, d0,
-        _block_diag([c.diff.s11 for c in cs], m1.p1, d0.p1),
-        _block_diag([c.diff.s22 for c in cs], m1.p2, d0.p2),
-        _block_diag([c.diff.arr_a for c in cs], m1.p1, d0.p2),
-        _block_diag([c.diff.arr_b for c in cs], m1.p1, d0.p2))
+
+    def diag(part: str) -> Mat:
+        return block([[getattr(c.diff, part) if i == j else None
+                       for j in range(len(cs))] for i, c in enumerate(cs)])
+
+    diff = ProjMorphism(m1, d0, diag("s11"), diag("s22"), diag("arr_a"),
+                        diag("arr_b"))
     return TwoTermComplex(m1, d0, diff)
 
 
@@ -264,21 +228,57 @@ def power(c: TwoTermComplex, k: int) -> TwoTermComplex:
 # ---------------------------------------------------------------------------
 
 
-def _span_rank(vectors: list, ncols: int) -> int:
-    if not vectors or ncols == 0:
-        return 0
-    return rank(Mat.from_rows([list(v) for v in vectors], cols=ncols))
+def _offsets(src: ProjSum, dst: ProjSum, base: int) -> tuple:
+    """Flat offsets of the blocks s11, s22, arr_a, arr_b of a morphism
+    src -> dst stored from base on."""
+    n11, n22, narr = src.p1 * dst.p1, src.p2 * dst.p2, src.p1 * dst.p2
+    return base, base + n11, base + n11 + n22, base + n11 + n22 + narr
 
 
-def _homotopy_vectors(c: TwoTermComplex, d: TwoTermComplex) -> list:
-    """Flattened null-homotopic elements of Hom(c.deg_m1, d.deg_0), the
-    ambient space of Hom_K(c, d[1])."""
-    out = []
-    for h0 in morphism_basis(c.deg_0, d.deg_0):
-        out.append(c.diff.then(h0).flat())
-    for hm1 in morphism_basis(c.deg_m1, d.deg_m1):
-        out.append(hm1.then(d.diff).flat())
-    return out
+def _pre_terms(k: ProjMorphism, dst: ProjSum, out: int, var: int,
+               sign: int) -> list:
+    """Sylvester terms of u -> sign * k.then(u), for the unknown
+    u: k.dst -> dst stored at var, written to the composite's layout at out."""
+    o, v = _offsets(k.src, dst, out), _offsets(k.dst, dst, var)
+    i1, i2 = dst.p1, dst.p2
+    return [(o[0], v[0], sign, k.s11, i1), (o[1], v[1], sign, k.s22, i2),
+            (o[2], v[2], sign, k.s11, i2), (o[2], v[1], sign, k.arr_a, i2),
+            (o[3], v[3], sign, k.s11, i2), (o[3], v[1], sign, k.arr_b, i2)]
+
+
+def _post_terms(src: ProjSum, k: ProjMorphism, out: int, var: int,
+                sign: int) -> list:
+    """Sylvester terms of u -> sign * u.then(k), for the unknown
+    u: src -> k.src stored at var, written to the composite's layout at out."""
+    o, v = _offsets(src, k.dst, out), _offsets(src, k.src, var)
+    i1, i2 = src.p1, src.p2
+    return [(o[0], v[0], sign, i1, k.s11), (o[1], v[1], sign, i2, k.s22),
+            (o[2], v[0], sign, i1, k.arr_a), (o[2], v[2], sign, i1, k.s22),
+            (o[3], v[0], sign, i1, k.arr_b), (o[3], v[3], sign, i1, k.s22)]
+
+
+def delta_map(c: TwoTermComplex, d: TwoTermComplex) -> tuple:
+    """delta(c, d): (f_-1, f_0) -> f_-1 d_d - d_c f_0 on the layout
+    [Hom(c_-1, d_-1) | Hom(c_0, d_0)], one sparse row per coordinate of
+    Hom(c_-1, d_0).  Its kernel is the chain maps c -> d, its cokernel
+    Hom_K(c, d[1]).  Returns (rows, number of unknowns)."""
+    nm1 = morphism_space_dim(c.deg_m1, d.deg_m1)
+    rows = sylvester_rows(
+        morphism_space_dim(c.deg_m1, d.deg_0),
+        _pre_terms(c.diff, d.deg_0, 0, nm1, -1)
+        + _post_terms(c.deg_m1, d.diff, 0, 0, 1))
+    return rows, nm1 + morphism_space_dim(c.deg_0, d.deg_0)
+
+
+def partial_map(c: TwoTermComplex, d: TwoTermComplex) -> list:
+    """partial(c, d): h -> (d_c h, h d_d) from Hom(c_0, d_-1) into the
+    layout [Hom(c_-1, d_-1) | Hom(c_0, d_0)], one sparse row per output.
+    Its image is the null-homotopic chain maps, its kernel Hom_K(c, d[-1])."""
+    nm1 = morphism_space_dim(c.deg_m1, d.deg_m1)
+    return sylvester_rows(
+        nm1 + morphism_space_dim(c.deg_0, d.deg_0),
+        _pre_terms(c.diff, d.deg_m1, 0, 0, 1)
+        + _post_terms(c.deg_0, d.diff, nm1, 0, 1))
 
 
 def derived_hom_dim(c: TwoTermComplex, d: TwoTermComplex, shift: int = 0) -> int:
@@ -286,76 +286,36 @@ def derived_hom_dim(c: TwoTermComplex, d: TwoTermComplex, shift: int = 0) -> int
     if abs(shift) >= 2:
         return 0
     if shift == 1:
-        n = morphism_space_dim(c.deg_m1, d.deg_0)
-        return n - _span_rank(_homotopy_vectors(c, d), n)
-    if shift == 0:
-        nm1 = morphism_space_dim(c.deg_m1, d.deg_m1)
-        n0 = morphism_space_dim(c.deg_0, d.deg_0)
-        ntgt = morphism_space_dim(c.deg_m1, d.deg_0)
-        # chain maps: pairs (f_m1, f_0) with f_m1 . d_d = d_c . f_0
-        constraint_rows = []
-        for fm1 in morphism_basis(c.deg_m1, d.deg_m1):
-            constraint_rows.append(fm1.then(d.diff).flat())
-        for f0 in morphism_basis(c.deg_0, d.deg_0):
-            constraint_rows.append(tuple(-x for x in c.diff.then(f0).flat()))
-        cycles = (nm1 + n0) - _span_rank(constraint_rows, ntgt)
-        # boundaries: (d_c . h, h . d_d) for h: c.deg_0 -> d.deg_m1
-        boundary_vecs = [tuple(c.diff.then(h).flat()) + tuple(h.then(d.diff).flat())
-                         for h in morphism_basis(c.deg_0, d.deg_m1)]
-        return cycles - _span_rank(boundary_vecs, nm1 + n0)
-    # shift == -1: morphisms c.deg_0 -> d.deg_m1 killed by both differentials
-    rows = [tuple(g.then(d.diff).flat()) + tuple(c.diff.then(g).flat())
-            for g in morphism_basis(c.deg_0, d.deg_m1)]
-    n = morphism_space_dim(c.deg_0, d.deg_m1)
-    ncols = (morphism_space_dim(c.deg_0, d.deg_0)
-             + morphism_space_dim(c.deg_m1, d.deg_0))
-    return n - _span_rank(rows, ncols)
+        rows, _ = delta_map(c, d)
+        return len(rows) - sparse_rank(rows)
+    if shift == -1:
+        n = morphism_space_dim(c.deg_0, d.deg_m1)
+        return n - sparse_rank(partial_map(c, d))
+    rows, n = delta_map(c, d)
+    return n - sparse_rank(rows) - sparse_rank(partial_map(c, d))
 
 
 def chain_map_basis_shift1(c: TwoTermComplex, d: TwoTermComplex) -> list:
     """Representatives of a basis of Hom_K(c, d[1]): canonical morphisms
     c.deg_m1 -> d.deg_0 supported at the free coordinates of the homotopy
-    span."""
-    n = morphism_space_dim(c.deg_m1, d.deg_0)
-    span = _homotopy_vectors(c, d)
-    spanmat = Mat.from_rows([list(v) for v in span], cols=n) \
-        if span else Mat(0, n, ())
-    _, pivots = rref(spanmat)
+    span, the image of delta(c, d)."""
+    rows, n = delta_map(c, d)
+    _, pivots = rref(Mat.from_sparse(rows, n).transpose())
     pivset = set(pivots)
-    out = []
-    for t in range(n):
-        if t in pivset:
-            continue
-        out.append(morphism_from_flat(
-            c.deg_m1, d.deg_0,
-            tuple(QONE if i == t else QZERO for i in range(n))))
-    return out
+    return [morphism_from_flat(c.deg_m1, d.deg_0,
+                               tuple(QONE if i == t else QZERO
+                                     for i in range(len(rows))))
+            for t in range(len(rows)) if t not in pivset]
 
 
 def chain_endo_basis(c: TwoTermComplex) -> list:
-    """Basis of the space of chain endomorphisms (not up to homotopy)."""
+    """Basis of the space of chain endomorphisms (not up to homotopy), the
+    kernel of delta(c, c), as pairs (f_-1, f_0)."""
+    rows, n = delta_map(c, c)
     nm1 = morphism_space_dim(c.deg_m1, c.deg_m1)
-    ntgt = morphism_space_dim(c.deg_m1, c.deg_0)
-    basis_m1 = morphism_basis(c.deg_m1, c.deg_m1)
-    basis_0 = morphism_basis(c.deg_0, c.deg_0)
-    cols = [fm1.then(c.diff).flat() for fm1 in basis_m1]
-    cols += [tuple(-x for x in c.diff.then(f0).flat()) for f0 in basis_0]
-    system = Mat.from_rows([list(v) for v in cols], cols=ntgt) \
-        if cols else Mat(0, ntgt, ())
-    out = []
-    for vec in kernel_basis(system.transpose()):
-        fm1 = _linear_combo(basis_m1, vec[:nm1], c.deg_m1, c.deg_m1)
-        f0 = _linear_combo(basis_0, vec[nm1:], c.deg_0, c.deg_0)
-        out.append((fm1, f0))
-    return out
-
-
-def _linear_combo(basis: list, coeffs, src: ProjSum, dst: ProjSum) -> ProjMorphism:
-    acc = ProjMorphism.zero(src, dst)
-    for b, c in zip(basis, coeffs):
-        if c != 0:
-            acc = acc.add(b.scale(c))
-    return acc
+    return [(morphism_from_flat(c.deg_m1, c.deg_m1, vec[:nm1]),
+             morphism_from_flat(c.deg_0, c.deg_0, vec[nm1:]))
+            for vec in kernel_basis(Mat.from_sparse(rows, n))]
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +335,7 @@ def hom_complex_to_module(c: TwoTermComplex, x: ExplicitRep, shift: int) -> int:
     basis0 = hom_basis(rep0, x)
     nm1_total = repm1.dim.d1 * x.dim.d1 + repm1.dim.d2 * x.dim.d2
     vecs = [(d1.mul(g1)).entries + (d2.mul(g2)).entries for (g1, g2) in basis0]
-    pullback_rank = _span_rank(vecs, nm1_total)
+    pullback_rank = rank(Mat.from_rows(vecs, cols=nm1_total))
     if shift == 0:
         return len(basis0) - pullback_rank
     return len(hom_basis(repm1, x)) - pullback_rank
@@ -398,26 +358,15 @@ def cocone(from_cplx: TwoTermComplex, to_cplx: TwoTermComplex,
                  from_cplx.deg_m1.p2 + to_cplx.deg_m1.p2)
     d0 = ProjSum(from_cplx.deg_0.p1 + to_cplx.deg_0.p1,
                  from_cplx.deg_0.p2 + to_cplx.deg_0.p2)
-    # differential [[d_from, attach], [0, d_to]] blockwise; the arrow block
-    # rows come from the P1 parts of the degree -1 terms in source order.
-    s11 = _two_block(f.s11, attach.s11, t.s11, m1.p1, d0.p1)
-    s22 = _two_block(f.s22, attach.s22, t.s22, m1.p2, d0.p2)
 
-    def arrow_block(f_arr: Mat, att_arr: Mat, t_arr: Mat) -> Mat:
-        out = [[QZERO] * d0.p2 for _ in range(m1.p1)]
-        for i in range(f_arr.rows):
-            for j in range(f_arr.cols):
-                out[i][j] = f_arr.at(i, j)
-            for j in range(att_arr.cols):
-                out[i][f_arr.cols + j] = att_arr.at(i, j)
-        for i in range(t_arr.rows):
-            for j in range(t_arr.cols):
-                out[f_arr.rows + i][f_arr.cols + j] = t_arr.at(i, j)
-        return Mat.from_rows(out, cols=d0.p2) if m1.p1 else Mat(0, d0.p2, ())
+    def two_block(part: str) -> Mat:
+        """[[d_from, attach], [0, d_to]] on one block of the differential."""
+        return block([[getattr(f, part), getattr(attach, part)],
+                      [None, getattr(t, part)]])
 
-    arr_a = arrow_block(f.arr_a, attach.arr_a, t.arr_a)
-    arr_b = arrow_block(f.arr_b, attach.arr_b, t.arr_b)
-    return TwoTermComplex(m1, d0, ProjMorphism(m1, d0, s11, s22, arr_a, arr_b))
+    return TwoTermComplex(m1, d0, ProjMorphism(
+        m1, d0, two_block("s11"), two_block("s22"), two_block("arr_a"),
+        two_block("arr_b")))
 
 
 def universal_extension(left: TwoTermComplex, right: TwoTermComplex) -> TwoTermComplex:
@@ -431,10 +380,8 @@ def universal_extension(left: TwoTermComplex, right: TwoTermComplex) -> TwoTermC
     stacked = power(left, k)
     attach = ProjMorphism(
         stacked.deg_m1, right.deg_0,
-        _vstack_blocks([r.s11 for r in reps], right.deg_0.p1),
-        _vstack_blocks([r.s22 for r in reps], right.deg_0.p2),
-        _vstack_blocks([r.arr_a for r in reps], right.deg_0.p2),
-        _vstack_blocks([r.arr_b for r in reps], right.deg_0.p2))
+        vstack([r.s11 for r in reps]), vstack([r.s22 for r in reps]),
+        vstack([r.arr_a for r in reps]), vstack([r.arr_b for r in reps]))
     return cocone(stacked, right, attach)
 
 
@@ -506,10 +453,10 @@ def minimize(c: TwoTermComplex) -> TwoTermComplex:
     d0 = ProjSum(cc, d)
     diff = ProjMorphism(
         m1, d0,
-        Mat.from_rows(s11, cols=cc) if a else Mat(0, cc, ()),
-        Mat.from_rows(s22, cols=d) if b else Mat(0, d, ()),
-        Mat.from_rows(arr_a, cols=d) if a else Mat(0, d, ()),
-        Mat.from_rows(arr_b, cols=d) if a else Mat(0, d, ()))
+        Mat.from_rows(s11, cols=cc),
+        Mat.from_rows(s22, cols=d),
+        Mat.from_rows(arr_a, cols=d),
+        Mat.from_rows(arr_b, cols=d))
     return TwoTermComplex(m1, d0, diff)
 
 
@@ -551,8 +498,6 @@ def parse_complex_literal(text: str) -> TwoTermComplex:
     (a,b) of arrow coefficients on the P1 -> P2 block, and literal 0 on the
     always-zero P2 -> P1 block.  The row part is omitted when either term
     is empty."""
-    import re
-    from fractions import Fraction
     t = text.strip()
     if not (t.startswith("[") and t.endswith("]")):
         raise ValueError(f"complex literal must be bracketed: {text!r}")
@@ -608,10 +553,10 @@ def parse_complex_literal(text: str) -> TwoTermComplex:
                     s22[i - src.p1][j - dst.p1] = val
     diff = ProjMorphism(
         src, dst,
-        Mat.from_rows(s11, cols=dst.p1) if src.p1 else Mat(0, dst.p1, ()),
-        Mat.from_rows(s22, cols=dst.p2) if src.p2 else Mat(0, dst.p2, ()),
-        Mat.from_rows(arr_a, cols=dst.p2) if src.p1 else Mat(0, dst.p2, ()),
-        Mat.from_rows(arr_b, cols=dst.p2) if src.p1 else Mat(0, dst.p2, ()))
+        Mat.from_rows(s11, cols=dst.p1),
+        Mat.from_rows(s22, cols=dst.p2),
+        Mat.from_rows(arr_a, cols=dst.p2),
+        Mat.from_rows(arr_b, cols=dst.p2))
     return TwoTermComplex(src, dst, diff)
 
 

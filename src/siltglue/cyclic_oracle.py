@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import Mat, QZERO, sparse_rank
+from .exactlin import Mat, QZERO, sparse_rank, sylvester_rows
 from .tube import Arc, TubeCtx, normalize
 
 
@@ -79,8 +79,7 @@ def rep_of_arc(a: Arc, ctx: TubeCtx) -> NilpRep:
         for r, t in enumerate(src):
             if t >= 1:
                 rows[r][dst.index(t - 1)] = 1
-        mats.append(Mat.from_rows([[x for x in row] for row in rows],
-                                  cols=len(dst)) if src else Mat(0, len(dst), ()))
+        mats.append(Mat.from_rows(rows, cols=len(dst)))
     return NilpRep(n, dims, tuple(mats))
 
 
@@ -89,34 +88,19 @@ def hom_dim_oracle(x: NilpRep, y: NilpRep) -> int:
     if x.n != y.n:
         raise ValueError("rank mismatch")
     n = x.n
-    offs = [0]
+    var = [0]
     for v in range(n):
-        offs.append(offs[-1] + x.dims[v] * y.dims[v])
-    unknowns = offs[-1]
-
-    def idx(v, i, j):
-        return offs[v] + i * y.dims[v] + j
-
-    rows = []
+        var.append(var[-1] + x.dims[v] * y.dims[v])
+    out = [0]
+    for v in range(n):
+        out.append(out[-1] + x.dims[v] * y.dims[(v - 1) % n])
+    # X_v f_w = f_v Y_v as maps V^x_v -> V^y_w, w = v - 1
+    terms = []
     for v in range(n):
         w = (v - 1) % n
-        # X_v f_w = f_v Y_v as maps V^x_v -> V^y_w
-        for i in range(x.dims[v]):
-            for j in range(y.dims[w]):
-                row: dict = {}
-                for k in range(x.dims[w]):
-                    val = x.maps[v].at(i, k)
-                    if val != 0:
-                        key = idx(w, k, j)
-                        row[key] = row.get(key, QZERO) + val
-                for l in range(y.dims[v]):
-                    val = y.maps[v].at(l, j)
-                    if val != 0:
-                        key = idx(v, i, l)
-                        row[key] = row.get(key, QZERO) - val
-                if row:
-                    rows.append(row)
-    return unknowns - sparse_rank(rows)
+        terms.append((out[v], var[w], 1, x.maps[v], y.dims[w]))
+        terms.append((out[v], var[v], -1, x.dims[v], y.maps[v]))
+    return var[-1] - sparse_rank(sylvester_rows(out[-1], terms))
 
 
 def ext_dim_oracle(x: NilpRep, y: NilpRep) -> int:
@@ -131,3 +115,25 @@ def ext_dim_oracle(x: NilpRep, y: NilpRep) -> int:
     if val < 0:
         raise ArithmeticError("negative oracle Ext dimension")
     return val
+
+
+def sweep_arcs(ctx: TubeCtx, max_len: int, hom_arcs, ext_arcs) -> tuple:
+    """Compare arc-side Hom and Ext with the oracle on every ordered pair of
+    finite arcs of length 1..max_len.
+
+    hom_arcs and ext_arcs are the arc-model functions (a, b, ctx) -> int;
+    they are passed in so that the oracle keeps depending on nothing from
+    the arc side.  Returns the pair count and the mismatches, as
+    (kind, a, b) with kind "ext" or "hom", in the order they were checked.
+    """
+    arcs = [Arc(s, s + 1 + l)
+            for s in range(ctx.n) for l in range(1, max_len + 1)]
+    reps = {a: rep_of_arc(a, ctx) for a in arcs}
+    mismatches = []
+    for a in arcs:
+        for b in arcs:
+            if ext_arcs(a, b, ctx) != ext_dim_oracle(reps[a], reps[b]):
+                mismatches.append(("ext", a, b))
+            if hom_arcs(a, b, ctx) != hom_dim_oracle(reps[a], reps[b]):
+                mismatches.append(("hom", a, b))
+    return len(arcs) ** 2, mismatches

@@ -48,12 +48,23 @@ class Mat:
                 raise ValueError("cols required for a matrix with no rows")
             return Mat(0, cols, ())
         c = len(rows[0])
+        if cols is not None and cols != c:
+            raise ValueError(f"rows have {c} entries, cols says {cols}")
         ent = []
         for row in rows:
             if len(row) != c:
                 raise ValueError("ragged rows")
             ent.extend(frac(x) for x in row)
         return Mat(r, c, tuple(ent))
+
+    @staticmethod
+    def from_sparse(rows: Sequence[dict], cols: int) -> "Mat":
+        """Dense matrix of sparse rows given as dicts col -> value."""
+        ent = [QZERO] * (len(rows) * cols)
+        for i, row in enumerate(rows):
+            for j, v in row.items():
+                ent[i * cols + j] = frac(v)
+        return Mat(len(rows), cols, tuple(ent))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Mat":
@@ -146,9 +157,59 @@ def vstack(mats: Sequence[Mat]) -> Mat:
     return Mat(sum(m.rows for m in mats), cols, tuple(out))
 
 
-def block(grid: Sequence[Sequence[Mat]]) -> Mat:
-    """Assemble a block matrix from a grid of compatible blocks."""
-    return vstack([hstack(list(row)) for row in grid])
+def block(grid: Sequence[Sequence[Optional[Mat]]]) -> Mat:
+    """Assemble a block matrix from a grid of compatible blocks.
+
+    None stands for a zero block; its shape is read off the other blocks of
+    its block row and block column, so each of those needs one real block.
+    """
+    if not grid:
+        return Mat(0, 0, ())
+    heights = [next((m.rows for m in row if m is not None), None)
+               for row in grid]
+    widths = [next((row[j].cols for row in grid if row[j] is not None), None)
+              for j in range(len(grid[0]))]
+    if None in heights or None in widths:
+        raise ValueError("a block row or column holds only None blocks")
+    return vstack([hstack([Mat.zeros(h, w) if m is None else m
+                           for m, w in zip(row, widths)])
+                   for row, h in zip(grid, heights)])
+
+
+def sylvester_rows(neqs: int, terms) -> list:
+    """Sparse rows of the linear map vec X -> sum of sign * A X_v B.
+
+    Each term is (out, var, sign, A, B) with sign +1 or -1; A or B may be an
+    int n, standing for the n x n identity.  X_v is the A.cols x B.rows
+    block of unknowns stored row-major from column var on, and the product,
+    of shape A.rows x B.cols, is added row-major to the outputs from row out
+    on.  Returns one dict col -> Fraction per output, neqs in all.  In
+    row-major order vec(A X B) = (A kron B^T) vec X, so only the nonzeros of
+    A and B are visited.
+    """
+    rows = [{} for _ in range(neqs)]
+    for out, var, sign, a, b in terms:
+        _, _, anz = _nonzeros(a)
+        brows, bcols, bnz = _nonzeros(b)
+        for i, k, av in anz:
+            obase, vbase = out + i * bcols, var + k * brows
+            for l, j, bv in bnz:
+                # identity entries are the QONE object: skip their products
+                p = av if bv is QONE else bv if av is QONE else av * bv
+                if sign < 0:
+                    p = -p
+                row, key = rows[obase + j], vbase + l
+                row[key] = row[key] + p if key in row else p
+    return rows
+
+
+def _nonzeros(m) -> tuple:
+    """(rows, cols, [(i, j, value)]) of a Mat, or of the identity for an
+    int."""
+    if isinstance(m, int):
+        return m, m, [(i, i, QONE) for i in range(m)]
+    return m.rows, m.cols, [(t // m.cols, t % m.cols, v)
+                            for t, v in enumerate(m.entries) if v != 0]
 
 
 # -- elimination -------------------------------------------------------------
@@ -255,8 +316,7 @@ def row_space_projection(m: Mat) -> tuple:
     section = [[QZERO] * m.cols for _ in range(q)]
     for t, f in enumerate(free):
         section[t][f] = QONE
-    return (Mat.from_rows(proj, cols=q) if m.cols else Mat(0, q, ()),
-            Mat.from_rows(section, cols=m.cols) if q else Mat(0, m.cols, ()))
+    return Mat.from_rows(proj, cols=q), Mat.from_rows(section, cols=m.cols)
 
 
 def sparse_rank(rows: Iterable[dict]) -> int:

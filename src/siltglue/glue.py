@@ -436,15 +436,18 @@ def choose_seed(spec: TiltingSpec, point: str) -> Seed:
     else:
         side, lam = "left", Arc(0, 2)
     espec = ExpansionSpec(td.rank, lam)
+    return Seed(side, espec, reduce_spec(spec, point, espec, side))
+
+
+def reduce_spec(spec: TiltingSpec, point: str, espec: ExpansionSpec,
+                side: str) -> TiltingSpec:
+    """The datum with its tube at point reduced along espec by the left
+    (side "left") or right adjoint of the expansion, one rank down."""
+    td = spec.tube(point)
     reducer = reduce_left if side == "left" else reduce_right
-    reduced_arcs = set()
-    for a in arcs:
-        r = reducer(espec, a)
-        if r is not None:
-            reduced_arcs.add(r)
-    reduced = spec.with_tube(point, TubeData(td.rank - 1,
-                                             frozenset(reduced_arcs)))
-    return Seed(side, espec, reduced)
+    reduced = (reducer(espec, a) for a in td.sorted_arcs())
+    return spec.with_tube(point, TubeData(
+        td.rank - 1, frozenset(r for r in reduced if r is not None)))
 
 
 def round_trip(spec: TiltingSpec, point: str) -> bool:

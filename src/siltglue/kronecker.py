@@ -25,8 +25,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Sequence, Union
 
-from .exactlin import (Mat, QONE, QZERO, kernel_basis, rank,
-                       row_space_projection, sparse_rank)
+from .exactlin import (Mat, QONE, QZERO, block, kernel_basis, rank, rref,
+                       row_space_projection, sparse_rank, sylvester_rows)
 
 # ---------------------------------------------------------------------------
 # points of the projective line
@@ -318,20 +318,13 @@ def zero_rep() -> ExplicitRep:
 
 
 def rep_direct_sum(reps: Sequence[ExplicitRep]) -> ExplicitRep:
-    d1 = sum(r.dim.d1 for r in reps)
-    d2 = sum(r.dim.d2 for r in reps)
-    ma = [[QZERO] * d2 for _ in range(d1)]
-    mb = [[QZERO] * d2 for _ in range(d1)]
-    r0 = c0 = 0
-    for r in reps:
-        for i in range(r.dim.d1):
-            for j in range(r.dim.d2):
-                ma[r0 + i][c0 + j] = r.m_alpha.at(i, j)
-                mb[r0 + i][c0 + j] = r.m_beta.at(i, j)
-        r0 += r.dim.d1
-        c0 += r.dim.d2
-    return ExplicitRep(DimVector(d1, d2),
-                       Mat.from_rows(ma, cols=d2), Mat.from_rows(mb, cols=d2))
+    def diag(arrow: str) -> Mat:
+        return block([[getattr(r, arrow) if i == j else None
+                       for j in range(len(reps))] for i, r in enumerate(reps)])
+
+    return ExplicitRep(DimVector(sum(r.dim.d1 for r in reps),
+                                 sum(r.dim.d2 for r in reps)),
+                       diag("m_alpha"), diag("m_beta"))
 
 
 def _shift_matrix(n: int) -> Mat:
@@ -391,64 +384,32 @@ def rep_of_sum(s: ObjectSum) -> ExplicitRep:
 # ---------------------------------------------------------------------------
 
 
-def _unknown_layout(x: ExplicitRep, y: ExplicitRep):
+def _intertwiner_rows(x: ExplicitRep, y: ExplicitRep) -> tuple:
+    """The map (f1, f2) -> (X_a f2 - f1 Y_a)_a on the flat layout [f1 | f2]
+    of Hom(x_1, y_1) + Hom(x_2, y_2), into the arrow layout [alpha | beta]
+    of two d1(x) x d2(y) blocks.  Its kernel is Hom(x, y), its cokernel
+    Ext^1(x, y).  Returns (rows, number of unknowns, size of the f1 part)."""
     n1 = x.dim.d1 * y.dim.d1
-    return n1, n1 + x.dim.d2 * y.dim.d2
-
-
-def _intertwiner_rows(x: ExplicitRep, y: ExplicitRep):
-    """Sparse rows of the system cutting out morphisms (f1, f2) with
-    X_a f2 = f1 Y_a for both arrows, in the flat layout [f1 | f2]."""
-    n1, _ = _unknown_layout(x, y)
-    d1x, d2x = x.dim.d1, x.dim.d2
-    d1y, d2y = y.dim.d1, y.dim.d2
-    rows = []
-    for xa, ya in ((x.m_alpha, y.m_alpha), (x.m_beta, y.m_beta)):
-        for i in range(d1x):
-            for j in range(d2y):
-                row: dict = {}
-                for k in range(d2x):
-                    v = xa.at(i, k)
-                    if v != 0:
-                        row[n1 + k * d2y + j] = row.get(n1 + k * d2y + j, QZERO) + v
-                for l in range(d1y):
-                    v = ya.at(l, j)
-                    if v != 0:
-                        idx = i * d1y + l
-                        row[idx] = row.get(idx, QZERO) - v
-                if row:
-                    rows.append(row)
-    return rows
+    neq = x.dim.d1 * y.dim.d2
+    rows = sylvester_rows(2 * neq, [
+        (0, n1, 1, x.m_alpha, y.dim.d2), (0, 0, -1, x.dim.d1, y.m_alpha),
+        (neq, n1, 1, x.m_beta, y.dim.d2), (neq, 0, -1, x.dim.d1, y.m_beta)])
+    return rows, n1 + x.dim.d2 * y.dim.d2, n1
 
 
 @lru_cache(maxsize=None)
 def hom_dim(x: ExplicitRep, y: ExplicitRep) -> int:
     """Dimension of the space of representation morphisms x -> y."""
-    _, n = _unknown_layout(x, y)
-    return n - sparse_rank(_intertwiner_rows(x, y))
+    rows, n, _ = _intertwiner_rows(x, y)
+    return n - sparse_rank(rows)
 
 
 def hom_basis(x: ExplicitRep, y: ExplicitRep) -> list:
     """Basis of Hom(x, y) as pairs of matrices (f1, f2)."""
-    _, n = _unknown_layout(x, y)
-    rows = _intertwiner_rows(x, y)
-    dense = [[QZERO] * n for _ in rows]
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            dense[r][c] = v
-    system = Mat.from_rows(dense, cols=n) if dense else Mat(0, n, ())
-    n1, _ = _unknown_layout(x, y)
-    out = []
-    for vec in kernel_basis(system):
-        f1 = Mat(x.dim.d1, y.dim.d1, tuple(vec[:n1]))
-        f2 = Mat(x.dim.d2, y.dim.d2, tuple(vec[n1:]))
-        out.append((f1, f2))
-    return out
-
-
-def compose_rep_morphisms(f, g):
-    """(f then g) for representation morphisms given as (f1, f2) pairs."""
-    return (f[0].mul(g[0]), f[1].mul(g[1]))
+    rows, n, n1 = _intertwiner_rows(x, y)
+    return [(Mat(x.dim.d1, y.dim.d1, vec[:n1]),
+             Mat(x.dim.d2, y.dim.d2, vec[n1:]))
+            for vec in kernel_basis(Mat.from_sparse(rows, n))]
 
 
 def ext_dim(x: ExplicitRep, y: ExplicitRep) -> int:
@@ -508,8 +469,8 @@ def trace_subrep(x: ExplicitRep, y: ExplicitRep) -> tuple:
     basis = hom_basis(x, y)
     rows1 = [f1.row(i) for (f1, _) in basis for i in range(f1.rows)]
     rows2 = [f2.row(i) for (_, f2) in basis for i in range(f2.rows)]
-    m1 = Mat.from_rows(rows1, cols=y.dim.d1) if rows1 else Mat(0, y.dim.d1, ())
-    m2 = Mat.from_rows(rows2, cols=y.dim.d2) if rows2 else Mat(0, y.dim.d2, ())
+    m1 = Mat.from_rows(rows1, cols=y.dim.d1)
+    m2 = Mat.from_rows(rows2, cols=y.dim.d2)
     return m1, m2
 
 
@@ -700,10 +661,6 @@ def _rational_roots(poly: list) -> list:
     return sorted(roots)
 
 
-def _multiplicity_bound(total: int) -> int:
-    return max(1, total)
-
-
 def decompose(y: ExplicitRep, hint_points: Sequence = ()) -> ObjectSum:
     """Decompose a representation into indecomposables with multiplicities.
 
@@ -717,7 +674,7 @@ def decompose(y: ExplicitRep, hint_points: Sequence = ()) -> ObjectSum:
     total = y.dim.total()
     if total == 0:
         return ()
-    bound = _multiplicity_bound(total)
+    bound = max(1, total)
     parts = []
     covered = DimVector(0, 0)
 
@@ -778,44 +735,21 @@ def decompose(y: ExplicitRep, hint_points: Sequence = ()) -> ObjectSum:
 
 def ext_cocycle_basis(t: ExplicitRep, u: ExplicitRep) -> list:
     """Canonical basis of Ext^1(t, u) as arrow cocycles (c_alpha, c_beta),
-    each a d1(t) x d2(u) matrix: the cokernel of the map sending (f1, f2)
-    to (T_a f2 - f1 U_a)_a."""
-    rows_dim = t.dim.d1 * u.dim.d2
-    ncoords = 2 * rows_dim
-    gens = []
-    for i in range(t.dim.d1):
-        for l in range(u.dim.d1):
-            f1 = Mat.zeros(t.dim.d1, u.dim.d1).to_rows()
-            f1[i][l] = QONE
-            f1m = Mat.from_rows(f1, cols=u.dim.d1)
-            va = f1m.mul(u.m_alpha).scale(-1)
-            vb = f1m.mul(u.m_beta).scale(-1)
-            gens.append(tuple(va.entries) + tuple(vb.entries))
-    for k in range(t.dim.d2):
-        for l in range(u.dim.d2):
-            f2 = Mat.zeros(t.dim.d2, u.dim.d2).to_rows()
-            f2[k][l] = QONE
-            f2m = Mat.from_rows(f2, cols=u.dim.d2)
-            va = t.m_alpha.mul(f2m)
-            vb = t.m_beta.mul(f2m)
-            gens.append(tuple(va.entries) + tuple(vb.entries))
-    span = Mat.from_rows([list(g) for g in gens], cols=ncoords) \
-        if gens else Mat(0, ncoords, ())
-    proj, _ = row_space_projection(span)
-    # representatives: standard cocycles at the free coordinates
-    from .exactlin import rref as _rref
-    _, pivots = _rref(span)
-    free = [c for c in range(ncoords) if c not in set(pivots)]
+    each a d1(t) x d2(u) matrix: the standard cocycles at the free
+    coordinates of the image of the map sending (f1, f2) to
+    (T_a f2 - f1 U_a)_a."""
+    rows, n, _ = _intertwiner_rows(t, u)
+    _, pivots = rref(Mat.from_sparse(rows, n).transpose())
+    pivset = set(pivots)
+    neq = len(rows) // 2
     basis = []
-    for c in free:
-        va = [QZERO] * rows_dim
-        vb = [QZERO] * rows_dim
-        if c < rows_dim:
-            va[c] = QONE
-        else:
-            vb[c - rows_dim] = QONE
-        basis.append((Mat(t.dim.d1, u.dim.d2, tuple(va)),
-                      Mat(t.dim.d1, u.dim.d2, tuple(vb))))
+    for c in range(len(rows)):
+        if c in pivset:
+            continue
+        unit = [QZERO] * len(rows)
+        unit[c] = QONE
+        basis.append((Mat(t.dim.d1, u.dim.d2, tuple(unit[:neq])),
+                      Mat(t.dim.d1, u.dim.d2, tuple(unit[neq:]))))
     return basis
 
 
@@ -824,26 +758,15 @@ def extension_rep(t: ExplicitRep, u: ExplicitRep, cocycles: Sequence) -> Explici
     exact sequence with u as subrepresentation and one t-quotient per
     cocycle."""
     k = len(cocycles)
-    d1 = k * t.dim.d1 + u.dim.d1
-    d2 = k * t.dim.d2 + u.dim.d2
-    ma = [[QZERO] * d2 for _ in range(d1)]
-    mb = [[QZERO] * d2 for _ in range(d1)]
-    for c in range(k):
-        r0, c0 = c * t.dim.d1, c * t.dim.d2
-        ca, cb = cocycles[c]
-        for i in range(t.dim.d1):
-            for j in range(t.dim.d2):
-                ma[r0 + i][c0 + j] = t.m_alpha.at(i, j)
-                mb[r0 + i][c0 + j] = t.m_beta.at(i, j)
-            for j in range(u.dim.d2):
-                ma[r0 + i][k * t.dim.d2 + j] = ca.at(i, j)
-                mb[r0 + i][k * t.dim.d2 + j] = cb.at(i, j)
-    for i in range(u.dim.d1):
-        for j in range(u.dim.d2):
-            ma[k * t.dim.d1 + i][k * t.dim.d2 + j] = u.m_alpha.at(i, j)
-            mb[k * t.dim.d1 + i][k * t.dim.d2 + j] = u.m_beta.at(i, j)
-    return ExplicitRep(DimVector(d1, d2),
-                       Mat.from_rows(ma, cols=d2), Mat.from_rows(mb, cols=d2))
+
+    def arrow(side: int, tm: Mat, um: Mat) -> Mat:
+        return block([[tm if j == c else None for j in range(k)]
+                      + [cocycles[c][side]] for c in range(k)]
+                     + [[None] * k + [um]])
+
+    return ExplicitRep(t.dim.scaled(k) + u.dim,
+                       arrow(0, t.m_alpha, u.m_alpha),
+                       arrow(1, t.m_beta, u.m_beta))
 
 
 def bongartz_extension(t: ExplicitRep, u: ExplicitRep) -> ExplicitRep:

@@ -14,17 +14,17 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .exactlin import Mat, QONE, QZERO, rank
+from .exactlin import Mat, rank, vstack
 from .kronecker import (DimVector, ExplicitRep, KroneckerObject, LocalizedRing,
                         Point, Preinjective, Preprojective, Pruefer, Regular,
                         decompose, explicit_rep, normalize_point, object_sum,
                         parse_object, parse_point, quotient_rep, render_object,
                         render_object_sum, symbolic_ext_dim)
-from .complexes import (ProjMorphism, ProjSum, TwoTermComplex,
+from .complexes import (ProjMorphism, ProjSum, TwoTermComplex, delta_map,
                         chain_endo_basis, cocone,
                         derived_hom_dim, direct_sum, hom_complex_to_module,
-                        minimize, morphism_basis, morphism_space_dim,
-                        _span_rank, shifted_projective, universal_extension,
+                        minimize, morphism_space_dim, parse_complex_literal,
+                        shifted_projective, universal_extension,
                         zero_complex)
 
 # ---------------------------------------------------------------------------
@@ -43,21 +43,10 @@ def canonical_resolution(x: ExplicitRep) -> TwoTermComplex:
     d1, d2 = x.dim.d1, x.dim.d2
     src = ProjSum(2 * d1, 0)
     dst = ProjSum(d2, d1)
-    s11 = [[QZERO] * d2 for _ in range(2 * d1)]
-    arr_a = [[QZERO] * d1 for _ in range(2 * d1)]
-    arr_b = [[QZERO] * d1 for _ in range(2 * d1)]
-    for i in range(d1):
-        for j in range(d2):
-            s11[i][j] = -x.m_alpha.at(i, j)
-            s11[d1 + i][j] = -x.m_beta.at(i, j)
-        arr_a[i][i] = QONE
-        arr_b[d1 + i][i] = QONE
+    one, zero = Mat.identity(d1), Mat.zeros(d1, d1)
     diff = ProjMorphism(
-        src, dst,
-        Mat.from_rows(s11, cols=d2) if d1 else Mat(0, d2, ()),
-        Mat.zeros(0, d1),
-        Mat.from_rows(arr_a, cols=d1) if d1 else Mat(0, d1, ()),
-        Mat.from_rows(arr_b, cols=d1) if d1 else Mat(0, d1, ()))
+        src, dst, vstack([x.m_alpha, x.m_beta]).scale(-1), Mat.zeros(0, d1),
+        vstack([one, zero]), vstack([zero, one]))
     return TwoTermComplex(src, dst, diff)
 
 
@@ -150,16 +139,12 @@ def phi_surjective(sigma1: TwoTermComplex, sigma2: TwoTermComplex,
     if alpha.src != sigma2.deg_m1 or alpha.dst != sigma1.deg_0:
         raise ValueError("alpha must be a degree-one map sigma2 -> sigma1[1]")
     n = morphism_space_dim(sigma2.deg_m1, sigma1.deg_0)
-    vectors = []
-    for (fm1, _f0) in chain_endo_basis(sigma2):
-        vectors.append(fm1.then(alpha).flat())
-    for (_gm1, g0) in chain_endo_basis(sigma1):
-        vectors.append(alpha.then(g0).flat())
-    for h0 in morphism_basis(sigma2.deg_0, sigma1.deg_0):
-        vectors.append(sigma2.diff.then(h0).flat())
-    for hm1 in morphism_basis(sigma2.deg_m1, sigma1.deg_m1):
-        vectors.append(hm1.then(sigma1.diff).flat())
-    return _span_rank(vectors, n) == n
+    vectors = [fm1.then(alpha).flat() for fm1, _ in chain_endo_basis(sigma2)]
+    vectors += [alpha.then(g0).flat() for _, g0 in chain_endo_basis(sigma1)]
+    homotopies, nh = delta_map(sigma2, sigma1)
+    span = vstack([Mat.from_rows(vectors, cols=n),
+                   Mat.from_sparse(homotopies, nh).transpose()])
+    return rank(span) == n
 
 
 def cocone_of_attachment(sigma1: TwoTermComplex, sigma2: TwoTermComplex,
@@ -310,7 +295,6 @@ def complex_from_token(token: str) -> TwoTermComplex:
     if t == "0":
         return zero_complex()
     if t.startswith("["):
-        from .complexes import parse_complex_literal
         return parse_complex_literal(t)
     m = re.fullmatch(r"P([12])\[1\]", t)
     if m:

@@ -80,6 +80,19 @@ def test_shifted_projectives_hom():
                            -1) == 0
 
 
+def test_shifted_projective_targets_match_stalks():
+    # Hom(c, P_w[1][k]) = Hom(c, P_w[k + 1]): shift -1 against P_w[1] is
+    # shift 0 against the stalk, shift 0 is shift 1
+    for obj in CATALOG:
+        c = presentation_of_object(obj)
+        for w, stalk in ((1, ProjSum(1, 0)), (2, ProjSum(0, 1))):
+            shifted = shifted_projective(w)
+            assert (derived_hom_dim(c, shifted, -1)
+                    == derived_hom_dim(c, stalk_complex(stalk), 0)), (obj, w)
+            assert (derived_hom_dim(c, shifted, 0)
+                    == derived_hom_dim(c, stalk_complex(stalk), 1)), (obj, w)
+
+
 def test_hom_complex_to_module_routes():
     for a, b in itertools.product(CATALOG, CATALOG):
         c = presentation_of_object(a)

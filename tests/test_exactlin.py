@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siltglue.exactlin import (Mat, kernel_basis, left_kernel_basis, rank,
-                               row_space_projection, solve, sparse_rank)
+from siltglue.exactlin import (Mat, block, kernel_basis, left_kernel_basis,
+                               rank, row_space_projection, solve, sparse_rank,
+                               sylvester_rows)
 
 
 def test_rank_identity_and_zero():
@@ -34,6 +35,33 @@ def test_kernel_zero_matrix_standard_basis():
         (Fraction(1), Fraction(0), Fraction(0)),
         (Fraction(0), Fraction(1), Fraction(0)),
         (Fraction(0), Fraction(0), Fraction(1))])
+
+
+def test_from_rows_rejects_wrong_cols():
+    assert Mat.from_rows([[1, 2]], cols=2).cols == 2
+    assert Mat.from_rows([], cols=3) == Mat(0, 3, ())
+    with pytest.raises(ValueError):
+        Mat.from_rows([[1, 2]], cols=3)
+    with pytest.raises(ValueError):
+        Mat.from_rows([[], []], cols=1)
+
+
+def test_block_infers_zero_blocks():
+    a = Mat.from_rows([[1, 2]])
+    b = Mat.from_rows([[3], [4], [5]])
+    assert block([[a, None], [None, b]]) == Mat.from_rows(
+        [[1, 2, 0], [0, 0, 3], [0, 0, 4], [0, 0, 5]])
+    # zero-size blocks keep their extent in the other direction
+    empty_row, empty_col = Mat(0, 2, ()), Mat(3, 0, ())
+    assert block([[empty_row, None], [None, b]]) == Mat.from_rows(
+        [[0, 0, 3], [0, 0, 4], [0, 0, 5]])
+    assert block([[a, None], [None, empty_col]]) == Mat.from_rows(
+        [[1, 2], [0, 0], [0, 0], [0, 0]])
+    nothing = Mat(0, 0, ())
+    assert block([[nothing, None], [None, nothing]]) == nothing
+    assert block([]) == nothing
+    with pytest.raises(ValueError):
+        block([[a, None], [None, None]])
 
 
 def test_solve_identity():
@@ -122,3 +150,58 @@ def test_sparse_rank_agrees_with_dense(m):
         row = {j: m.at(i, j) for j in range(m.cols) if m.at(i, j) != 0}
         rows.append(row)
     assert sparse_rank(rows) == rank(m)
+
+
+@st.composite
+def matrices_of(draw, r, c):
+    ent = draw(st.lists(small_fractions, min_size=r * c, max_size=r * c))
+    return Mat(r, c, tuple(ent))
+
+
+@st.composite
+def sylvester_cases(draw):
+    """Random terms (out, var, sign, A, B) on one vector of unknowns, with
+    the unknown blocks X_v and the output blocks laid out back to back."""
+    dim = st.integers(min_value=0, max_value=3)
+    terms, blocks, outs = [], [], []
+    nvar = neqs = 0
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        p, q, r, s = draw(dim), draw(dim), draw(dim), draw(dim)
+        if draw(st.booleans()) and blocks:
+            var, q, r = draw(st.sampled_from(blocks))
+        else:
+            var = nvar
+            blocks.append((var, q, r))
+            nvar += q * r
+        if draw(st.booleans()) and outs:
+            out, p, s = draw(st.sampled_from(outs))
+        else:
+            out = neqs
+            outs.append((out, p, s))
+            neqs += p * s
+        a = draw(matrices_of(p, q))
+        b = draw(matrices_of(r, s))
+        terms.append((out, var, draw(st.sampled_from((1, -1))), a, b))
+    x = draw(st.lists(small_fractions, min_size=nvar, max_size=nvar))
+    return neqs, terms, x
+
+
+@given(sylvester_cases())
+@settings(max_examples=80, deadline=None)
+def test_sylvester_rows_apply_the_sum_of_products(case):
+    neqs, terms, x = case
+    want = [Fraction(0)] * neqs
+    for out, var, sign, a, b in terms:
+        xv = Mat(a.cols, b.rows, tuple(x[var:var + a.cols * b.rows]))
+        for t, v in enumerate(a.mul(xv).mul(b).scale(sign).entries):
+            want[out + t] += v
+    rows = sylvester_rows(neqs, terms)
+    assert len(rows) == neqs
+    assert [sum(v * x[c] for c, v in row.items()) for row in rows] == want
+
+
+def test_sylvester_rows_int_is_identity():
+    a = Mat.from_rows([[1, 2], [3, 4]])
+    ident = sylvester_rows(4, [(0, 0, 1, a, 2)])
+    assert ident == sylvester_rows(4, [(0, 0, 1, a, Mat.identity(2))])
+    assert ident == [{0: 1, 2: 2}, {1: 1, 3: 2}, {0: 3, 2: 4}, {1: 3, 3: 4}]
