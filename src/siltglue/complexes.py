@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .exactlin import (Mat, QONE, QZERO, block, hstack, kernel_basis, rank,
                        rref, sparse_rank, sylvester_rows, vstack)
-from .kronecker import DimVector, ExplicitRep, hom_basis
+from .kronecker import DimVector, ExplicitRep, hom_basis, hom_dim
 
 # ---------------------------------------------------------------------------
 # sums of projectives and morphisms between them
@@ -338,7 +338,7 @@ def hom_complex_to_module(c: TwoTermComplex, x: ExplicitRep, shift: int) -> int:
     pullback_rank = rank(Mat.from_rows(vecs, cols=nm1_total))
     if shift == 0:
         return len(basis0) - pullback_rank
-    return len(hom_basis(repm1, x)) - pullback_rank
+    return hom_dim(repm1, x) - pullback_rank
 
 
 # ---------------------------------------------------------------------------

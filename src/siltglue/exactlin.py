@@ -1,14 +1,18 @@
 """Exact rational linear algebra on small dense matrices.
 
-Everything runs over arbitrary-precision rationals; there is no floating
-point anywhere in the package.  Matrices are immutable, row-major, and all
-elimination uses the leftmost nonzero pivot with first-row tie-break, so
-echelon forms, ranks and kernel bases are deterministic across runs and
-platforms.
+Matrices, vectors and results are exact rationals (Fraction) at the API;
+there is no floating point anywhere in the package.  Inside, elimination
+runs on Python integers: each row is scaled by the lcm of its denominators
+and rows are combined fraction-free, a*row - b*pivot_row with the content
+removed, or by Bareiss for determinants.  Matrices are immutable, row-major,
+and all elimination uses the leftmost nonzero pivot with first-row
+tie-break, so echelon forms, ranks and kernel bases are deterministic across
+runs and platforms, and equal to those of rational Gauss-Jordan.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -37,6 +41,15 @@ class Mat:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match rows*cols")
+
+    def __hash__(self):
+        # hashing a Fraction is costly and Mats key the Hom caches: hash
+        # the entries once and keep the value on the instance
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.rows, self.cols, self.entries))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     # -- construction ------------------------------------------------------
 
@@ -215,37 +228,56 @@ def _nonzeros(m) -> tuple:
 # -- elimination -------------------------------------------------------------
 
 
+def _int_row(values) -> list:
+    """A row of rationals scaled by the lcm of its denominators: an integer
+    row with the same zero pattern and the same span."""
+    nd = [x.as_integer_ratio() for x in values]
+    den = math.lcm(*[d for _, d in nd])
+    return [n for n, _ in nd] if den == 1 else [n * (den // d) for n, d in nd]
+
+
+def _eliminate(row: list, pivot_row: list, c: int) -> list:
+    """a*row - b*pivot_row with a/b the reduced ratio of the two entries in
+    column c, so column c clears, divided by its content."""
+    g = math.gcd(pivot_row[c], row[c])
+    a, b = pivot_row[c] // g, row[c] // g
+    out = [a * x - b * y for x, y in zip(row, pivot_row)]
+    g = math.gcd(*out)
+    return [x // g for x in out] if g > 1 else out
+
+
 def rref(m: Mat) -> tuple:
     """Reduced row echelon form and the tuple of pivot columns.
 
-    Pivot choice: leftmost nonzero column, first available row.
+    Pivot choice: leftmost nonzero column, first available row.  Elimination
+    runs on integer rows, each a nonzero multiple of the row that rational
+    Gauss-Jordan would hold at the same step, so zero patterns and pivots
+    agree with it; dividing each pivot row by its pivot at the end gives the
+    reduced form exactly.
     """
-    rows = m.to_rows()
     nr, nc = m.rows, m.cols
+    rows = [_int_row(m.row(i)) for i in range(nr)]
     pivots = []
     r = 0
     for c in range(nc):
         if r >= nr:
             break
-        sel = None
-        for i in range(r, nr):
-            if rows[i][c] != 0:
-                sel = i
-                break
+        sel = next((i for i in range(r, nr) if rows[i][c]), None)
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [x / pv for x in rows[r]]
+        pivot_row = rows[r]
         for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                ri, rr = rows[i], rows[r]
-                rows[i] = [a - f * b for a, b in zip(ri, rr)]
+            if i != r and rows[i][c]:
+                rows[i] = _eliminate(rows[i], pivot_row, c)
         pivots.append(c)
         r += 1
-    return Mat.from_rows(rows, cols=nc), tuple(pivots)
+    ent = []
+    for row, c in zip(rows, pivots):
+        pv = row[c]
+        ent.extend(Fraction(x, pv) if x else QZERO for x in row)
+    ent.extend([QZERO] * ((nr - r) * nc))
+    return Mat(nr, nc, tuple(ent)), tuple(pivots)
 
 
 def rank(m: Mat) -> int:
@@ -320,31 +352,62 @@ def row_space_projection(m: Mat) -> tuple:
 
 
 def sparse_rank(rows: Iterable[dict]) -> int:
-    """Rank of a sparse matrix given as dicts col -> Fraction.
+    """Rank of a sparse matrix given as dicts col -> rational.
 
     Same pivot policy as rref but never materializes dense rows; intended
-    for the large, very sparse intertwiner systems.
+    for the large, very sparse intertwiner systems.  Stored zeros are
+    dropped, each row is scaled to integers, and elimination against the
+    pivot rows runs on ints as in rref.
     """
     pivrows: dict = {}
-    rk = 0
     for row in rows:
-        cur = dict(row)
+        nd = [(c, v.as_integer_ratio()) for c, v in row.items() if v]
+        if not nd:
+            continue
+        den = math.lcm(*[d for _, (_, d) in nd])
+        cur = {c: n * (den // d) for c, (n, d) in nd}
         while cur:
             c = min(cur)
-            if cur[c] == 0:
-                del cur[c]
-                continue
-            if c in pivrows:
-                f = cur[c]
-                for cc, vv in pivrows[c].items():
-                    nv = cur.get(cc, QZERO) - f * vv
-                    if nv == 0:
-                        cur.pop(cc, None)
-                    else:
-                        cur[cc] = nv
-            else:
-                pv = cur[c]
-                pivrows[c] = {cc: vv / pv for cc, vv in cur.items()}
-                rk += 1
+            prow = pivrows.get(c)
+            if prow is None:
+                pivrows[c] = cur
                 break
-    return rk
+            g = math.gcd(prow[c], cur[c])
+            a, b = prow[c] // g, cur[c] // g
+            if a != 1:
+                cur = {cc: a * v for cc, v in cur.items()}
+            for cc, v in prow.items():
+                nv = cur.get(cc, 0) - b * v
+                if nv:
+                    cur[cc] = nv
+                else:
+                    del cur[cc]
+            if cur:
+                g = math.gcd(*cur.values())
+                if g != 1:
+                    cur = {cc: v // g for cc, v in cur.items()}
+    return len(pivrows)
+
+
+def det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix given as rows, by Bareiss
+    fraction-free elimination: every division is exact."""
+    n = len(rows)
+    a = [list(r) for r in rows]
+    if any(len(r) != n for r in a):
+        raise ValueError("det of a non-square matrix")
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            sel = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if sel is None:
+                return 0
+            a[k], a[sel] = a[sel], a[k]
+            sign = -sign
+        pk, akk = a[k], a[k][k]
+        for i in range(k + 1, n):
+            ri, aik = a[i], a[i][k]
+            for j in range(k + 1, n):
+                ri[j] = (ri[j] * akk - aik * pk[j]) // prev
+        prev = akk
+    return sign * a[-1][-1] if n else 1

@@ -25,8 +25,9 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Sequence, Union
 
-from .exactlin import (Mat, QONE, QZERO, block, kernel_basis, rank, rref,
-                       row_space_projection, sparse_rank, sylvester_rows)
+from .exactlin import (Mat, QONE, QZERO, block, det, kernel_basis, rank,
+                       rref, row_space_projection, sparse_rank,
+                       sylvester_rows)
 
 # ---------------------------------------------------------------------------
 # points of the projective line
@@ -335,7 +336,7 @@ def _shift_matrix(n: int) -> Mat:
     return Mat.from_rows(ent, cols=n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def explicit_rep(x: KroneckerObject) -> ExplicitRep:
     """A representative of the isomorphism class of a finite-dimensional
     indecomposable."""
@@ -397,7 +398,7 @@ def _intertwiner_rows(x: ExplicitRep, y: ExplicitRep) -> tuple:
     return rows, n1 + x.dim.d2 * y.dim.d2, n1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def hom_dim(x: ExplicitRep, y: ExplicitRep) -> int:
     """Dimension of the space of representation morphisms x -> y."""
     rows, n, _ = _intertwiner_rows(x, y)
@@ -522,10 +523,10 @@ def regular_support_points(y: ExplicitRep) -> list:
     def pencil(a: int, b: int) -> Mat:
         return y.m_alpha.scale(b).sub(y.m_beta.scale(a))
 
-    samples = [rank(pencil(t, 1)) for t in range(2, k + 4)]
-    r_gen = max(samples + [rank(pencil(1, 0))])
+    rank_inf = rank(pencil(1, 0))
+    r_gen = max([rank(pencil(t, 1)) for t in range(2, k + 4)] + [rank_inf])
     cands = set()
-    if rank(pencil(1, 0)) < r_gen:
+    if rank_inf < r_gen:
         cands.add((1, 0))
     minor = _first_nonzero_minor_poly(y.m_alpha, y.m_beta, r_gen)
     if minor is not None:
@@ -535,7 +536,7 @@ def regular_support_points(y: ExplicitRep) -> list:
 
 
 def _poly_mul(a: list, b: list) -> list:
-    out = [QZERO] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x == 0:
             continue
@@ -551,65 +552,39 @@ def _poly_trim(a: list) -> list:
     return a
 
 
-def _det(rows: list) -> Fraction:
-    """Determinant by fraction-free elimination on a list-of-lists copy."""
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    det = QONE
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if rows[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            return QZERO
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = rows[c][c]
-        for r in range(c + 1, n):
-            if rows[r][c] != 0:
-                f = rows[r][c] / inv
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
-    return det
-
-
 def _poly_det(grid: list) -> list:
-    """Determinant of a square matrix of linear polynomials in t, found by
-    evaluation at n+1 points and Lagrange interpolation (each entry is a
-    coefficient list; the degree is at most the matrix size)."""
+    """Determinant of a square matrix of polynomials in t, found by
+    evaluation at t = 0..D and Lagrange interpolation (each entry is a
+    coefficient list; D, n times the largest entry degree, bounds the
+    degree).  The grid is scaled by the lcm den of its denominators, so each
+    evaluation is an integer determinant, den**n times the wanted value, and
+    the interpolation runs on integers over the common denominator D! of its
+    basis polynomials."""
     n = len(grid)
     if n == 0:
         return [QONE]
     maxdeg = n * max(max(len(e) for e in row) - 1 for row in grid)
-    pts = list(range(maxdeg + 1))
-    vals = []
-    for t in pts:
-        tv = Fraction(t)
-        rows = [[sum(c * tv ** k for k, c in enumerate(e)) for e in row]
-                for row in grid]
-        vals.append(_det(rows))
-    # Lagrange interpolation on the sample points
-    coeffs = [QZERO] * (maxdeg + 1)
-    for i, ti in enumerate(pts):
-        others = [tj for j, tj in enumerate(pts) if j != i]
-        denom = QONE
-        for tj in others:
-            denom *= Fraction(ti - tj)
-        basis = _poly_from_roots(others)
-        scale = vals[i] / denom
+    den = math.lcm(*[c.denominator for row in grid for e in row for c in e])
+    igrid = [[[c.numerator * (den // c.denominator) for c in e] for e in row]
+             for row in grid]
+    pts = range(maxdeg + 1)
+    fact = math.factorial(maxdeg)
+    coeffs = [0] * (maxdeg + 1)
+    for i in pts:
+        val = det([[sum(c * i ** k for k, c in enumerate(e)) for e in row]
+                   for row in igrid])
+        if not val:
+            continue
+        basis, denom = [1], 1
+        for j in pts:
+            if j != i:
+                basis = _poly_mul(basis, [-j, 1])
+                denom *= i - j
+        val *= fact // denom
         for k, c in enumerate(basis):
-            coeffs[k] += scale * c
-    return _poly_trim(coeffs)
-
-
-def _poly_from_roots(roots: list) -> list:
-    out = [QONE]
-    for r in roots:
-        out = _poly_mul(out, [Fraction(-r), QONE])
-    return out
+            coeffs[k] += val * c
+    scale = fact * den ** n
+    return _poly_trim([Fraction(c, scale) for c in coeffs])
 
 
 def _first_nonzero_minor_poly(ma: Mat, mb: Mat, size: int):
@@ -621,9 +596,9 @@ def _first_nonzero_minor_poly(ma: Mat, mb: Mat, size: int):
     for rows in combinations(range(d1), size):
         for cols in combinations(range(d2), size):
             grid = [[[ma.at(i, j), -mb.at(i, j)] for j in cols] for i in rows]
-            det = _poly_det(grid)
-            if det != [QZERO]:
-                return det
+            poly = _poly_det(grid)
+            if poly != [QZERO]:
+                return poly
     return None
 
 

@@ -1,12 +1,14 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siltglue.exactlin import (Mat, block, kernel_basis, left_kernel_basis,
-                               rank, row_space_projection, solve, sparse_rank,
-                               sylvester_rows)
+from siltglue.exactlin import (Mat, block, det, kernel_basis,
+                               left_kernel_basis, rank, row_space_projection,
+                               rref, solve, sparse_rank, sylvester_rows)
+from siltglue.kronecker import _poly_det
 
 
 def test_rank_identity_and_zero():
@@ -205,3 +207,149 @@ def test_sylvester_rows_int_is_identity():
     ident = sylvester_rows(4, [(0, 0, 1, a, 2)])
     assert ident == sylvester_rows(4, [(0, 0, 1, a, Mat.identity(2))])
     assert ident == [{0: 1, 2: 2}, {1: 1, 3: 2}, {0: 3, 2: 4}, {1: 3, 3: 4}]
+
+
+# -- the integer kernels against rational Gauss-Jordan -----------------------
+
+
+def reference_rref(m: Mat) -> tuple:
+    """Gauss-Jordan over Fraction: leftmost nonzero column, first available
+    row, each pivot row divided by its pivot as soon as it is chosen."""
+    rows = m.to_rows()
+    nr, nc = m.rows, m.cols
+    pivots = []
+    r = 0
+    for c in range(nc):
+        if r >= nr:
+            break
+        sel = None
+        for i in range(r, nr):
+            if rows[i][c] != 0:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        pv = rows[r][c]
+        if pv != 1:
+            rows[r] = [x / pv for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return Mat.from_rows(rows, cols=nc), tuple(pivots)
+
+
+def reference_det(rows) -> Fraction:
+    """Determinant over Fraction: the product of the pivots of Gaussian
+    elimination, negated once per row swap."""
+    n = len(rows)
+    rows = [[Fraction(x) for x in r] for r in rows]
+    out = Fraction(1)
+    for c in range(n):
+        sel = next((r for r in range(c, n) if rows[r][c] != 0), None)
+        if sel is None:
+            return Fraction(0)
+        if sel != c:
+            rows[c], rows[sel] = rows[sel], rows[c]
+            out = -out
+        out *= rows[c][c]
+        for r in range(c + 1, n):
+            f = rows[r][c] / rows[c][c]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return out
+
+
+dense_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@st.composite
+def dependent_matrices(draw, max_dim=6):
+    """Matrices with non-unit denominators and rows that are rational
+    combinations of earlier rows, at random positions."""
+    c = draw(st.integers(min_value=0, max_value=max_dim))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_dim))):
+        if rows and draw(st.booleans()):
+            coef = draw(st.lists(dense_fractions, min_size=len(rows),
+                                 max_size=len(rows)))
+            rows.append([sum((k * row[j] for k, row in zip(coef, rows)),
+                             Fraction(0)) for j in range(c)])
+        else:
+            rows.append(draw(st.lists(st.one_of(st.just(Fraction(0)),
+                                                dense_fractions),
+                                      min_size=c, max_size=c)))
+    order = draw(st.permutations(range(len(rows))))
+    return Mat.from_rows([rows[i] for i in order], cols=c)
+
+
+@given(dependent_matrices())
+@settings(max_examples=150, deadline=None)
+def test_rref_matches_rational_gauss_jordan(m):
+    red, pivots = rref(m)
+    want_red, want_pivots = reference_rref(m)
+    assert pivots == want_pivots
+    assert red.entries == want_red.entries
+    assert all(type(x) is Fraction for x in red.entries)
+
+
+@given(dependent_matrices(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_sparse_rank_matches_reference_with_stored_zeros(m, rng):
+    rows = [{j: v for j, v in enumerate(m.row(i))
+             if v != 0 or rng.random() < 0.4} for i in range(m.rows)]
+    assert sparse_rank(iter(rows)) == len(reference_rref(m)[1])
+
+
+@given(st.integers(min_value=0, max_value=6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(min_value=-30, max_value=30)
+                                | st.just(0), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+@settings(max_examples=150, deadline=None)
+def test_det_matches_reference(rows):
+    assert det(rows) == reference_det(rows)
+
+
+def test_det_rejects_non_square():
+    with pytest.raises(ValueError):
+        det([[1, 2]])
+
+
+linear_grids = st.integers(min_value=0, max_value=4).flatmap(
+    lambda n: st.lists(st.lists(st.lists(st.one_of(st.just(Fraction(0)),
+                                                   dense_fractions),
+                                         min_size=2, max_size=2),
+                                min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+
+
+@given(linear_grids)
+@settings(max_examples=100, deadline=None)
+def test_poly_det_evaluates_to_det_of_evaluated_grid(grid):
+    poly = _poly_det(grid)
+    for t in (Fraction(0), Fraction(3), Fraction(-7), Fraction(5, 2),
+              Fraction(-1, 3)):
+        value = sum((c * t ** k for k, c in enumerate(poly)), Fraction(0))
+        evaluated = [[e[0] + e[1] * t for e in row] for row in grid]
+        assert value == reference_det(evaluated)
+
+
+@given(dependent_matrices())
+@settings(max_examples=60, deadline=None)
+def test_equal_mats_hash_equal_and_share_a_cache_entry(m):
+    twin = Mat(m.rows, m.cols,
+               tuple(Fraction(x.numerator, x.denominator) for x in m.entries))
+    assert twin is not m and twin == m
+    calls = []
+
+    @lru_cache(maxsize=16)
+    def cached(x):
+        calls.append(x)
+        return x.rows
+
+    cached(m)
+    assert hash(twin) == hash(m) == hash((m.rows, m.cols, m.entries))
+    cached(twin)
+    assert len(calls) == 1 and cached.cache_info().hits == 1
