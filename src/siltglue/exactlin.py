@@ -352,12 +352,20 @@ def row_space_projection(m: Mat) -> tuple:
 
 
 def sparse_rank(rows: Iterable[dict]) -> int:
-    """Rank of a sparse matrix given as dicts col -> rational.
+    """Rank of a sparse matrix given as dicts col -> rational."""
+    return len(pivot_columns(rows))
+
+
+def pivot_columns(rows: Iterable[dict]):
+    """The pivot columns of rref of a sparse matrix given as dicts
+    col -> rational (or int), its leftmost basis of the column space, as a
+    set-like view in the order they were found.
 
     Same pivot policy as rref but never materializes dense rows; intended
     for the large, very sparse intertwiner systems.  Stored zeros are
     dropped, each row is scaled to integers, and elimination against the
-    pivot rows runs on ints as in rref.
+    pivot rows runs on ints as in rref.  The leading columns of any echelon
+    basis of the row space are the pivot columns of rref.
     """
     pivrows: dict = {}
     for row in rows:
@@ -386,7 +394,7 @@ def sparse_rank(rows: Iterable[dict]) -> int:
                 g = math.gcd(*cur.values())
                 if g != 1:
                     cur = {cc: v // g for cc, v in cur.items()}
-    return len(pivrows)
+    return pivrows.keys()
 
 
 def det(rows: Sequence[Sequence[int]]) -> int:

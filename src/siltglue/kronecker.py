@@ -22,12 +22,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from typing import Optional, Sequence, Union
 
-from .exactlin import (Mat, QONE, QZERO, block, det, kernel_basis, rank,
-                       rref, row_space_projection, sparse_rank,
-                       sylvester_rows)
+from .exactlin import (Mat, QONE, QZERO, block, det, kernel_basis,
+                       pivot_columns, rank, rref, row_space_projection,
+                       sparse_rank, sylvester_rows)
 
 # ---------------------------------------------------------------------------
 # points of the projective line
@@ -508,28 +507,42 @@ def trace_dim_vector(e: int) -> DimVector:
 def regular_support_points(y: ExplicitRep) -> list:
     """Candidate points of the projective line for regular summands of y.
 
-    The regular support is contained in the set of points where the arrow
-    pencil b*Y_alpha - a*Y_beta drops below its generic rank.  The generic
-    rank is found by sampling; the finite drop points are among the
-    rational roots of any single nonzero minor of that size, so one such
-    minor suffices for a candidate superset.  Spurious candidates are
-    harmless: the multiplicity formulas in decompose() return zero there.
+    The regular support lies among the points (a:b) where the arrow pencil
+    b*Y_alpha - a*Y_beta drops below its generic rank r.  Both arrows are
+    scaled once to integers by the lcm of their denominators, and the pencil
+    is ranked on those integer rows at (1:0) and at t = 2..k+3 for
+    Y_alpha - t*Y_beta, k = min(d1, d2): at most r <= k finite points drop,
+    so the largest rank is r and some finite sample reaches it.  At the
+    first such sample, its pivot columns and then the pivot rows of that
+    column slice pick an r x r minor that is nonzero there, hence nonzero as
+    a polynomial in t; the rational roots of that one minor are a superset
+    of the finite drop points.  Spurious candidates are harmless: the
+    multiplicity formulas in decompose() return zero there.  The cost is
+    polynomial in the bit size of y.
     """
     d1, d2 = y.dim.d1, y.dim.d2
     if d1 == 0 or d2 == 0:
         return []
     k = min(d1, d2)
-
-    def pencil(a: int, b: int) -> Mat:
-        return y.m_alpha.scale(b).sub(y.m_beta.scale(a))
-
-    rank_inf = rank(pencil(1, 0))
-    r_gen = max([rank(pencil(t, 1)) for t in range(2, k + 4)] + [rank_inf])
+    den = math.lcm(*[x.denominator
+                     for x in y.m_alpha.entries + y.m_beta.entries])
+    ia, ib = ([[x.numerator * (den // x.denominator) for x in m.row(i)]
+               for i in range(d1)] for m in (y.m_alpha, y.m_beta))
+    samples = [[dict(enumerate(a - t * b for a, b in zip(ra, rb)))
+                for ra, rb in zip(ia, ib)] for t in range(2, k + 4)]
+    ranks = [sparse_rank(rows) for rows in samples]
+    rank_inf = sparse_rank(dict(enumerate(rb)) for rb in ib)
+    r_gen = max(ranks + [rank_inf])
     cands = set()
     if rank_inf < r_gen:
         cands.add((1, 0))
-    minor = _first_nonzero_minor_poly(y.m_alpha, y.m_beta, r_gen)
-    if minor is not None:
+    if r_gen:
+        rows = samples[ranks.index(r_gen)]
+        cols = pivot_columns(rows)
+        sel = pivot_columns({i: row[c] for i, row in enumerate(rows)}
+                            for c in cols)
+        minor = _poly_det([[[ia[i][j], -ib[i][j]] for j in cols]
+                           for i in sel])
         for t in _rational_roots(minor):
             cands.add(normalize_point(t.numerator, t.denominator))
     return sorted(cands)
@@ -587,52 +600,111 @@ def _poly_det(grid: list) -> list:
     return _poly_trim([Fraction(c, scale) for c in coeffs])
 
 
-def _first_nonzero_minor_poly(ma: Mat, mb: Mat, size: int):
-    """The first r x r minor of the pencil ma - t*mb that is nonzero as a
-    polynomial in t, or None when size is zero or no such minor exists."""
-    if size == 0:
-        return None
-    d1, d2 = ma.rows, ma.cols
-    for rows in combinations(range(d1), size):
-        for cols in combinations(range(d2), size):
-            grid = [[[ma.at(i, j), -mb.at(i, j)] for j in cols] for i in rows]
-            poly = _poly_det(grid)
-            if poly != [QZERO]:
-                return poly
-    return None
+def _prem(a: list, b: list) -> list:
+    """A pseudo-remainder of integer polynomials (coefficient lists, lowest
+    degree first, deg b >= 1): lc(b)**e * a mod b for some e >= 0, by
+    fraction-free long division; [] when it is zero."""
+    a, n, lb = list(a), len(b), b[-1]
+    while len(a) >= n:
+        c = a.pop()
+        s = len(a) - n + 1
+        a = [x * lb for x in a]
+        for i, z in enumerate(b[:-1]):
+            a[s + i] -= c * z
+        while a and not a[-1]:
+            a.pop()
+    return a
+
+
+def _primitive(a: list) -> list:
+    g = math.gcd(*a)
+    return [x // g for x in a]
+
+
+def _squarefree(f: list) -> list:
+    """f / gcd(f, f') for a primitive integer polynomial of degree >= 1, the
+    gcd taken along the primitive pseudo-remainder sequence; the quotient of
+    two primitive polynomials is integral (Gauss), so the division is
+    exact."""
+    a, b = f, _primitive([i * c for i, c in enumerate(f)][1:])
+    while len(b) > 1 and (r := _prem(a, b)):
+        a, b = b, _primitive(r)
+    if len(b) == 1:
+        return f
+    q, f, n = [], list(f), len(b)
+    for s in reversed(range(len(f) - n + 1)):
+        c = f[s + n - 1] // b[-1]
+        q.append(c)
+        for i, z in enumerate(b):
+            f[s + i] -= c * z
+    return q[::-1]
+
+
+def _horner(a: list, x: int, m: int = 0) -> int:
+    """a(x) for an integer polynomial, reduced mod m at every step if m."""
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+        if m:
+            acc %= m
+    return acc
+
+
+def _squarefree_mod(g: list, p: int) -> bool:
+    """Whether the monic integer polynomial g stays squarefree mod the prime
+    p: Euclid on g and g' over GF(p) ends in a nonzero constant."""
+    a, b = [c % p for c in g], [i * c % p for i, c in enumerate(g)][1:]
+    while True:
+        while b and not b[-1]:
+            b.pop()
+        if len(b) <= 1:
+            return len(b) == 1
+        a, b = b, [c % p for c in _prem(a, b)]
 
 
 def _rational_roots(poly: list) -> list:
+    """Sorted rational roots of a polynomial given as rational coefficients,
+    lowest degree first, in time polynomial in its bit size.
+
+    The polynomial is scaled to integers and a root 0 split off; f is the
+    squarefree part of the rest, of degree d and leading coefficient a.  Its
+    roots t are x/a for the roots x of the monic integer polynomial
+    g(x) = a**(d-1) * f(x/a), and the rational ones among them are integers
+    of absolute value below Cauchy's bound B = 1 + max |g_i|.  Each root of
+    g mod p, p the smallest odd prime with g mod p squarefree, is a simple
+    root and lifts by Newton-Hensel steps to a unique root mod p**(2**j) >
+    2B; read as the residue of least absolute value, it is kept when g
+    vanishes there exactly (Loos 1983).
+    """
     poly = _poly_trim(list(poly))
-    if poly == [QZERO] or len(poly) == 1:
+    if len(poly) == 1:
         return []
     den = math.lcm(*[c.denominator for c in poly])
-    ints = [int(c * den) for c in poly]
-    while ints and ints[0] == 0:
-        ints = ints[1:]  # factor out t; t=0 handled via constant-term zero
-    roots = set()
-    if len(ints) < len(poly):
-        roots.add(Fraction(0))
-    if len(ints) <= 1:
-        return sorted(roots)
-    a0, an = abs(ints[0]), abs(ints[-1])
-
-    def divisors(n):
-        out = set()
-        for d in range(1, int(math.isqrt(n)) + 1):
-            if n % d == 0:
-                out.add(d)
-                out.add(n // d)
-        return out
-
-    for p in divisors(a0):
-        for q in divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                acc = QZERO
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if acc == 0:
-                    roots.add(cand)
+    ints = [c.numerator * (den // c.denominator) for c in poly]
+    low = next(i for i, c in enumerate(ints) if c)
+    roots = [QZERO] if low else []
+    if low == len(ints) - 1:
+        return roots
+    f = _squarefree(_primitive(ints[low:]))
+    d, a = len(f) - 1, f[-1]
+    g = [c * a ** (d - 1 - i) for i, c in enumerate(f[:-1])] + [1]
+    dg = [i * c for i, c in enumerate(g)][1:]
+    bound = 2 * (1 + max(abs(c) for c in g[:-1]))
+    p = 3
+    while not _squarefree_mod(g, p):
+        p += 2
+        while any(p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)):
+            p += 2
+    for r in range(p):
+        if _horner(g, r, p):
+            continue
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _horner(g, r, m) * pow(_horner(dg, r, m), -1, m)) % m
+        x = r - m if 2 * r > m else r
+        if _horner(g, x) == 0:
+            roots.append(Fraction(x, a))
     return sorted(roots)
 
 

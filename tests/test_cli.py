@@ -81,6 +81,14 @@ def test_glue_kronecker_inadmissible_is_domain_error(capsys):
     assert code == 1 and "not a silting complex" in err
 
 
+def test_regular_part_off_the_rational_points_is_a_named_domain_error(capsys):
+    # the regular part of this literal lies at the roots of t**2 - 2
+    code, out, err = run_cli(capsys, "glue-kronecker", "--row", "P2",
+                             "--left", "[P1^2 -> P2^2 | (0,1) (1,0); "
+                             "(2,0) (0,1)]", "--right", "P2")
+    assert code == 1 and out == "" and "decomposition mismatch" in err
+
+
 def test_domain_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "tau", "[0,1]", "--tube", "3")
     assert code == 1 and "error" in err
@@ -175,3 +183,15 @@ def test_module_entry_point():
                           "P1", "--kronecker"], capture_output=True,
                          text=True)
     assert out.returncode == 0 and out.stdout == "2\n"
+
+
+def test_tall_point_literal_ends_in_a_named_domain_error():
+    # the arrow pencil of this literal drops at the 31-bit point
+    # 2147483647:1, which must be found in time polynomial in its bits
+    out = subprocess.run(
+        [sys.executable, "-m", "siltglue.cli", "glue-kronecker", "--row", "P2",
+         "--left", "[P1^2 -> P2^2 | (2147483647,1) (1,0); "
+         "(0,0) (2147483647,1)]", "--right", "P2"],
+        capture_output=True, text=True, timeout=10)
+    assert out.returncode == 1 and out.stdout == ""
+    assert "not equivalent to a silting complex" in out.stderr

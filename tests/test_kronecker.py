@@ -1,19 +1,29 @@
 import itertools
+import math
+import random
+import signal
+import time
+from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from siltglue.kronecker import (DimVector, Generic, Lukas, Preinjective,
-                                Preprojective, Pruefer, Regular, ar_translate,
-                                ar_translate_inverse, bongartz_extension,
-                                decompose, dim_vector, euler_form,
-                                explicit_rep, ext_cocycle_basis, ext_dim,
-                                ext_dim_objects, hom_basis, hom_dim,
+from siltglue.exactlin import Mat, rank
+from siltglue.kronecker import (DimVector, ExplicitRep, Generic, Lukas,
+                                Preinjective, Preprojective, Pruefer, Regular,
+                                _poly_det, _poly_mul, _rational_roots,
+                                ar_translate, ar_translate_inverse,
+                                bongartz_extension, decompose, dim_vector,
+                                euler_form, explicit_rep, ext_cocycle_basis,
+                                ext_dim, ext_dim_objects, hom_basis, hom_dim,
                                 hom_dim_objects, is_tilting_module,
                                 normalize_point, object_sum, parse_object,
                                 parse_object_sum, quotient_by_idempotent_trace,
-                                render_object, render_object_sum,
-                                rep_direct_sum, symbolic_ext_dim,
-                                trace_dim_vector)
+                                regular_support_points, render_object,
+                                render_object_sum, rep_direct_sum,
+                                symbolic_ext_dim, trace_dim_vector)
 
 P = Preprojective
 Q = Preinjective
@@ -254,3 +264,229 @@ def test_hom_basis_members_intertwine():
     for f1, f2 in hom_basis(x, y):
         assert x.m_alpha.mul(f2) == f1.mul(y.m_alpha)
         assert x.m_beta.mul(f2) == f1.mul(y.m_beta)
+
+
+# -- bounded-time regular support ---------------------------------------------
+
+
+def reference_rational_roots(poly: list) -> list:
+    """Rational roots by the rational root theorem: every p/q with p | a0
+    and q | an, the divisors found by trial division up to their square
+    root, so the cost grows with the square root of the coefficients."""
+    while len(poly) > 1 and poly[-1] == 0:
+        poly = poly[:-1]
+    if len(poly) == 1:
+        return []
+    den = math.lcm(*[Fraction(c).denominator for c in poly])
+    ints = [int(c * den) for c in poly]
+    roots = set()
+    while ints[0] == 0:
+        ints = ints[1:]
+        roots.add(Fraction(0))
+    if len(ints) == 1:
+        return sorted(roots)
+
+    def divisors(n):
+        return {x for d in range(1, math.isqrt(n) + 1) if n % d == 0
+                for x in (d, n // d)}
+
+    for p in divisors(abs(ints[0])):
+        for q in divisors(abs(ints[-1])):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if sum(c * cand ** k for k, c in enumerate(ints)) == 0:
+                    roots.add(cand)
+    return sorted(roots)
+
+
+def reference_first_nonzero_minor(ma: Mat, mb: Mat, size: int):
+    """The first size x size minor of ma - t*mb, rows and columns taken in
+    combination order, that is nonzero as a polynomial in t."""
+    for rows in itertools.combinations(range(ma.rows), size):
+        for cols in itertools.combinations(range(ma.cols), size):
+            poly = _poly_det([[[ma.at(i, j), -mb.at(i, j)] for j in cols]
+                              for i in rows])
+            if poly != [0]:
+                return poly
+    return None
+
+
+def pencil_rank(y: ExplicitRep, point) -> int:
+    a, b = point
+    return rank(y.m_alpha.scale(b).sub(y.m_beta.scale(a)))
+
+
+def reference_support_points(y: ExplicitRep) -> list:
+    """Candidate points from the combination-order minor and the divisor
+    scan, on the same generic rank: the roots of any nonzero minor of that
+    size hold every finite drop point of the pencil."""
+    k = min(y.dim.d1, y.dim.d2)
+    if k == 0:
+        return []
+    r_gen = max(pencil_rank(y, pt)
+                for pt in [(1, 0)] + [(t, 1) for t in range(2, k + 4)])
+    cands = {(1, 0)} if pencil_rank(y, (1, 0)) < r_gen else set()
+    if r_gen:
+        minor = reference_first_nonzero_minor(y.m_alpha, y.m_beta, r_gen)
+        cands.update(normalize_point(t.numerator, t.denominator)
+                     for t in reference_rational_roots(minor))
+    return sorted(cands)
+
+
+@contextmanager
+def wall_budget(seconds: float):
+    """Fail the test from inside the block once `seconds` of wall time have
+    passed, so an input that would hang fails instead; without a traceback,
+    which would run through the interrupted frames."""
+    def expire(signum, frame):
+        pytest.fail(f"over the {seconds} s wall-time budget", pytrace=False)
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def unimodular(rng: random.Random, n: int) -> Mat:
+    """An integer matrix of determinant +-1: row operations on the
+    identity."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-3, 3)
+        rows[i] = [x + c * z for x, z in zip(rows[i], rows[j])]
+    return Mat.from_rows(rows, cols=n)
+
+
+def changed_basis(rng: random.Random, y: ExplicitRep) -> ExplicitRep:
+    s, u = unimodular(rng, y.dim.d1), unimodular(rng, y.dim.d2)
+    return ExplicitRep(y.dim, s.mul(y.m_alpha).mul(u),
+                       s.mul(y.m_beta).mul(u))
+
+
+small_coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=3)
+
+
+@st.composite
+def small_polys(draw):
+    """Products of small linear factors q*t - p and a cofactor with small
+    coefficients, so the constant term stays small."""
+    poly = draw(st.lists(small_coeffs, min_size=1, max_size=3))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        p = draw(st.integers(min_value=-9, max_value=9))
+        q = draw(st.integers(min_value=1, max_value=9))
+        poly = _poly_mul(poly, [Fraction(-p), Fraction(q)])
+    return poly
+
+
+@given(small_polys())
+@settings(max_examples=200, deadline=None)
+def test_rational_roots_match_trial_division(poly):
+    assert _rational_roots(poly) == reference_rational_roots(poly)
+
+
+huge = st.integers(min_value=-2**64, max_value=2**64)
+
+
+@st.composite
+def built_polys(draw):
+    """(coefficients, roots): a nonzero Fraction times factors (q*t - p)
+    with |p|, |q| <= 2**64, each up to three times, a power of t, and
+    quadratics (u*t + w)**2 + v**2 with v != 0, which have no real root."""
+    poly = [draw(st.fractions(min_value=-50, max_value=50,
+                              max_denominator=50).filter(bool))]
+    roots = set()
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        p, q = draw(huge), draw(huge.filter(bool))
+        roots.add(Fraction(p, q))
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            poly = _poly_mul(poly, [-p, q])
+    zeros = draw(st.integers(min_value=0, max_value=2))
+    if zeros:
+        roots.add(Fraction(0))
+        poly = [0] * zeros + poly
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        u, w, v = draw(huge.filter(bool)), draw(huge), draw(huge.filter(bool))
+        poly = _poly_mul(poly, [w * w + v * v, 2 * u * w, u * u])
+    return poly, sorted(roots)
+
+
+@given(built_polys())
+@settings(max_examples=200, deadline=None)
+def test_rational_roots_are_the_built_roots(case):
+    poly, roots = case
+    assert _rational_roots(poly) == roots
+
+
+@st.composite
+def summand_lists(draw, max_point=2**64):
+    """One to three indecomposables; regular points mix small coordinates,
+    which meet the pencil's sample points t = 2, 3, ..., with tall ones."""
+    coord = (st.integers(min_value=-6, max_value=6)
+             | st.integers(min_value=-max_point, max_value=max_point))
+    out = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        kind = draw(st.sampled_from("PQR"))
+        if kind == "R":
+            point = draw(st.tuples(coord, coord).filter(any))
+            out.append(R(normalize_point(*point),
+                         draw(st.integers(min_value=1, max_value=2))))
+        else:
+            out.append({"P": P, "Q": Q}[kind](
+                draw(st.integers(min_value=1, max_value=3))))
+    return out
+
+
+@given(summand_lists(), st.integers(min_value=0, max_value=2**32),
+       st.booleans())
+@example([R((2, 1), 1), Q(2)], 0, False)  # support at the sample t = 2
+@example([R((3, 1), 2), P(3)], 1, True)
+@settings(max_examples=80, deadline=None)
+def test_support_points_hold_every_regular_summand(summands, seed, change):
+    y = rep_direct_sum([explicit_rep(o) for o in summands])
+    if change:
+        y = changed_basis(random.Random(seed), y)
+    cands = set(regular_support_points(y))
+    assert {o.point for o in summands if isinstance(o, Regular)} <= cands
+    assert decompose(y) == object_sum((o, 1) for o in summands)
+
+
+@given(summand_lists(max_point=6), st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=40, deadline=None)
+def test_support_points_drop_where_the_reference_drops(summands, seed):
+    y = changed_basis(random.Random(seed),
+                      rep_direct_sum([explicit_rep(o) for o in summands]))
+    k = min(y.dim.d1, y.dim.d2)
+    r_gen = max([0] + [pencil_rank(y, (t, 1)) for t in range(2, k + 4)])
+
+    def drops(points):
+        return {p for p in points if pencil_rank(y, p) < r_gen}
+
+    assert (drops(regular_support_points(y))
+            == drops(reference_support_points(y)))
+
+
+def test_tall_point_decomposes_within_budget():
+    point = (2**31 - 1, 1)
+    with wall_budget(10):
+        assert decompose(explicit_rep(R(point, 2))) == ((R(point, 2), 1),)
+
+
+def test_64_bit_points_decompose_within_budget_after_change_of_basis():
+    x, z = (2**64 - 59, 2**63 + 29), (-(2**63 + 25), 2**64 - 83)
+    y = changed_basis(random.Random(4),
+                      rep_direct_sum([explicit_rep(R(x, 2)),
+                                      explicit_rep(R(z, 1))]))
+    with wall_budget(10):
+        assert decompose(y) == object_sum([(R(x, 2), 1), (R(z, 1), 1)])
+
+
+def test_large_sum_decomposes_under_two_seconds():
+    parts = [P(16), Q(16), R((1, 1), 2)]
+    y = rep_direct_sum([explicit_rep(o) for o in parts])
+    t0 = time.process_time()
+    with wall_budget(30):
+        assert decompose(y) == object_sum((o, 1) for o in parts)
+    assert time.process_time() - t0 < 2.0
