@@ -337,21 +337,12 @@ def glue_right(espec: ExpansionSpec, spec: TiltingSpec,
 
     if in_v:
         return adjoin_top_candidate()
-    branch = td.finite_arcs()
-    wing = frozenset().union(*[_factor_residues(a, ctx.n) for a in branch]) \
-        if branch else frozenset()
-    rho_res = rho.start + 1
-    rho_in_wing = rho_res % ctx.n in wing
-    tau_rho = tau_arc(rho, ctx)
-    tau_rho_perp = all(
-        hom_to_simple(b, tau_rho, ctx) == 0
-        and ext_dim_arcs(b, tau_rho, ctx) == 0 for b in branch)
-    tau_rho_in_wing = (rho_res - 1) % ctx.n in wing
-    if rho_in_wing:
+    case = _right_case(espec, td.finite_arcs())
+    if case["rho_in_wing"]:
         return adjoin_top_candidate()
-    if tau_rho_perp:
+    if case["tau_rho_perp"]:
         return (GlueOutcome.TORSION_UNCHANGED, None, pushed_spec)
-    if tau_rho_in_wing:
+    if case["tau_rho_in_wing"]:
         return (GlueOutcome.UNDETERMINED, None, spec)
     raise GlueCaseError("right gluing configuration matched no case")
 
@@ -363,14 +354,16 @@ def right_case_predicates(espec: ExpansionSpec, spec: TiltingSpec,
     the wing, orthogonality of its translate, membership of the translate.
     Used to check that the case split is a partition."""
     point = _resolve_point(spec, point)
-    pushed_spec = _push_spec(espec, spec, point)
+    return _right_case(
+        espec, _push_spec(espec, spec, point).tube(point).finite_arcs())
+
+
+def _right_case(espec: ExpansionSpec, branch: list) -> dict:
+    """The predicates of right_case_predicates on a pushed branch."""
     ctx = espec.big
-    branch = pushed_spec.tube(point).finite_arcs()
-    wing = frozenset().union(*[_factor_residues(a, ctx.n) for a in branch]) \
-        if branch else frozenset()
-    rho = espec.rho_arc
-    rho_res = rho.start + 1
-    tau_rho = tau_arc(rho, ctx)
+    wing = frozenset().union(*[_factor_residues(a, ctx.n) for a in branch])
+    rho_res = espec.rho_arc.start + 1
+    tau_rho = tau_arc(espec.rho_arc, ctx)
     return {
         "rho_in_wing": rho_res % ctx.n in wing,
         "tau_rho_perp": all(hom_to_simple(b, tau_rho, ctx) == 0

@@ -195,3 +195,12 @@ def test_tall_point_literal_ends_in_a_named_domain_error():
         capture_output=True, text=True, timeout=10)
     assert out.returncode == 1 and out.stdout == ""
     assert "not equivalent to a silting complex" in out.stderr
+
+
+@pytest.mark.parametrize("verb, a, b, want", [("ext", "Q400", "P400", "800"),
+                                              ("hom", "P400", "Q400", "798")])
+def test_large_index_answers_in_start_up_time(verb, a, b, want):
+    # the closed forms cost the same at every index
+    out = subprocess.run([sys.executable, "-m", "siltglue.cli", verb, a, b],
+                         capture_output=True, text=True, timeout=2)
+    assert out.returncode == 0 and out.stdout == want + "\n"

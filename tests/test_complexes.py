@@ -1,13 +1,16 @@
 import itertools
 
-from siltglue.complexes import (ProjMorphism, ProjSum,derived_hom_dim,
-                                direct_sum, hom_complex_to_module, minimize,
-                                power, shifted_projective, stalk_complex)
+from siltglue.complexes import (ProjMorphism, ProjSum, TwoTermComplex,
+                                derived_hom_dim, direct_sum,
+                                hom_complex_to_module, minimize, power,
+                                shifted_projective, stalk_complex)
 from siltglue.kronecker import (DimVector, Preinjective, Preprojective,
-                                Regular, decompose, explicit_rep,
-                                ext_dim_objects, hom_dim_objects, object_sum)
+                                Regular, decompose, explicit_rep, ext_dim,
+                                ext_dim_objects, hom_dim, hom_dim_objects,
+                                object_sum)
 from siltglue.silting import (canonical_resolution, h0_rep, hm1_dim,
-                              identify_summands, presentation_of_object)
+                              identify_summands, presentation_of,
+                              presentation_of_object)
 
 P = Preprojective
 Q = Preinjective
@@ -176,11 +179,35 @@ def test_presentation_route_matches_intertwiner_route_dim8():
     for pt in ((1, 0), (0, 1), (1, 1)):
         for l in (1, 2, 3, 4):
             objs.append(R(pt, l))
+    # three routes: Yoneda on the stalk, the intertwiner system of the
+    # modules, and derived Hom against the target's presentation
     pres = {o: presentation_of_object(o) for o in objs}
     for a in objs:
+        xa = explicit_rep(a)
         for b in objs:
             xb = explicit_rep(b)
-            assert hom_complex_to_module(pres[a], xb, 0) \
-                == hom_dim_objects(a, b), (a, b)
-            assert hom_complex_to_module(pres[a], xb, 1) \
-                == ext_dim_objects(a, b), (a, b)
+            for k, intertwiner in ((0, hom_dim), (1, ext_dim)):
+                got = hom_complex_to_module(pres[a], xb, k)
+                assert got == intertwiner(xa, xb), (a, b, k)
+                assert got == derived_hom_dim(pres[a], pres[b], k), (a, b, k)
+
+
+def test_module_stalk_route_on_non_minimal_complexes():
+    # canonical resolutions carry a nonzero P1 -> P1 block and the added
+    # identity on P2 a nonzero P2 -> P2 block, which minimal presentations
+    # never do; Hom against a stalk is Hom against its presentation
+    p2 = ProjSum(0, 1)
+    unit = TwoTermComplex(p2, p2, ProjMorphism.identity(p2))
+    sources = [shifted_projective(1), shifted_projective(2),
+               stalk_complex(ProjSum(1, 1))]
+    for a in CATALOG:
+        xa = explicit_rep(a)
+        sources += [canonical_resolution(xa),
+                    direct_sum([presentation_of_object(a), unit])]
+    for b in CATALOG:
+        xb = explicit_rep(b)
+        pres = presentation_of(xb)
+        for c in sources:
+            for k in (0, 1):
+                assert (hom_complex_to_module(c, xb, k)
+                        == derived_hom_dim(c, pres, k)), (c, b, k)

@@ -218,7 +218,90 @@ def test_regular_self_extension_rep_is_longer_regular():
     assert decompose(out) == object_sum([(R((1, 0), 2), 1)])
 
 
+# -- closed-form Hom and Ext against the intertwiner route --------------------
+
+SWEEP = ([P(i) for i in range(1, 11)] + [Q(i) for i in range(1, 11)]
+         + [R(pt, l) for pt in ((1, 0), (0, 1), (1, 1), (2, 3), (-1, 2))
+            for l in range(1, 5)])
+
+
+def test_closed_forms_match_the_intertwiner_route():
+    # every ordered pair of P1-P10, Q1-Q10 and the regulars of length 1-4
+    # at five points: the closed forms against hom_dim and ext_dim on
+    # explicit representations
+    assert len(SWEEP) ** 2 == 1600
+    for x, y in itertools.product(SWEEP, SWEEP):
+        xr, yr = explicit_rep(x), explicit_rep(y)
+        assert hom_dim_objects(x, y) == hom_dim(xr, yr), (x, y)
+        assert ext_dim_objects(x, y) == ext_dim(xr, yr), (x, y)
+
+
+def test_closed_forms_build_no_representation():
+    hom_dim.cache_clear()
+    explicit_rep.cache_clear()
+    for x, y in itertools.product(SWEEP, SWEEP):
+        hom_dim_objects(x, y)
+        ext_dim_objects(x, y)
+    assert is_tilting_module(object_sum([(P(3), 1), (Q(2), 1)])) is False
+    assert hom_dim.cache_info().misses == 0
+    assert explicit_rep.cache_info().misses == 0
+
+
+def test_closed_forms_answer_at_index_ten_to_the_eighteen():
+    n = 10**18
+    x = (n + 7, 3)
+    t0 = time.process_time()
+    with wall_budget(1):
+        assert hom_dim_objects(P(n), Q(n)) == 2 * n - 2
+        assert ext_dim_objects(Q(n), P(n)) == 2 * n
+        assert ext_dim_objects(P(n + 2), P(n)) == 1
+        assert hom_dim_objects(R(x, 3), R(x, 5)) == 3
+        assert ext_dim_objects(R(x, 5), R(x, 3)) == 3
+        assert hom_dim_objects(R(x, 3), R((n + 8, 3), 3)) == 0
+        assert is_tilting_module(object_sum([(P(n), 1), (P(n + 1), 1)]))
+    assert time.process_time() - t0 < 0.1
+
+
+def test_closed_forms_refuse_symbolic_objects():
+    for x in (Pruefer((1, 0)), Lukas(), Generic()):
+        with pytest.raises(ValueError, match="finite-dimensional"):
+            hom_dim_objects(P(1), x)
+        with pytest.raises(ValueError, match="finite-dimensional"):
+            ext_dim_objects(x, Q(1))
+
+
 # -- tilting test -------------------------------------------------------------
+
+
+def reference_is_tilting_module(s: tuple) -> bool:
+    """The bounded generation test on explicit representations: rigid, two
+    summands, and no indecomposable of total dimension up to 20, at the
+    summands' points and three more, is Hom- and Ext-orthogonal to every
+    summand."""
+    summands = [explicit_rep(obj) for obj, _ in s]
+    if len(summands) != 2 or any(ext_dim(a, b) for a in summands
+                                 for b in summands):
+        return False
+    points = ({obj.point for obj, _ in s if isinstance(obj, R)}
+              | {(1, 0), (0, 1), (1, 1)})
+    tests = ([P(i) for i in range(1, 11)] + [Q(i) for i in range(1, 11)]
+             + [R(p, l) for p in points for l in range(1, 11)])
+    return not any(all(hom_dim(t, explicit_rep(x)) == 0
+                       and ext_dim(t, explicit_rep(x)) == 0 for t in summands)
+                   for x in tests)
+
+
+def test_tilting_test_matches_the_generation_sweep():
+    objs = ([P(i) for i in range(1, 8)] + [Q(i) for i in range(1, 8)]
+            + [R((1, 0), 1), R((1, 0), 2), R((0, 1), 1), R((1, 1), 1),
+               R((2, 3), 1), R((-1, 2), 2)])
+    sums = ([object_sum([(a, 1)]) for a in objs]
+            + [object_sum([(a, 1), (b, 2)])
+               for a, b in itertools.combinations(objs, 2)])
+    assert len(sums) == 210
+    verdicts = [is_tilting_module(s) for s in sums]
+    assert verdicts == [reference_is_tilting_module(s) for s in sums]
+    assert 0 < sum(verdicts) < len(sums)
 
 
 def test_tilting_classification_samples():
