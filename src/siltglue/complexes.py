@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactlin import (Mat, QONE, QZERO, block, hstack, kernel_basis, rref,
-                       sparse_rank, sylvester_rows, vstack)
+from .exactlin import (Mat, QONE, QZERO, block, cokernel_coordinates, hstack,
+                       kernel_basis, sparse_rank, sylvester_rows, vstack)
 from .kronecker import DimVector, ExplicitRep
 
 # ---------------------------------------------------------------------------
@@ -299,13 +299,11 @@ def chain_map_basis_shift1(c: TwoTermComplex, d: TwoTermComplex) -> list:
     """Representatives of a basis of Hom_K(c, d[1]): canonical morphisms
     c.deg_m1 -> d.deg_0 supported at the free coordinates of the homotopy
     span, the image of delta(c, d)."""
-    rows, n = delta_map(c, d)
-    _, pivots = rref(Mat.from_sparse(rows, n).transpose())
-    pivset = set(pivots)
+    rows, _ = delta_map(c, d)
     return [morphism_from_flat(c.deg_m1, d.deg_0,
                                tuple(QONE if i == t else QZERO
                                      for i in range(len(rows))))
-            for t in range(len(rows)) if t not in pivset]
+            for t in cokernel_coordinates(rows)]
 
 
 def chain_endo_basis(c: TwoTermComplex) -> list:

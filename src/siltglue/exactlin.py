@@ -397,6 +397,18 @@ def pivot_columns(rows: Iterable[dict]):
     return pivrows.keys()
 
 
+def cokernel_coordinates(rows: Sequence[dict]) -> list:
+    """The outputs of a sparse map, one dict col -> value per output, that
+    are not pivots of its image: the free columns of rref of its sparse
+    transpose.  Their unit vectors span a complement of the image."""
+    cols: dict = {}
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            cols.setdefault(j, {})[i] = v
+    pivots = pivot_columns(cols.values())
+    return [i for i in range(len(rows)) if i not in pivots]
+
+
 def det(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix given as rows, by Bareiss
     fraction-free elimination: every division is exact."""

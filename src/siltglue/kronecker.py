@@ -24,8 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
-from .exactlin import (Mat, QONE, QZERO, block, det, kernel_basis,
-                       pivot_columns, rank, rref, row_space_projection,
+from .exactlin import (Mat, QONE, QZERO, block, cokernel_coordinates, det,
+                       kernel_basis, pivot_columns, rank, row_space_projection,
                        sparse_rank, sylvester_rows)
 
 # ---------------------------------------------------------------------------
@@ -732,15 +732,15 @@ def _rational_roots(poly: list) -> list:
     return sorted(roots)
 
 
-def decompose(y: ExplicitRep, hint_points: Sequence = ()) -> ObjectSum:
+def decompose(y: ExplicitRep) -> ObjectSum:
     """Decompose a representation into indecomposables with multiplicities.
 
     Multiplicities are read off functorially: for each candidate Z the
     number of Z-summands is the dimension of Hom(y, Z) modulo maps factoring
     through the middle term of the almost split sequence ending at Z (the
     radical of Z when Z is projective).  The regular support is located via
-    the arrow pencil plus any caller-provided hint points.  Raises if the
-    dimension count does not come out exact.
+    the arrow pencil.  Raises if the dimension count does not come out
+    exact.
     """
     total = y.dim.total()
     if total == 0:
@@ -779,9 +779,7 @@ def decompose(y: ExplicitRep, hint_points: Sequence = ()) -> ObjectSum:
             covered = covered + dim_vector(Preinjective(i)).scaled(m)
     if (covered.d1, covered.d2) != (y.dim.d1, y.dim.d2):
         remaining = y.dim.total() - covered.total()
-        pts = set(regular_support_points(y))
-        pts.update(normalize_point(*p) for p in hint_points)
-        for p in sorted(pts):
+        for p in regular_support_points(y):
             hs = {0: 0}
             for l in range(1, remaining // 2 + 2):
                 hs[l] = hom_dim(y, explicit_rep(Regular(p, l)))
@@ -809,19 +807,11 @@ def ext_cocycle_basis(t: ExplicitRep, u: ExplicitRep) -> list:
     each a d1(t) x d2(u) matrix: the standard cocycles at the free
     coordinates of the image of the map sending (f1, f2) to
     (T_a f2 - f1 U_a)_a."""
-    rows, n, _ = _intertwiner_rows(t, u)
-    _, pivots = rref(Mat.from_sparse(rows, n).transpose())
-    pivset = set(pivots)
-    neq = len(rows) // 2
-    basis = []
-    for c in range(len(rows)):
-        if c in pivset:
-            continue
-        unit = [QZERO] * len(rows)
-        unit[c] = QONE
-        basis.append((Mat(t.dim.d1, u.dim.d2, tuple(unit[:neq])),
-                      Mat(t.dim.d1, u.dim.d2, tuple(unit[neq:]))))
-    return basis
+    rows, _, _ = _intertwiner_rows(t, u)
+    neq, d1, d2 = len(rows) // 2, t.dim.d1, u.dim.d2
+    units = [tuple(QONE if i == c else QZERO for i in range(len(rows)))
+             for c in cokernel_coordinates(rows)]
+    return [(Mat(d1, d2, e[:neq]), Mat(d1, d2, e[neq:])) for e in units]
 
 
 def extension_rep(t: ExplicitRep, u: ExplicitRep, cocycles: Sequence) -> ExplicitRep:

@@ -20,12 +20,11 @@ from .kronecker import (DimVector, ExplicitRep, KroneckerObject, LocalizedRing,
                         decompose, explicit_rep, normalize_point, object_sum,
                         parse_object, parse_point, quotient_rep, render_object,
                         render_object_sum, symbolic_ext_dim)
-from .complexes import (ProjMorphism, ProjSum, TwoTermComplex, delta_map,
-                        chain_endo_basis, cocone,
-                        derived_hom_dim, direct_sum, hom_complex_to_module,
-                        minimize, morphism_space_dim, parse_complex_literal,
-                        shifted_projective, universal_extension,
-                        zero_complex)
+from .complexes import (ProjMorphism, ProjSum, TwoTermComplex, chain_endo_basis,
+                        cocone, delta_map, derived_hom_dim, direct_sum,
+                        hom_complex_to_module, minimize, morphism_space_dim,
+                        parse_complex_literal, shifted_projective,
+                        universal_extension, zero_complex)
 
 # ---------------------------------------------------------------------------
 # presentations and cohomology of complexes
@@ -175,9 +174,6 @@ class ComplexSummand:
             return render_object(self.h0)
         return f"pres({render_object(self.h0)})"
 
-    def module(self) -> Optional[KroneckerObject]:
-        return self.h0
-
 
 def _sort_token(s: ComplexSummand):
     return (1 if s.shifted else 0, s.token())
@@ -193,8 +189,8 @@ def identify_summands(c: TwoTermComplex) -> tuple:
     preprojective of index j corresponds to the presentation of the
     preprojective module of index j+1, the preinjective of index j >= 2 to
     the presentation of the preinjective of index j-1, the preinjective of
-    index 1 to the shifted projective P1[1], and a regular to a regular
-    presentation whose point is read off from the cokernel.
+    index 1 to the shifted projective P1[1], and the regular R((a:b), l)
+    to the presentation of R((b:-a), l).
     """
     m = minimize(c)
     parts: dict = {}
@@ -219,22 +215,9 @@ def identify_summands(c: TwoTermComplex) -> tuple:
                     bump(ComplexSummand(Preinjective(obj.index - 1), None), mult)
             else:
                 assert isinstance(obj, Regular)
-                pres = _aux_regular_presentation(obj)
-                coker = decompose(h0_rep(pres), hint_points=[obj.point])
-                if len(coker) != 1 or coker[0][1] != 1:
-                    raise ArithmeticError("regular presentation cokernel "
-                                          "failed to be indecomposable")
-                bump(ComplexSummand(coker[0][0], None), mult)
+                (x, y), n = obj.point, obj.length
+                bump(ComplexSummand(Regular((y, -x), n), None), mult)
     return tuple(sorted(parts.items(), key=lambda kv: _sort_token(kv[0])))
-
-
-def _aux_regular_presentation(obj: Regular) -> TwoTermComplex:
-    rep = explicit_rep(obj)
-    n = obj.length
-    src, dst = ProjSum(n, 0), ProjSum(0, n)
-    diff = ProjMorphism(src, dst, Mat.zeros(n, 0), Mat.zeros(0, n),
-                        rep.m_alpha, rep.m_beta)
-    return TwoTermComplex(src, dst, diff)
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +241,11 @@ class GlueRow:
 
 def parse_row(text: str) -> GlueRow:
     t = text.strip()
-    m = re.fullmatch(r"P(\d+)", t)
+    m = re.fullmatch(r"([PQ])(\d+)", t)
     if m:
-        return GlueRow("P", int(m.group(1)))
-    m = re.fullmatch(r"Q(\d+)", t)
-    if m:
-        return GlueRow("Q", int(m.group(1)))
+        if int(m.group(2)) < 1:
+            raise ValueError(f"row index starts at 1: {text!r}")
+        return GlueRow(m.group(1), int(m.group(2)))
     m = re.fullmatch(r"S\(\s*(-?\d+)\s*:\s*(-?\d+)\s*\)", t)
     if m:
         return GlueRow("S", 0, normalize_point(int(m.group(1)), int(m.group(2))))
@@ -302,6 +284,15 @@ def complex_from_token(token: str) -> TwoTermComplex:
     return presentation_of_object(parse_object(t))
 
 
+def _token_summands(token: str) -> tuple:
+    """identify_summands(complex_from_token(token)) for a table token, read
+    from the string."""
+    m = re.fullmatch(r"P([12])\[1\]", token)
+    if m:
+        return ((ComplexSummand(None, int(m.group(1))), 1),)
+    return ((ComplexSummand(parse_object(token), None), 1),)
+
+
 @dataclass(frozen=True)
 class GlueOutcomeKronecker:
     summands: tuple          # ((ComplexSummand, mult), ...) normalized
@@ -330,35 +321,44 @@ def glue_kronecker(row, left, right) -> GlueOutcomeKronecker:
         return _glue_regular_row(row, left, right)
     lefts, rights = _complex_token_table(row)
 
-    def resolve(arg, allowed, side):
+    def resolve(arg, allowed, side) -> int:
+        """Position in allowed of the token arg names or is equivalent to."""
         if isinstance(arg, str) and not arg.strip().startswith("["):
             if arg.strip() not in allowed:
                 raise GlueError(
                     f"object {arg!r} is not a silting complex of the {side} "
                     f"for row {row.kind}{row.index}; admissible: "
                     f"{', '.join(allowed)}")
-            return complex_from_token(arg)
-        cplx = complex_from_token(arg) if isinstance(arg, str) else arg
-        # raw complexes and literals are matched against the admissible
-        # objects up to homotopy equivalence
-        summands = identify_summands(cplx)
-        for tok in allowed:
-            if summands == identify_summands(complex_from_token(tok)):
-                return cplx
+            return allowed.index(arg.strip())
+        summands = identify_summands(
+            complex_from_token(arg) if isinstance(arg, str) else arg)
+        for pos, tok in enumerate(allowed):
+            if summands == _token_summands(tok):
+                return pos
         raise GlueError(
             f"the given complex is not equivalent to a silting complex of "
             f"the {side} for row {row.kind}{row.index}; admissible: "
             f"{', '.join(allowed)}")
 
-    left = resolve(left, lefts, "subcategory side")
-    right = resolve(right, rights, "localized side")
+    at_left = resolve(left, lefts, "subcategory side")
+    at_right = resolve(right, rights, "localized side")
+    # tau is a derived autoequivalence taking row P_i to P_(i-2) and row Q_i
+    # to Q_(i+2): glue on the base row (P4 or P5, Q1 or Q2, of the same
+    # parity; rows P1-P3 are their own) and raise the summand indices
+    i = row.index
+    base = 2 - i % 2 if row.kind == "Q" else i if i <= 3 else 4 + i % 2
+    base_lefts, base_rights = _complex_token_table(GlueRow(row.kind, base))
+    left = complex_from_token(base_lefts[at_left])
+    right = complex_from_token(base_rights[at_right])
     if derived_hom_dim(right, left, 0) or derived_hom_dim(right, left, 1):
         raise GlueError("(A1) fails: the localized side maps to the "
                         "subcategory side in degrees 0 or 1")
     extension = universal_extension(left, right)
-    glued = direct_sum([extension, left])
-    summands = identify_summands(glued)
-    dedup = tuple(sorted(((s, 1) for s, _ in summands),
+    summands = [s for s, _ in identify_summands(direct_sum([extension, left]))]
+    if i > base:  # the base rows P4, P5, Q1, Q2 glue to module presentations
+        summands = [ComplexSummand(type(s.h0)(s.h0.index + i - base), None)
+                    for s in summands]
+    dedup = tuple(sorted(((s, 1) for s in summands),
                          key=lambda kv: _sort_token(kv[0])))
     modsum = object_sum((s.h0, 1) for s, _ in dedup if s.h0 is not None)
     tokens = tuple(sorted(s.token() for s, _ in dedup))

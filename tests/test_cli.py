@@ -81,6 +81,13 @@ def test_glue_kronecker_inadmissible_is_domain_error(capsys):
     assert code == 1 and "not a silting complex" in err
 
 
+@pytest.mark.parametrize("row, left", [("P0", "P1"), ("Q0", "Q1")])
+def test_glue_kronecker_row_zero_is_domain_error(capsys, row, left):
+    code, out, err = run_cli(capsys, "glue-kronecker", "--row", row,
+                             "--left", left, "--right", row)
+    assert code == 1 and out == "" and "row index starts at 1" in err
+
+
 def test_regular_part_off_the_rational_points_is_a_named_domain_error(capsys):
     # the regular part of this literal lies at the roots of t**2 - 2
     code, out, err = run_cli(capsys, "glue-kronecker", "--row", "P2",
@@ -197,10 +204,16 @@ def test_tall_point_literal_ends_in_a_named_domain_error():
     assert "not equivalent to a silting complex" in out.stderr
 
 
-@pytest.mark.parametrize("verb, a, b, want", [("ext", "Q400", "P400", "800"),
-                                              ("hom", "P400", "Q400", "798")])
-def test_large_index_answers_in_start_up_time(verb, a, b, want):
-    # the closed forms cost the same at every index
-    out = subprocess.run([sys.executable, "-m", "siltglue.cli", verb, a, b],
+@pytest.mark.parametrize("argv, want", [
+    pytest.param(["ext", "Q400", "P400"], "800", id="ext-Q400-P400-800"),
+    pytest.param(["hom", "P400", "Q400"], "798", id="hom-P400-Q400-798"),
+    pytest.param(["glue-kronecker", "--row", "P100000", "--left", "P99999",
+                  "--right", "P100000"], "P99999 + P100000", id="glue-P100000"),
+    pytest.param(["glue-kronecker", "--row", "Q100000", "--left", "Q100001",
+                  "--right", "Q100000"], "Q100000 + Q100001", id="glue-Q100000"),
+])
+def test_large_index_answers_in_start_up_time(argv, want):
+    # the closed forms, and gluing on a base row, cost the same at every index
+    out = subprocess.run([sys.executable, "-m", "siltglue.cli", *argv],
                          capture_output=True, text=True, timeout=2)
     assert out.returncode == 0 and out.stdout == want + "\n"

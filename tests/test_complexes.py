@@ -1,5 +1,6 @@
 import itertools
 
+from siltglue.exactlin import Mat
 from siltglue.complexes import (ProjMorphism, ProjSum, TwoTermComplex,
                                 derived_hom_dim, direct_sum,
                                 hom_complex_to_module, minimize, power,
@@ -8,8 +9,8 @@ from siltglue.kronecker import (DimVector, Preinjective, Preprojective,
                                 Regular, decompose, explicit_rep, ext_dim,
                                 ext_dim_objects, hom_dim, hom_dim_objects,
                                 object_sum)
-from siltglue.silting import (canonical_resolution, h0_rep, hm1_dim,
-                              identify_summands, presentation_of,
+from siltglue.silting import (ComplexSummand, canonical_resolution, h0_rep,
+                              hm1_dim, identify_summands, presentation_of,
                               presentation_of_object)
 
 P = Preprojective
@@ -31,8 +32,7 @@ def test_canonical_resolution_is_a_resolution():
         x = explicit_rep(obj)
         c = canonical_resolution(x)
         assert hm1_dim(c) == DimVector(0, 0)
-        hints = [obj.point] if isinstance(obj, R) else ()
-        assert decompose(h0_rep(c), hint_points=hints) == object_sum([(obj, 1)])
+        assert decompose(h0_rep(c)) == object_sum([(obj, 1)])
 
 
 def test_minimal_presentations_match_expected_shapes():
@@ -134,6 +134,43 @@ def test_identify_summands_regular():
     [(summand, mult)] = named
     assert mult == 2
     assert summand.h0 == R((2, 1), 1)
+
+
+def reference_regular_summand(obj):
+    """The route the closed form in identify_summands replaced: the
+    complex P1^l -> P2^l along the arrow matrices of a regular R(x, l),
+    and the indecomposable its cokernel decomposes into."""
+    rep, n = explicit_rep(obj), obj.length
+    src, dst = ProjSum(n, 0), ProjSum(0, n)
+    pres = TwoTermComplex(src, dst, ProjMorphism(
+        src, dst, Mat.zeros(n, 0), Mat.zeros(0, n), rep.m_alpha, rep.m_beta))
+    [(coker, mult)] = decompose(h0_rep(pres))
+    assert mult == 1
+    return pres, ComplexSummand(coker, None)
+
+
+def test_regular_summands_match_the_cokernel_route():
+    points = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 3), (3, -2),
+              (2 ** 31 - 1, 1)]
+    pieces = {}
+    for point, length in itertools.product(points, (1, 2, 3)):
+        pres, want = reference_regular_summand(R(point, length))
+        assert identify_summands(pres) == ((want, 1),), (point, length)
+        pieces[point, length] = pres, want
+    named = [(presentation_of_object(P(3)), ComplexSummand(P(3), None)),
+             (presentation_of_object(Q(2)), ComplexSummand(Q(2), None)),
+             (shifted_projective(1), ComplexSummand(None, 1)),
+             (shifted_projective(2), ComplexSummand(None, 2)),
+             (stalk_complex(ProjSum(1, 0)), ComplexSummand(P(1), None))]
+    mixes = [[((2, 3), 2), ((1, -1), 1), ((2, 3), 1), ((2 ** 31 - 1, 1), 3)],
+             [((0, 1), 1), ((0, 1), 1), ((3, -2), 2)]]
+    for mix in mixes:
+        parts = [pieces[key] for key in mix] + named
+        want = {}
+        for _, s in parts:
+            want[s] = want.get(s, 0) + 1
+        got = identify_summands(direct_sum([c for c, _ in parts]))
+        assert dict(got) == want
 
 
 def test_power_and_zero():

@@ -1,14 +1,18 @@
 import pytest
 
-from siltglue.complexes import (ProjMorphism, ProjSum,
+from siltglue.complexes import (ProjMorphism, ProjSum, TwoTermComplex,
                                 chain_map_basis_shift1, derived_hom_dim,
-                                power, stalk_complex)
+                                direct_sum, power, stalk_complex,
+                                universal_extension)
 from siltglue.kronecker import (Preinjective, Preprojective, Regular,
-                                explicit_rep, render_object_sum, zero_rep)
-from siltglue.silting import (GlueError, PreconditionError, classify_silting,
-                              cocone_of_attachment, complex_from_token,
-                              glue_kronecker, in_d_class, in_positive_perp,
-                              in_y_class, parse_row, phi_surjective,
+                                explicit_rep, object_sum, render_object_sum,
+                                zero_rep)
+from siltglue.silting import (GlueError, GlueOutcomeKronecker,
+                              PreconditionError, _complex_token_table,
+                              classify_silting, cocone_of_attachment,
+                              complex_from_token, glue_kronecker, in_d_class,
+                              in_positive_perp, in_y_class, identify_summands,
+                              parse_row, phi_surjective,
                               presentation_of_object)
 
 P = Preprojective
@@ -110,6 +114,7 @@ EXPECTED_TABLE = {
     ("P1", "Q1", "P1"): "Q1 + Q2",
     ("P1", "Q1", "P1[1]"): "Q1 w.r.t. P1[1] + pres(Q1)",
     ("P2", "P1", "P2[1]"): "P1 w.r.t. P1 + P2[1]",
+    ("P2", "P1[1]", "P2[1]"): "0 w.r.t. P1[1] + P2[1]",
     ("P2", "P1[1]", "P2"): "Q1 w.r.t. P1[1] + pres(Q1)",
     ("P2", "P1", "P2"): "P1 + P2",
     ("P3", "P2[1]", "P3"): "0 w.r.t. P1[1] + P2[1]",
@@ -162,6 +167,9 @@ def test_parse_row():
     assert parse_row("S(1:0)").point == (1, 0)
     with pytest.raises(ValueError):
         parse_row("Z9")
+    for text in ("P0", "Q0", "Q00"):
+        with pytest.raises(ValueError, match="row index starts at 1"):
+            parse_row(text)
 
 
 def test_complex_from_token():
@@ -200,5 +208,62 @@ def test_glue_accepts_equivalent_literals_and_raw_complexes():
     assert glue_kronecker("P1", lit, "P1").render() == "Q1 + Q2"
     raw = presentation_of_object(Q(1))
     assert glue_kronecker("P1", raw, "P1").render() == "Q1 + Q2"
+    # shifted projectives, and the projective P2 as a stalk
+    assert glue_kronecker("P2", "[P1 -> 0]", "P2").render() == \
+        "Q1 w.r.t. P1[1] + pres(Q1)"
+    assert glue_kronecker("P3", "[P2 -> 0]", "P3").render() == \
+        "0 w.r.t. P1[1] + P2[1]"
+    assert glue_kronecker("P2", "[0 -> P1]", "[P2 -> 0]").render() == \
+        "P1 w.r.t. P1 + P2[1]"
     with pytest.raises(GlueError, match="not equivalent"):
         glue_kronecker("P1", "[P1^2 -> P2 | (1,0); (2,0)]", "P1")
+
+
+# -- every compact row glues on its base row --------------------------------
+
+
+def reference_glue(row, left, right) -> GlueOutcomeKronecker:
+    """The unreduced route: the universal extension of the row's own
+    tokens, identified and normalized, with no reduction to a base row."""
+    lc, rc = complex_from_token(left), complex_from_token(right)
+    summands = identify_summands(direct_sum([universal_extension(lc, rc), lc]))
+    dedup = tuple((s, 1) for s, _ in summands)
+    return GlueOutcomeKronecker(
+        dedup, object_sum((s.h0, 1) for s, _ in dedup if s.h0 is not None),
+        tuple(sorted(s.token() for s, _ in dedup)))
+
+
+def _admissible_pairs():
+    for row in [f"P{i}" for i in range(1, 15)] + [f"Q{i}" for i in range(1, 13)]:
+        lefts, rights = _complex_token_table(parse_row(row))
+        for left in lefts:
+            for right in rights:
+                lc, rc = complex_from_token(left), complex_from_token(right)
+                if not (derived_hom_dim(rc, lc, 0) or derived_hom_dim(rc, lc, 1)):
+                    yield row, left, right
+
+
+def test_base_row_gluing_matches_the_unreduced_route():
+    pairs = list(_admissible_pairs())
+    assert len(pairs) == 31
+    for row, left, right in pairs:
+        assert glue_kronecker(row, left, right) == \
+            reference_glue(row, left, right), (row, left, right)
+
+
+def _contractible():
+    s = ProjSum(1, 0)
+    return TwoTermComplex(s, s, ProjMorphism.identity(s))
+
+
+@pytest.mark.parametrize("row", ["P6", "P7", "Q3", "Q4"])
+def test_raw_complexes_glue_as_their_token(row):
+    [left], [right] = _complex_token_table(parse_row(row))
+    want = glue_kronecker(row, left, right)
+    fat_left = direct_sum([complex_from_token(left), _contractible()])
+    fat_right = direct_sum([_contractible(), complex_from_token(right)])
+    assert glue_kronecker(row, fat_left, right) == want
+    assert glue_kronecker(row, left, fat_right) == want
+    assert glue_kronecker(row, fat_left, fat_right) == want
+    with pytest.raises(GlueError, match="not equivalent"):
+        glue_kronecker(row, fat_right, right)
