@@ -204,13 +204,16 @@ def sylvester_rows(neqs: int, terms) -> list:
     for out, var, sign, a, b in terms:
         _, _, anz = _nonzeros(a)
         brows, bcols, bnz = _nonzeros(b)
+        if sign < 0:  # once per nonzero of a factor that is not an identity
+            if isinstance(a, int):
+                bnz = [(l, j, -v) for l, j, v in bnz]
+            else:
+                anz = [(i, k, -v) for i, k, v in anz]
         for i, k, av in anz:
             obase, vbase = out + i * bcols, var + k * brows
             for l, j, bv in bnz:
                 # identity entries are the QONE object: skip their products
                 p = av if bv is QONE else bv if av is QONE else av * bv
-                if sign < 0:
-                    p = -p
                 row, key = rows[obase + j], vbase + l
                 row[key] = row[key] + p if key in row else p
     return rows
@@ -222,7 +225,7 @@ def _nonzeros(m) -> tuple:
     if isinstance(m, int):
         return m, m, [(i, i, QONE) for i in range(m)]
     return m.rows, m.cols, [(t // m.cols, t % m.cols, v)
-                            for t, v in enumerate(m.entries) if v != 0]
+                            for t, v in enumerate(m.entries) if v]
 
 
 # -- elimination -------------------------------------------------------------
@@ -353,19 +356,18 @@ def row_space_projection(m: Mat) -> tuple:
 
 def sparse_rank(rows: Iterable[dict]) -> int:
     """Rank of a sparse matrix given as dicts col -> rational."""
-    return len(pivot_columns(rows))
+    return len(echelon(rows))
 
 
-def pivot_columns(rows: Iterable[dict]):
-    """The pivot columns of rref of a sparse matrix given as dicts
-    col -> rational (or int), its leftmost basis of the column space, as a
-    set-like view in the order they were found.
+def echelon(rows: Iterable[dict]) -> dict:
+    """An echelon basis of the row space of a sparse matrix given as dicts
+    col -> rational (or int): integer rows, keyed by their leading column in
+    the order found.  The keys are the pivot columns of rref, and the rows
+    led by column c or later span the row space vectors zero before c.
 
-    Same pivot policy as rref but never materializes dense rows; intended
-    for the large, very sparse intertwiner systems.  Stored zeros are
-    dropped, each row is scaled to integers, and elimination against the
-    pivot rows runs on ints as in rref.  The leading columns of any echelon
-    basis of the row space are the pivot columns of rref.
+    Same pivot policy as rref but never materializes dense rows.  Stored
+    zeros are dropped, each row is scaled to integers, and elimination
+    against the pivot rows runs on ints as in rref.
     """
     pivrows: dict = {}
     for row in rows:
@@ -394,18 +396,24 @@ def pivot_columns(rows: Iterable[dict]):
                 g = math.gcd(*cur.values())
                 if g != 1:
                     cur = {cc: v // g for cc, v in cur.items()}
-    return pivrows.keys()
+    return pivrows
+
+
+def sparse_transpose(rows: Iterable[dict]) -> dict:
+    """The nonzero columns of a sparse matrix given as dicts col -> value,
+    each as a dict row -> value, keyed by column."""
+    cols: dict = {}
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            cols.setdefault(j, {})[i] = v
+    return cols
 
 
 def cokernel_coordinates(rows: Sequence[dict]) -> list:
     """The outputs of a sparse map, one dict col -> value per output, that
     are not pivots of its image: the free columns of rref of its sparse
     transpose.  Their unit vectors span a complement of the image."""
-    cols: dict = {}
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            cols.setdefault(j, {})[i] = v
-    pivots = pivot_columns(cols.values())
+    pivots = echelon(sparse_transpose(rows).values())
     return [i for i in range(len(rows)) if i not in pivots]
 
 

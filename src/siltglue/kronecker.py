@@ -25,8 +25,8 @@ from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .exactlin import (Mat, QONE, QZERO, block, cokernel_coordinates, det,
-                       kernel_basis, pivot_columns, rank, row_space_projection,
-                       sparse_rank, sylvester_rows)
+                       echelon, kernel_basis, rank, row_space_projection,
+                       sparse_rank, sparse_transpose, sylvester_rows)
 
 # ---------------------------------------------------------------------------
 # points of the projective line
@@ -528,30 +528,34 @@ def trace_dim_vector(e: int) -> DimVector:
 # ---------------------------------------------------------------------------
 
 
+def _int_arrows(y: ExplicitRep) -> tuple:
+    """The arrows of y as integer rows, scaled by one common denominator."""
+    den = math.lcm(*[x.denominator
+                     for x in y.m_alpha.entries + y.m_beta.entries])
+    return tuple([[x.numerator * (den // x.denominator) for x in m.row(i)]
+                  for i in range(y.dim.d1)] for m in (y.m_alpha, y.m_beta))
+
+
 def regular_support_points(y: ExplicitRep) -> list:
     """Candidate points of the projective line for regular summands of y.
 
     The regular support lies among the points (a:b) where the arrow pencil
     b*Y_alpha - a*Y_beta drops below its generic rank r.  Both arrows are
-    scaled once to integers by the lcm of their denominators, and the pencil
-    is ranked on those integer rows at (1:0) and at t = 2..k+3 for
-    Y_alpha - t*Y_beta, k = min(d1, d2): at most r <= k finite points drop,
-    so the largest rank is r and some finite sample reaches it.  At the
-    first such sample, its pivot columns and then the pivot rows of that
-    column slice pick an r x r minor that is nonzero there, hence nonzero as
-    a polynomial in t; the rational roots of that one minor are a superset
-    of the finite drop points.  Spurious candidates are harmless: the
-    multiplicity formulas in decompose() return zero there.  The cost is
+    scaled once to integers, and the pencil is ranked on those integer rows
+    at (1:0) and at t = 2..k+3 for Y_alpha - t*Y_beta, k = min(d1, d2): at
+    most r <= k finite points drop, so the largest rank is r and some finite
+    sample reaches it.  At the first such sample, its pivot columns and then
+    the pivot rows of that column slice pick an r x r minor that is nonzero
+    there, hence nonzero as a polynomial in t; the rational roots of that one
+    minor are a superset of the finite drop points.  Spurious candidates are
+    harmless: decompose() finds no regular summand there.  The cost is
     polynomial in the bit size of y.
     """
     d1, d2 = y.dim.d1, y.dim.d2
     if d1 == 0 or d2 == 0:
         return []
     k = min(d1, d2)
-    den = math.lcm(*[x.denominator
-                     for x in y.m_alpha.entries + y.m_beta.entries])
-    ia, ib = ([[x.numerator * (den // x.denominator) for x in m.row(i)]
-               for i in range(d1)] for m in (y.m_alpha, y.m_beta))
+    ia, ib = _int_arrows(y)
     samples = [[dict(enumerate(a - t * b for a, b in zip(ra, rb)))
                 for ra, rb in zip(ia, ib)] for t in range(2, k + 4)]
     ranks = [sparse_rank(rows) for rows in samples]
@@ -562,9 +566,8 @@ def regular_support_points(y: ExplicitRep) -> list:
         cands.add((1, 0))
     if r_gen:
         rows = samples[ranks.index(r_gen)]
-        cols = pivot_columns(rows)
-        sel = pivot_columns({i: row[c] for i, row in enumerate(rows)}
-                            for c in cols)
+        cols = echelon(rows)
+        sel = echelon({i: row[c] for i, row in enumerate(rows)} for c in cols)
         minor = _poly_det([[[ia[i][j], -ib[i][j]] for j in cols]
                            for i in sel])
         for t in _rational_roots(minor):
@@ -732,65 +735,85 @@ def _rational_roots(poly: list) -> list:
     return sorted(roots)
 
 
+def _times(vecs: list, rows: list) -> list:
+    """Each sparse vector of vecs times the matrix of the sparse rows."""
+    out = [{} for _ in vecs]
+    for v, acc in zip(vecs, out):
+        for i, x in v.items():
+            for j, z in rows[i].items():
+                acc[j] = acc.get(j, 0) + x * z
+    return out
+
+
+def _preimage(a: list, w: list, n: int) -> list:
+    """A basis of {v : v a in span w}, a and w sparse rows over n columns:
+    the echelon rows of [w | 0] and [a | 1] that vanish on the first n."""
+    rows = w + [{**r, n + i: 1} for i, r in enumerate(a)]
+    return [{c - n: x for c, x in row.items()}
+            for c, row in echelon(rows).items() if c >= n]
+
+
+def _chain(f: list, g: list, n: int, x: list) -> tuple:
+    """The chain x, {v : v f in x g}, ... until its dimension stops
+    changing: the list of dimensions and the last space."""
+    dims = [len(x)]
+    while len(x := _preimage(f, _times(x, g), n)) != dims[-1]:
+        dims.append(len(x))
+    return dims, x
+
+
+def _kernel_counts(a: list, b: list, n: int) -> list:
+    """m_1, m_2, ... from the chain K_0 = {v : v a = 0}, K_j = {v : v a in
+    K_(j-1) b}: with D_j = dim K_j - dim K_(j-1), m_i = D_(i-1) - D_i."""
+    dims = _chain(a, b, n, [])[0]
+    steps = [y - x for x, y in zip(dims, dims[1:])] + [0]
+    return [x - y for x, y in zip(steps, steps[1:])]
+
+
+def _preinjective_counts(a: list, b: list, n: int) -> list:
+    """Multiplicities of Q_1, Q_2, ... for the arrows a and b: the kernel
+    chain on the limit of L_0 = everything, L_j = {v : v b in L_(j-1) a},
+    which holds the preinjectives but no preprojective or regular at (0:1)."""
+    lim = _chain(b, a, n, [{i: 1} for i in range(len(a))])[1]
+    return _kernel_counts(_times(lim, a), _times(lim, b), n)
+
+
+@lru_cache(maxsize=1024)
 def decompose(y: ExplicitRep) -> ObjectSum:
     """Decompose a representation into indecomposables with multiplicities.
 
-    Multiplicities are read off functorially: for each candidate Z the
-    number of Z-summands is the dimension of Hom(y, Z) modulo maps factoring
-    through the middle term of the almost split sequence ending at Z (the
-    radical of Z when Z is projective).  The regular support is located via
-    the arrow pencil.  Raises if the dimension count does not come out
-    exact.
-    """
-    total = y.dim.total()
-    if total == 0:
-        return ()
-    bound = max(1, total)
-    parts = []
-    covered = DimVector(0, 0)
-
-    def h(z: KroneckerObject) -> int:
-        return hom_dim(y, explicit_rep(z))
-
-    for i in range(1, bound + 1):
-        if dim_vector(Preprojective(i)).total() > total - covered.total():
-            break
-        if i == 1:
-            m = h(Preprojective(1))
-        elif i == 2:
-            m = h(Preprojective(2)) - 2 * h(Preprojective(1))
-        else:
-            m = (h(Preprojective(i)) - 2 * h(Preprojective(i - 1))
-                 + h(Preprojective(i - 2)))
-        if m < 0:
-            raise ArithmeticError("negative preprojective multiplicity")
-        if m:
-            parts.append((Preprojective(i), m))
-            covered = covered + dim_vector(Preprojective(i)).scaled(m)
-    for i in range(1, bound + 1):
-        if dim_vector(Preinjective(i)).total() > total - covered.total():
-            break
-        m = (h(Preinjective(i)) - 2 * h(Preinjective(i + 1))
-             + h(Preinjective(i + 2)))
-        if m < 0:
-            raise ArithmeticError("negative preinjective multiplicity")
-        if m:
-            parts.append((Preinjective(i), m))
-            covered = covered + dim_vector(Preinjective(i)).scaled(m)
-    if (covered.d1, covered.d2) != (y.dim.d1, y.dim.d2):
-        remaining = y.dim.total() - covered.total()
-        for p in regular_support_points(y):
-            hs = {0: 0}
-            for l in range(1, remaining // 2 + 2):
-                hs[l] = hom_dim(y, explicit_rep(Regular(p, l)))
-            for l in range(1, remaining // 2 + 1):
-                m = 2 * hs[l] - hs[l - 1] - hs[l + 1]
+    Subspace chains of the arrow pencil (its Wong sequences; Van Dooren
+    1979, Berger-Trenn 2012) on integer rows of the vertex spaces count the
+    preinjectives, and on the transposed pencil the preprojectives.  If a
+    remainder is left, at each point (a:b) of regular_support_points the
+    kernel chain of (b*Y_alpha - a*Y_beta, Y_beta, or Y_alpha if b = 0)
+    counts the preinjectives and the regulars at (a:b).  Raises if the
+    dimension count does not come out exact."""
+    d2 = y.dim.d2
+    ia, ib = _int_arrows(y)
+    sa, sb = ([{j: x for j, x in enumerate(r) if x} for r in m]
+              for m in (ia, ib))
+    qs = _preinjective_counts(sa, sb, d2)
+    ps = _preinjective_counts(*([sparse_transpose(m).get(j, {})
+                                 for j in range(d2)] for m in (sa, sb)),
+                              y.dim.d1)
+    if min(qs + ps, default=0) < 0:
+        raise ArithmeticError("negative preprojective/preinjective count")
+    parts = ([(Preprojective(i), m) for i, m in enumerate(ps, 1)]
+             + [(Preinjective(i), m) for i, m in enumerate(qs, 1)])
+    covered = sum((dim_vector(x).scaled(m) for x, m in parts), DimVector(0, 0))
+    if covered != y.dim:
+        for a, b in regular_support_points(y):
+            pencil = [{j: v for j, (x, z) in enumerate(zip(ra, rb))
+                       if (v := b * x - a * z)} for ra, rb in zip(ia, ib)]
+            for l, m in enumerate(_kernel_counts(pencil, sb if b else sa, d2),
+                                  1):
+                m -= qs[l - 1] if l <= len(qs) else 0
                 if m < 0:
                     raise ArithmeticError("negative regular multiplicity")
-                if m:
-                    parts.append((Regular(p, l), m))
-                    covered = covered + DimVector(l, l).scaled(m)
-    if (covered.d1, covered.d2) != (y.dim.d1, y.dim.d2):
+                parts.append((Regular((a, b), l), m))
+                covered = covered + DimVector(l, l).scaled(m)
+    if covered != y.dim:
         raise ArithmeticError(
             f"decomposition mismatch: found {covered}, expected {y.dim}; "
             "regular support may lie outside the rational points searched")

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .exactlin import Mat, rank, vstack
+from .exactlin import Mat, rank, sparse_rank, sparse_transpose, vstack
 from .kronecker import (DimVector, ExplicitRep, KroneckerObject, LocalizedRing,
                         Point, Preinjective, Preprojective, Pruefer, Regular,
                         decompose, explicit_rep, normalize_point, object_sum,
@@ -140,10 +140,9 @@ def phi_surjective(sigma1: TwoTermComplex, sigma2: TwoTermComplex,
     n = morphism_space_dim(sigma2.deg_m1, sigma1.deg_0)
     vectors = [fm1.then(alpha).flat() for fm1, _ in chain_endo_basis(sigma2)]
     vectors += [alpha.then(g0).flat() for _, g0 in chain_endo_basis(sigma1)]
-    homotopies, nh = delta_map(sigma2, sigma1)
-    span = vstack([Mat.from_rows(vectors, cols=n),
-                   Mat.from_sparse(homotopies, nh).transpose()])
-    return rank(span) == n
+    homotopies, _ = delta_map(sigma2, sigma1)
+    return sparse_rank([dict(enumerate(v)) for v in vectors]
+                       + list(sparse_transpose(homotopies).values())) == n
 
 
 def cocone_of_attachment(sigma1: TwoTermComplex, sigma2: TwoTermComplex,

@@ -1,3 +1,4 @@
+import pathlib
 import subprocess
 import sys
 
@@ -202,6 +203,16 @@ def test_tall_point_literal_ends_in_a_named_domain_error():
         capture_output=True, text=True, timeout=10)
     assert out.returncode == 1 and out.stdout == ""
     assert "not equivalent to a silting complex" in out.stderr
+
+
+def test_large_row_literal_glues_in_a_subprocess():
+    literal = (pathlib.Path(__file__).parent / "data"
+               / "p19_literal.txt").read_text().strip()
+    out = subprocess.run(
+        [sys.executable, "-m", "siltglue.cli", "glue-kronecker", "--row",
+         "P20", "--left", literal, "--right", "P20"],
+        capture_output=True, text=True, timeout=10)
+    assert out.returncode == 0 and out.stdout == "P19 + P20\n"
 
 
 @pytest.mark.parametrize("argv, want", [

@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siltglue.exactlin import Mat, rank
-from siltglue.kronecker import (DimVector, ExplicitRep, Generic, Lukas,
+from siltglue.kronecker import (DimVector, ExplicitRep, Generic,
+                                KroneckerObject, Lukas, ObjectSum,
                                 Preinjective, Preprojective, Pruefer, Regular,
                                 _poly_det, _poly_mul, _rational_roots,
                                 ar_translate, ar_translate_inverse,
@@ -573,3 +574,126 @@ def test_large_sum_decomposes_under_two_seconds():
     with wall_budget(30):
         assert decompose(y) == object_sum((o, 1) for o in parts)
     assert time.process_time() - t0 < 2.0
+
+
+# -- decomposition by subspace chains against the functorial scan ----------
+
+
+def reference_decompose(y: ExplicitRep) -> ObjectSum:
+    """The functorial multiplicity scan: for each candidate Z the number of
+    Z-summands is the dimension of Hom(y, Z) modulo maps factoring through
+    the middle term of the almost split sequence ending at Z (the radical
+    of Z when Z is projective), read as second differences of hom_dim on
+    the intertwiner systems; regular candidates come from the arrow
+    pencil."""
+    total = y.dim.total()
+    if total == 0:
+        return ()
+    parts = []
+    covered = DimVector(0, 0)
+
+    def h(z: KroneckerObject) -> int:
+        return hom_dim(y, explicit_rep(z))
+
+    for i in range(1, total + 1):
+        if dim_vector(P(i)).total() > total - covered.total():
+            break
+        if i == 1:
+            m = h(P(1))
+        elif i == 2:
+            m = h(P(2)) - 2 * h(P(1))
+        else:
+            m = h(P(i)) - 2 * h(P(i - 1)) + h(P(i - 2))
+        if m < 0:
+            raise ArithmeticError("negative preprojective multiplicity")
+        if m:
+            parts.append((P(i), m))
+            covered = covered + dim_vector(P(i)).scaled(m)
+    for i in range(1, total + 1):
+        if dim_vector(Q(i)).total() > total - covered.total():
+            break
+        m = h(Q(i)) - 2 * h(Q(i + 1)) + h(Q(i + 2))
+        if m < 0:
+            raise ArithmeticError("negative preinjective multiplicity")
+        if m:
+            parts.append((Q(i), m))
+            covered = covered + dim_vector(Q(i)).scaled(m)
+    if covered != y.dim:
+        remaining = y.dim.total() - covered.total()
+        for p in regular_support_points(y):
+            hs = {0: 0}
+            for l in range(1, remaining // 2 + 2):
+                hs[l] = h(R(p, l))
+            for l in range(1, remaining // 2 + 1):
+                m = 2 * hs[l] - hs[l - 1] - hs[l + 1]
+                if m < 0:
+                    raise ArithmeticError("negative regular multiplicity")
+                if m:
+                    parts.append((R(p, l), m))
+                    covered = covered + DimVector(l, l).scaled(m)
+    if covered != y.dim:
+        raise ArithmeticError("decomposition mismatch")
+    return object_sum(parts)
+
+
+@st.composite
+def mixed_sums(draw):
+    """One to three indecomposables, P1-P3, Q1-Q3 or R(p, l) with l <= 3 at
+    (1:0), (0:1) or a finite point, each with multiplicity 1 or 2."""
+    point = st.sampled_from([(1, 0), (0, 1)]) | st.tuples(
+        st.integers(min_value=-4, max_value=4),
+        st.integers(min_value=1, max_value=4))
+    out = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        kind = draw(st.sampled_from("PQR"))
+        if kind == "R":
+            obj = R(draw(point), draw(st.integers(min_value=1, max_value=3)))
+        else:
+            obj = {"P": P, "Q": Q}[kind](
+                draw(st.integers(min_value=1, max_value=3)))
+        out.append((obj, draw(st.integers(min_value=1, max_value=2))))
+    return out
+
+
+@given(mixed_sums(), st.integers(min_value=0, max_value=2**32),
+       st.booleans())
+@example([(R((0, 1), 2), 2), (Q(3), 1), (P(3), 2)], 7, True)
+@example([(R((1, 0), 1), 2), (R((1, 0), 2), 1), (Q(1), 2)], 3, True)
+@settings(max_examples=40, deadline=None)
+def test_decompose_matches_the_functorial_scan(pairs, seed, change):
+    y = rep_direct_sum([explicit_rep(o) for o, m in pairs for _ in range(m)])
+    if change:
+        y = changed_basis(random.Random(seed), y)
+    want = object_sum(pairs)
+    assert decompose(y) == want
+    assert reference_decompose(y) == want
+
+
+def upper_unimodular(rng: random.Random, n: int) -> Mat:
+    """Upper triangular, ones on the diagonal, entries above it in
+    [-2, 2]."""
+    return Mat.from_rows([[int(i == j) if j <= i else rng.randint(-2, 2)
+                           for j in range(n)] for i in range(n)], cols=n)
+
+
+def test_changed_basis_94_dimensional_sum_decomposes_under_three_seconds():
+    parts = [P(7), P(16), Q(5), Q(16), R((1, 1), 2), R((2, 3), 3)]
+    y = rep_direct_sum([explicit_rep(o) for o in parts])
+    assert y.dim.total() == 94
+    rng = random.Random(0)
+    s, u = upper_unimodular(rng, y.dim.d1), upper_unimodular(rng, y.dim.d2)
+    y = ExplicitRep(y.dim, s.mul(y.m_alpha).mul(u), s.mul(y.m_beta).mul(u))
+    t0 = time.process_time()
+    with wall_budget(60):
+        assert decompose(y) == object_sum((o, 1) for o in parts)
+    assert time.process_time() - t0 < 3.0
+
+
+def test_decompose_solves_no_intertwiner_system():
+    parts = [P(3), Q(2), Q(2), R((1, 1), 2), R((0, 1), 1), R((1, 0), 1)]
+    y = changed_basis(random.Random(2),
+                      rep_direct_sum([explicit_rep(o) for o in parts]))
+    hom_dim.cache_clear()
+    decompose.cache_clear()
+    assert decompose(y) == object_sum((o, 1) for o in parts)
+    assert hom_dim.cache_info().misses == 0

@@ -1,9 +1,14 @@
+import pathlib
+import time
+
 import pytest
 
 from siltglue.complexes import (ProjMorphism, ProjSum, TwoTermComplex,
-                                chain_map_basis_shift1, derived_hom_dim,
-                                direct_sum, power, stalk_complex,
-                                universal_extension)
+                                chain_endo_basis, chain_map_basis_shift1,
+                                delta_map, derived_hom_dim, direct_sum,
+                                morphism_space_dim, power, shifted_projective,
+                                stalk_complex, universal_extension)
+from siltglue.exactlin import Mat, rank, vstack
 from siltglue.kronecker import (Preinjective, Preprojective, Regular,
                                 explicit_rep, object_sum, render_object_sum,
                                 zero_rep)
@@ -98,6 +103,46 @@ def test_phi_matches_cocone_self_orthogonality():
         assert surjective == (self_ext == 0)
         seen.add(surjective)
     assert seen == {True, False}
+
+
+def reference_phi_surjective(s1, s2, alpha) -> bool:
+    """The dense route: the rank of the stacked images of the chain
+    endomorphisms and the dense transpose of the homotopy map."""
+    n = morphism_space_dim(s2.deg_m1, s1.deg_0)
+    vectors = [f.then(alpha).flat() for f, _ in chain_endo_basis(s2)]
+    vectors += [alpha.then(g).flat() for _, g in chain_endo_basis(s1)]
+    homotopies, nh = delta_map(s2, s1)
+    return rank(vstack([Mat.from_rows(vectors, cols=n),
+                        Mat.from_sparse(homotopies, nh).transpose()])) == n
+
+
+def test_phi_sparse_rank_matches_the_dense_rank():
+    # the fixtures and attaching maps of acceptance criterion 8
+    fixtures = [
+        (stalk_complex(ProjSum(1, 0)), power(presentation_of_object(Q(1)), 2)),
+        (stalk_complex(ProjSum(0, 1)), power(shifted_projective(1), 2)),
+        (presentation_of_object(P(3)), power(shifted_projective(2), 2)),
+        (presentation_of_object(P(4)),
+         power(presentation_of_object(P(3)), 2)),
+        (presentation_of_object(Q(1)),
+         power(presentation_of_object(Q(2)), 2)),
+    ]
+    verdicts = set()
+    for s1, s2 in fixtures:
+        basis = chain_map_basis_shift1(s2, s1)
+        samples = [ProjMorphism.zero(s2.deg_m1, s1.deg_0)]
+        for k in range(1, len(basis) + 1):
+            acc = basis[0]
+            for b in basis[1:k]:
+                acc = acc.add(b)
+            samples.append(acc)
+        if len(basis) >= 4:
+            samples.append(basis[0].add(basis[3]))
+        for alpha in samples:
+            verdict = phi_surjective(s1, s2, alpha)
+            assert verdict == reference_phi_surjective(s1, s2, alpha)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_phi_precondition_errors_name_the_condition():
@@ -267,3 +312,16 @@ def test_raw_complexes_glue_as_their_token(row):
     assert glue_kronecker(row, fat_left, fat_right) == want
     with pytest.raises(GlueError, match="not equivalent"):
         glue_kronecker(row, fat_right, right)
+
+
+P19_LITERAL = (pathlib.Path(__file__).parent / "data"
+               / "p19_literal.txt").read_text().strip()
+
+
+def test_large_row_literal_glues_under_two_seconds():
+    # a presentation of P19 plus a contractible summand, under a seeded
+    # automorphism of both terms
+    t0 = time.process_time()
+    out = glue_kronecker("P20", P19_LITERAL, "P20")
+    assert time.process_time() - t0 < 2.0
+    assert out.render() == "P19 + P20"
