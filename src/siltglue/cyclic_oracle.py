@@ -42,18 +42,21 @@ class NilpRep:
 
 
 def _is_nilpotent(rep: "NilpRep") -> bool:
-    total = sum(rep.dims)
-    if total == 0:
+    """Every cycle passes the vertex v of least dimension d, and the cycle
+    composites at all vertices, rotations of one product, share nonzero
+    eigenvalues: nilpotent iff the d x d composite C at v has C^d = 0."""
+    d = min(rep.dims)
+    v = rep.dims.index(d)
+    if d == 0:
         return True
-    for v in range(rep.n):
-        comp = Mat.identity(rep.dims[v])
-        w = v
-        for _ in range(total):
-            comp = comp.mul(rep.maps[w])
-            w = (w - 1) % rep.n
-        if not comp.is_zero():
-            return False
-    return True
+    comp = Mat.identity(d)
+    for t in range(rep.n):
+        comp = comp.mul(rep.maps[(v - t) % rep.n])
+    exponent = 1
+    while exponent < d:
+        comp = comp.mul(comp)
+        exponent *= 2
+    return comp.is_zero()
 
 
 def rep_of_arc(a: Arc, ctx: TubeCtx) -> NilpRep:
@@ -106,15 +109,19 @@ def hom_dim_oracle(x: NilpRep, y: NilpRep) -> int:
 def ext_dim_oracle(x: NilpRep, y: NilpRep) -> int:
     """First extensions from the two-term Hom complex of the quiver: the
     arrow-space dimension minus the vertex-space dimension plus hom."""
-    if x.n != y.n:
-        raise ValueError("rank mismatch")
+    return _hom_ext_oracle(x, y)[1]
+
+
+def _hom_ext_oracle(x: NilpRep, y: NilpRep) -> tuple:
+    """(dim Hom, dim Ext^1) from one intertwiner rank."""
+    hom = hom_dim_oracle(x, y)
     n = x.n
     vertex = sum(x.dims[v] * y.dims[v] for v in range(n))
     arrows = sum(x.dims[v] * y.dims[(v - 1) % n] for v in range(n))
-    val = arrows - vertex + hom_dim_oracle(x, y)
-    if val < 0:
+    ext = arrows - vertex + hom
+    if ext < 0:
         raise ArithmeticError("negative oracle Ext dimension")
-    return val
+    return hom, ext
 
 
 def sweep_arcs(ctx: TubeCtx, max_len: int, hom_arcs, ext_arcs) -> tuple:
@@ -132,8 +139,9 @@ def sweep_arcs(ctx: TubeCtx, max_len: int, hom_arcs, ext_arcs) -> tuple:
     mismatches = []
     for a in arcs:
         for b in arcs:
-            if ext_arcs(a, b, ctx) != ext_dim_oracle(reps[a], reps[b]):
+            hom, ext = _hom_ext_oracle(reps[a], reps[b])
+            if ext_arcs(a, b, ctx) != ext:
                 mismatches.append(("ext", a, b))
-            if hom_arcs(a, b, ctx) != hom_dim_oracle(reps[a], reps[b]):
+            if hom_arcs(a, b, ctx) != hom:
                 mismatches.append(("hom", a, b))
     return len(arcs) ** 2, mismatches

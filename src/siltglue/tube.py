@@ -19,10 +19,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence
-
-INF = None  # sentinel for the right-infinite endpoint
+from typing import Iterable, Optional
 
 
 @dataclass(frozen=True)
@@ -58,6 +55,8 @@ def normalize(a: Arc, ctx: TubeCtx) -> Arc:
     if not a.is_infinite() and a.end < a.start + 2:
         raise ValueError(f"finite arc needs end >= start + 2, got {a}")
     shift = (a.start % ctx.n) - a.start
+    if shift == 0:
+        return a
     return Arc(a.start + shift, None if a.is_infinite() else a.end + shift)
 
 
@@ -81,14 +80,14 @@ def render_arc(a: Arc) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _strict_between_count(lowers: Sequence[Fraction],
-                          uppers: Sequence[Fraction]) -> int:
-    """Number of integers k with max(lowers) < k < min(uppers)."""
-    lo = max(lowers)
-    hi = min(uppers)
-    kmin = math.floor(lo) + 1
-    kmax = math.ceil(hi) - 1
-    return max(0, kmax - kmin + 1)
+def _crossing_lifts(a: Arc, b: Arc, n: int) -> tuple:
+    """Range (kmin, kmax) of the k with i' + kn < i < j' + kn < j for a
+    finite b: the integers strictly between lo/n and hi/n, on ints."""
+    lo = a.start - b.end
+    hi = a.start - b.start
+    if not a.is_infinite():
+        hi = min(hi, a.end - b.end)
+    return lo // n + 1, -(-hi // n) - 1
 
 
 def _neg_crossings(a: Arc, b: Arc, n: int) -> int:
@@ -97,11 +96,8 @@ def _neg_crossings(a: Arc, b: Arc, n: int) -> int:
     if b.is_infinite():
         # the third inequality needs a finite j' inside a's span
         return 0
-    lowers = [Fraction(a.start - b.end, n)]
-    uppers = [Fraction(a.start - b.start, n)]
-    if not a.is_infinite():
-        uppers.append(Fraction(a.end - b.end, n))
-    return _strict_between_count(lowers, uppers)
+    kmin, kmax = _crossing_lifts(a, b, n)
+    return max(0, kmax - kmin + 1)
 
 
 def crossings(a: Arc, b: Arc, ctx: TubeCtx) -> tuple:
@@ -212,16 +208,10 @@ def extension_middle(a: Arc, b: Arc, ctx: TubeCtx) -> list:
     b = normalize(b, ctx)
     if ext_dim_arcs(a, b, ctx) != 1:
         raise ValueError("extension class not unique")
-    n = ctx.n
-    lo = Fraction(a.start - b.end, n)
-    uppers = [Fraction(a.start - b.start, n)]
-    if not a.is_infinite():
-        uppers.append(Fraction(a.end - b.end, n))
-    kmin = math.floor(lo) + 1
-    kmax = math.ceil(min(uppers)) - 1
+    kmin, kmax = _crossing_lifts(a, b, ctx.n)
     if kmin != kmax:
         raise ArithmeticError("crossing lift scan disagrees with the count")
-    i2, j2 = b.start + kmin * n, b.end + kmin * n
+    i2, j2 = b.start + kmin * ctx.n, b.end + kmin * ctx.n
     middle = [Arc(i2, a.end)]
     if j2 - a.start >= 2:
         middle.append(Arc(a.start, j2))
@@ -263,29 +253,38 @@ def rigid_candidates(ctx: TubeCtx, max_len: int, include_infinite: bool) -> list
 
 def enumerate_maximal_rigid(ctx: TubeCtx, max_len: int,
                             include_infinite: bool) -> list:
-    """All inclusion-maximal rigid collections over the candidate arcs,
-    by backtracking, in deterministic lexicographic order."""
+    """All inclusion-maximal rigid collections over the candidate arcs, in
+    deterministic lexicographic order: the maximal cliques of the graph of
+    pairs with no Ext either way, each found once by Bron-Kerbosch with
+    the Tomita pivot (most neighbours left), on int bitmask vertex sets."""
     cands = rigid_candidates(ctx, max_len, include_infinite)
-    compat = {}
+    nbrs = [0] * len(cands)
     for i, a in enumerate(cands):
-        for j, b in enumerate(cands):
-            compat[(i, j)] = (ext_dim_arcs(a, b, ctx) == 0
-                              and ext_dim_arcs(b, a, ctx) == 0)
+        for j, b in enumerate(cands[i + 1:], i + 1):
+            if ext_dim_arcs(a, b, ctx) == 0 and ext_dim_arcs(b, a, ctx) == 0:
+                nbrs[i] |= 1 << j
+                nbrs[j] |= 1 << i
     out = []
 
-    def rec(chosen, start):
-        grew = False
-        for i in range(start, len(cands)):
-            if all(compat[(i, j)] for j in chosen):
-                rec(chosen + [i], i + 1)
-                grew = True
-        if not grew:
-            # maximal within candidates >= start; confirm global maximality
-            if not any(all(compat[(i, j)] for j in chosen)
-                       for i in range(len(cands)) if i not in chosen):
-                out.append(tuple(cands[i] for i in chosen))
+    def bits(mask):
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
 
-    rec([], 0)
+    def expand(chosen, cand, excl):
+        if not cand:
+            if not excl:
+                out.append(tuple(cands[i] for i in chosen))
+            return
+        pivot = max(bits(cand | excl),
+                    key=lambda u: (cand & nbrs[u]).bit_count())
+        for v in bits(cand & ~nbrs[pivot]):
+            expand(chosen + [v], cand & nbrs[v], excl & nbrs[v])
+            cand &= ~(1 << v)
+            excl |= 1 << v
+
+    expand([], (1 << len(cands)) - 1, 0)
     uniq = sorted({tuple(sorted(c, key=arc_sort_key)) for c in out if c},
                   key=lambda c: tuple(arc_sort_key(a) for a in c))
     return [list(c) for c in uniq]
@@ -341,7 +340,7 @@ def translation_quiver_dot(ctx: TubeCtx, max_len: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def dump_collection(arcs: Sequence[Arc], ctx: TubeCtx) -> str:
+def dump_collection(arcs: Iterable[Arc], ctx: TubeCtx) -> str:
     lines = [f"tube rank={ctx.n}"]
     for a in sorted((normalize(x, ctx) for x in arcs), key=arc_sort_key):
         lines.append(render_arc(a))

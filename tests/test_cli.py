@@ -1,3 +1,4 @@
+import math
 import pathlib
 import subprocess
 import sys
@@ -213,6 +214,15 @@ def test_large_row_literal_glues_in_a_subprocess():
          "P20", "--left", literal, "--right", "P20"],
         capture_output=True, text=True, timeout=10)
     assert out.returncode == 0 and out.stdout == "P19 + P20\n"
+
+
+def test_rank_nine_maximal_rigid_listing_in_a_subprocess():
+    out = subprocess.run(
+        [sys.executable, "-m", "siltglue.cli", "enumerate-rigid", "--rank", "9",
+         "--max-len", "8", "--pruefer"],
+        capture_output=True, text=True, timeout=10)
+    assert out.returncode == 0
+    assert len(out.stdout.splitlines()) == math.comb(17, 9)
 
 
 @pytest.mark.parametrize("argv, want", [

@@ -1,4 +1,6 @@
 import itertools
+import math
+import time
 
 import pytest
 
@@ -271,6 +273,12 @@ def test_round_trip_counts():
     assert len(enumerate_single_tube_specs(2)) == 3
     assert len(enumerate_single_tube_specs(3)) == 10
     assert len(enumerate_single_tube_specs(4)) == 35
+
+
+def test_rank_eight_census_under_three_seconds():
+    t0 = time.process_time()
+    assert len(enumerate_single_tube_specs(8)) == math.comb(15, 8)
+    assert time.process_time() - t0 < 3.0
 
 
 def test_seed_routing_never_hits_the_undetermined_case():

@@ -1,7 +1,12 @@
-import pytest
+from fractions import Fraction
+from types import SimpleNamespace
 
-from siltglue.cyclic_oracle import (NilpRep, ext_dim_oracle, hom_dim_oracle,
-                                    rep_of_arc)
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from siltglue.cyclic_oracle import (NilpRep, _is_nilpotent, ext_dim_oracle,
+                                    hom_dim_oracle, rep_of_arc, sweep_arcs)
 from siltglue.exactlin import Mat
 from siltglue.tube import Arc, TubeCtx, ext_dim_arcs, hom_dim_arcs, tau_arc
 
@@ -91,3 +96,85 @@ def test_agreement_with_arc_model_small_range():
                                                                  reps[b])
                 assert hom_dim_arcs(a, b, ctx) == hom_dim_oracle(reps[a],
                                                                  reps[b])
+
+
+def test_sweep_reports_mismatches_in_checking_order():
+    ctx = TubeCtx(2)
+    wrong_hom = lambda a, b, c: hom_dim_arcs(a, b, c) + (a == b)
+    pairs, bad = sweep_arcs(ctx, 2, wrong_hom, ext_dim_arcs)
+    arcs = [Arc(s, s + 1 + l) for s in range(2) for l in (1, 2)]
+    assert pairs == 16
+    assert bad == [("hom", a, a) for a in arcs]
+    pairs, bad = sweep_arcs(ctx, 2, hom_dim_arcs, lambda a, b, c: 0)
+    assert bad == [("ext", a, b) for a in arcs for b in arcs
+                   if ext_dim_arcs(a, b, ctx)]
+
+
+# -- the one-cycle nilpotency test against the all-vertex check ----------------
+
+
+def reference_is_nilpotent(rep) -> bool:
+    """Every path of length dim V, from every vertex, acts as zero."""
+    total = sum(rep.dims)
+    if total == 0:
+        return True
+    for v in range(rep.n):
+        comp = Mat.identity(rep.dims[v])
+        w = v
+        for _ in range(total):
+            comp = comp.mul(rep.maps[w])
+            w = (w - 1) % rep.n
+        if not comp.is_zero():
+            return False
+    return True
+
+
+SCALARS = sorted({Fraction(p, q) for p in range(-4, 5) for q in (1, 2, 3)
+                  if p}, key=abs)
+NONZERO = st.sampled_from(SCALARS)
+ENTRIES = st.sampled_from([Fraction(0)] + SCALARS)
+LEVELS = st.integers(min_value=0, max_value=3)
+
+
+@st.composite
+def cyclic_reps(draw):
+    """(kind, rep) with rep a cyclic-quiver representation of dimension at
+    most 3 per vertex, not checked for nilpotency.  "flag" arrows only
+    lower a level given to each basis vector, so the rep is nilpotent;
+    "cycle" keeps every dimension positive and carries basis vector 0
+    around the cycle by nonzero scalars, apart from a flag part, so it is
+    not; "random" entries are arbitrary."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    kind = draw(st.sampled_from(["random", "flag", "cycle"]))
+    dims = draw(st.lists(st.integers(min_value=int(kind == "cycle"),
+                                     max_value=3), min_size=n, max_size=n))
+    levels = [draw(st.lists(LEVELS, min_size=d, max_size=d)) for d in dims]
+    maps = []
+    for v in range(n):
+        w = (v - 1) % n
+        flat = draw(st.lists(ENTRIES, min_size=dims[v] * dims[w],
+                             max_size=dims[v] * dims[w]))
+        rows = [flat[r * dims[w]:(r + 1) * dims[w]] for r in range(dims[v])]
+        for r in range(dims[v]):
+            for c in range(dims[w]):
+                if kind == "cycle" and 0 in (r, c):
+                    rows[r][c] = draw(NONZERO) if r == c else 0
+                elif kind != "random" and levels[w][c] >= levels[v][r]:
+                    rows[r][c] = 0
+        maps.append(Mat.from_rows(rows, cols=dims[w]))
+    return kind, SimpleNamespace(n=n, dims=tuple(dims), maps=tuple(maps))
+
+
+@given(cyclic_reps())
+@settings(max_examples=300, deadline=None)
+def test_one_cycle_nilpotency_matches_the_all_vertex_check(case):
+    kind, rep = case
+    want = reference_is_nilpotent(rep)
+    assert _is_nilpotent(rep) == want
+    assert want or kind != "flag"
+    assert not want or kind != "cycle"
+    if want:
+        NilpRep(rep.n, rep.dims, rep.maps)
+    else:
+        with pytest.raises(ValueError, match="not nilpotent"):
+            NilpRep(rep.n, rep.dims, rep.maps)

@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -293,3 +295,115 @@ def test_tau_invariance_of_crossings(n, a):
     b = Arc(a.start + 1, a.end + 2)
     assert ext_dim_arcs(a, b, ctx) == ext_dim_arcs(tau_arc(a, ctx),
                                                    tau_arc(b, ctx), ctx)
+
+
+# -- the integer routes against the routes they replaced -----------------------
+
+
+def reference_crossing_lifts(a: Arc, b: Arc, n: int) -> tuple:
+    """The Fraction floor/ceil scan of the lift range of a finite b."""
+    lo = Fraction(a.start - b.end, n)
+    uppers = [Fraction(a.start - b.start, n)]
+    if not a.is_infinite():
+        uppers.append(Fraction(a.end - b.end, n))
+    return math.floor(lo) + 1, math.ceil(min(uppers)) - 1
+
+
+def reference_ext_dim_arcs(a: Arc, b: Arc, ctx: TubeCtx) -> int:
+    a, b = normalize(a, ctx), normalize(b, ctx)
+    if b.is_infinite():
+        return 0
+    kmin, kmax = reference_crossing_lifts(a, b, ctx.n)
+    return max(0, kmax - kmin + 1)
+
+
+def reference_extension_middle(a: Arc, b: Arc, ctx: TubeCtx) -> list:
+    a, b = normalize(a, ctx), normalize(b, ctx)
+    kmin, kmax = reference_crossing_lifts(a, b, ctx.n)
+    assert kmin == kmax
+    i2, j2 = b.start + kmin * ctx.n, b.end + kmin * ctx.n
+    middle = [Arc(i2, a.end)]
+    if j2 - a.start >= 2:
+        middle.append(Arc(a.start, j2))
+    return sorted((normalize(m, ctx) for m in middle), key=arc_sort_key)
+
+
+def reference_enumerate_maximal_rigid(ctx: TubeCtx, max_len: int,
+                                      include_infinite: bool) -> list:
+    """Backtracking through every partial rigid collection, with a global
+    maximality scan at each leaf."""
+    cands = rigid_candidates(ctx, max_len, include_infinite)
+    compat = {}
+    for i, a in enumerate(cands):
+        for j, b in enumerate(cands):
+            compat[(i, j)] = (ext_dim_arcs(a, b, ctx) == 0
+                              and ext_dim_arcs(b, a, ctx) == 0)
+    out = []
+
+    def rec(chosen, start):
+        grew = False
+        for i in range(start, len(cands)):
+            if all(compat[(i, j)] for j in chosen):
+                rec(chosen + [i], i + 1)
+                grew = True
+        if not grew:
+            if not any(all(compat[(i, j)] for j in chosen)
+                       for i in range(len(cands)) if i not in chosen):
+                out.append(tuple(cands[i] for i in chosen))
+
+    rec([], 0)
+    uniq = sorted({tuple(sorted(c, key=arc_sort_key)) for c in out if c},
+                  key=lambda c: tuple(arc_sort_key(a) for a in c))
+    return [list(c) for c in uniq]
+
+
+@st.composite
+def tube_arc_pairs(draw):
+    """A rank 1-9 tube and two arcs starting in [-2n, 3n), finite of length
+    up to 3n + 1 or, one time in four, Pruefer."""
+    n = draw(st.integers(min_value=1, max_value=9))
+
+    def arc():
+        start = draw(st.integers(min_value=-2 * n, max_value=3 * n - 1))
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            return Arc(start, None)
+        return Arc(start, start + 1 + draw(st.integers(min_value=1,
+                                                       max_value=3 * n + 1)))
+
+    return TubeCtx(n), arc(), arc()
+
+
+@given(tube_arc_pairs())
+@settings(max_examples=500, deadline=None)
+def test_integer_crossings_match_the_fraction_scan(case):
+    ctx, a, b = case
+    ext = ext_dim_arcs(a, b, ctx)
+    assert ext == reference_ext_dim_arcs(a, b, ctx)
+    if ext == 1:
+        assert (extension_middle(a, b, ctx)
+                == reference_extension_middle(a, b, ctx))
+
+
+def test_extension_middle_matches_the_fraction_scan_exhaustively():
+    seen = 0
+    for n in range(1, 6):
+        ctx = TubeCtx(n)
+        arcs = [Arc(s, None) for s in range(n)] + [
+            Arc(s, s + 1 + l) for s in range(n) for l in range(1, 2 * n + 2)]
+        for a in arcs:
+            for b in arcs:
+                if reference_ext_dim_arcs(a, b, ctx) == 1:
+                    seen += 1
+                    assert (extension_middle(a, b, ctx)
+                            == reference_extension_middle(a, b, ctx))
+    assert seen > 100
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_bron_kerbosch_matches_the_backtracking(n):
+    ctx = TubeCtx(n)
+    for max_len in sorted({1, n - 1, n, n + 1}):
+        for pruefer in (False, True):
+            assert (enumerate_maximal_rigid(ctx, max_len, pruefer)
+                    == reference_enumerate_maximal_rigid(ctx, max_len,
+                                                         pruefer))
