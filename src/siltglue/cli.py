@@ -11,70 +11,46 @@ import argparse
 import os
 import sys
 
-from . import cyclic_oracle, expansion, glue, kronecker, silting, tube
 
-
-def _maxlen_default(fallback: int) -> int:
-    env = os.environ.get("SILTGLUE_MAXLEN")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise SystemExit(2)
-    return fallback
-
-
-def _parse_kronecker_pair(a: str, b: str):
-    return kronecker.parse_object_sum(a), kronecker.parse_object_sum(b)
-
-
-def _pair_dims(sa, sb, fn) -> int:
+def _kronecker_dims(args) -> int:
+    """dim Ext or dim Hom of two Kronecker sums, summand pair by pair."""
+    from . import kronecker
+    sa = kronecker.parse_object_sum(args.a)
+    sb = kronecker.parse_object_sum(args.b)
+    closed = (kronecker.ext_dim_objects if args.verb == "ext"
+              else kronecker.hom_dim_objects)
     total = 0
     for x, mx in sa:
         for y, my in sb:
-            total += mx * my * fn(x, y)
+            if (kronecker.is_finite_dimensional(x)
+                    and kronecker.is_finite_dimensional(y)):
+                total += mx * my * closed(x, y)
+            elif args.verb == "ext":
+                total += mx * my * kronecker.symbolic_ext_dim(x, y)
+            else:
+                raise ValueError(
+                    "Hom of symbolic objects is outside the calculus")
     return total
 
 
-def _kronecker_ext(x, y) -> int:
-    if kronecker.is_finite_dimensional(x) and kronecker.is_finite_dimensional(y):
-        return kronecker.ext_dim_objects(x, y)
-    return kronecker.symbolic_ext_dim(x, y)
-
-
-def _kronecker_hom(x, y) -> int:
-    if kronecker.is_finite_dimensional(x) and kronecker.is_finite_dimensional(y):
-        return kronecker.hom_dim_objects(x, y)
-    raise ValueError("Hom of symbolic objects is outside the calculus")
-
-
-def cmd_ext(args) -> int:
+def cmd_ext_hom(args) -> int:
     if args.tube is not None:
+        from . import tube
         ctx = tube.TubeCtx(args.tube)
-        print(tube.ext_dim_arcs(tube.parse_arc(args.a), tube.parse_arc(args.b),
-                                ctx))
+        dim = tube.ext_dim_arcs if args.verb == "ext" else tube.hom_dim_arcs
+        print(dim(tube.parse_arc(args.a), tube.parse_arc(args.b), ctx))
     else:
-        sa, sb = _parse_kronecker_pair(args.a, args.b)
-        print(_pair_dims(sa, sb, _kronecker_ext))
-    return 0
-
-
-def cmd_hom(args) -> int:
-    if args.tube is not None:
-        ctx = tube.TubeCtx(args.tube)
-        print(tube.hom_dim_arcs(tube.parse_arc(args.a), tube.parse_arc(args.b),
-                                ctx))
-    else:
-        sa, sb = _parse_kronecker_pair(args.a, args.b)
-        print(_pair_dims(sa, sb, _kronecker_hom))
+        print(_kronecker_dims(args))
     return 0
 
 
 def cmd_tau(args) -> int:
     if args.tube is not None:
+        from . import tube
         ctx = tube.TubeCtx(args.tube)
         print(tube.render_arc(tube.tau_arc(tube.parse_arc(args.a), ctx)))
     else:
+        from . import kronecker
         obj = kronecker.parse_object(args.a)
         out = kronecker.ar_translate(obj)
         print("none" if out is None else kronecker.render_object(out))
@@ -82,12 +58,14 @@ def cmd_tau(args) -> int:
 
 
 def cmd_glue_kronecker(args) -> int:
+    from . import silting
     result = silting.glue_kronecker(args.row, args.left, args.right)
     print(result.render())
     return 0
 
 
 def cmd_glue_tube(args) -> int:
+    from . import expansion, glue, tube
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = glue.parse_spec(fh.read())
     point = args.point or glue._resolve_point(spec, None)
@@ -116,6 +94,7 @@ def _left_new_summand(espec, glued, point):
 
 
 def cmd_choose_seed(args) -> int:
+    from . import glue, tube
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = glue.parse_spec(fh.read())
     seed = glue.choose_seed(spec, args.point)
@@ -126,6 +105,7 @@ def cmd_choose_seed(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from . import expansion, glue, tube
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = glue.parse_spec(fh.read())
     point = args.point or glue._resolve_point(spec, None)
@@ -137,22 +117,24 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_enumerate_rigid(args) -> int:
+    from . import tube
     ctx = tube.TubeCtx(args.rank)
-    max_len = _maxlen_default(args.max_len)
-    for coll in tube.enumerate_maximal_rigid(ctx, max_len, args.pruefer):
+    for coll in tube.enumerate_maximal_rigid(ctx, args.max_len, args.pruefer):
         print("{" + ", ".join(tube.render_arc(a) for a in coll) + "}")
     return 0
 
 
 def cmd_classify_silting(args) -> int:
+    from . import silting
     for entry in silting.classify_silting(args.bound):
         print(entry.render())
     return 0
 
 
 def cmd_oracle_check(args) -> int:
+    from . import cyclic_oracle, tube
     pairs, mismatches = cyclic_oracle.sweep_arcs(
-        tube.TubeCtx(args.rank), _maxlen_default(args.max_len),
+        tube.TubeCtx(args.rank), args.max_len,
         tube.hom_dim_arcs, tube.ext_dim_arcs)
     for kind, a, b in mismatches:
         print(f"{kind} mismatch: {tube.render_arc(a)} {tube.render_arc(b)}")
@@ -161,9 +143,9 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_emit_quiver(args) -> int:
+    from . import tube
     ctx = tube.TubeCtx(args.rank)
-    max_len = _maxlen_default(args.max_len)
-    sys.stdout.write(tube.translation_quiver_dot(ctx, max_len))
+    sys.stdout.write(tube.translation_quiver_dot(ctx, args.max_len))
     return 0
 
 
@@ -180,9 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     sp = with_side_flags(sub.add_parser("ext"))
-    sp.set_defaults(fn=cmd_ext)
+    sp.set_defaults(fn=cmd_ext_hom)
     sp = with_side_flags(sub.add_parser("hom"))
-    sp.set_defaults(fn=cmd_hom)
+    sp.set_defaults(fn=cmd_ext_hom)
     sp = with_side_flags(sub.add_parser("tau"))
     sp.set_defaults(fn=cmd_tau)
 
@@ -238,6 +220,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "b", "unset") is None and args.verb in ("ext", "hom"):
         parser.error(f"{args.verb} needs two objects")
+    env = os.environ.get("SILTGLUE_MAXLEN")
+    if env and hasattr(args, "max_len"):
+        try:
+            args.max_len = int(env)
+        except ValueError:
+            parser.error(f"SILTGLUE_MAXLEN must be an integer, got {env!r}")
     try:
         return args.fn(args)
     except (ValueError, KeyError, ArithmeticError, RuntimeError, OSError) as exc:

@@ -275,7 +275,7 @@ def enumerate_maximal_rigid(ctx: TubeCtx, max_len: int,
     def expand(chosen, cand, excl):
         if not cand:
             if not excl:
-                out.append(tuple(cands[i] for i in chosen))
+                out.append(tuple(sorted(chosen)))
             return
         pivot = max(bits(cand | excl),
                     key=lambda u: (cand & nbrs[u]).bit_count())
@@ -285,9 +285,9 @@ def enumerate_maximal_rigid(ctx: TubeCtx, max_len: int,
             excl |= 1 << v
 
     expand([], (1 << len(cands)) - 1, 0)
-    uniq = sorted({tuple(sorted(c, key=arc_sort_key)) for c in out if c},
-                  key=lambda c: tuple(arc_sort_key(a) for a in c))
-    return [list(c) for c in uniq]
+    # cands are in arc_sort_key order with distinct keys, so index tuples
+    # sort as the arc tuples would
+    return [[cands[i] for i in c] for c in sorted(set(out)) if c]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 import pathlib
 import subprocess
@@ -147,6 +148,15 @@ def test_maxlen_env_override(capsys, monkeypatch):
     assert code == 0 and len(out.splitlines()) == 3
 
 
+def test_maxlen_env_not_an_integer_is_a_named_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("SILTGLUE_MAXLEN", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate-rigid", "--rank", "3"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "SILTGLUE_MAXLEN" in err and "'abc'" in err
+
+
 def test_spec_file_pipeline(tmp_path, capsys):
     spec = tmp_path / "datum.txt"
     spec.write_text(SPEC_TEXT, encoding="utf-8")
@@ -238,3 +248,46 @@ def test_large_index_answers_in_start_up_time(argv, want):
     out = subprocess.run([sys.executable, "-m", "siltglue.cli", *argv],
                          capture_output=True, text=True, timeout=2)
     assert out.returncode == 0 and out.stdout == want + "\n"
+
+
+def _modules_after(*argv):
+    """The siltglue modules a fresh interpreter holds after importing the
+    CLI and running it on argv (no verb: import only)."""
+    code = ("import io, json, sys, contextlib, siltglue.cli\n"
+            "argv = sys.argv[1:]\n"
+            "if argv:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert siltglue.cli.main(argv) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                        if m.split('.')[0] == 'siltglue')))\n")
+    out = subprocess.run([sys.executable, "-c", code, *argv],
+                         capture_output=True, text=True, check=True)
+    return set(json.loads(out.stdout))
+
+
+CLI_ONLY = {"siltglue", "siltglue.cli"}
+KRONECKER = CLI_ONLY | {"siltglue.exactlin", "siltglue.kronecker"}
+
+
+@pytest.mark.parametrize("argv, want", [
+    pytest.param([], CLI_ONLY, id="no-verb"),
+    pytest.param(["tau", "[1,3]", "--tube", "3"],
+                 CLI_ONLY | {"siltglue.tube"}, id="tau-tube"),
+    pytest.param(["tau", "Q1"], KRONECKER, id="tau-kronecker"),
+    pytest.param(["ext", "Q1", "P1"], KRONECKER, id="ext-kronecker"),
+    pytest.param(["glue-kronecker", "--row", "P4", "--left", "P3",
+                  "--right", "P4"],
+                 KRONECKER | {"siltglue.complexes", "siltglue.silting"},
+                 id="glue-kronecker"),
+])
+def test_each_verb_imports_only_its_modules(argv, want):
+    assert _modules_after(*argv) == want
+
+
+def test_spec_file_verb_imports_only_the_tube_half(tmp_path):
+    spec = tmp_path / "datum.txt"
+    spec.write_text(SPEC_TEXT, encoding="utf-8")
+    assert _modules_after("choose-seed", "--spec", str(spec), "--point",
+                          "x") == CLI_ONLY | {"siltglue.tube",
+                                              "siltglue.expansion",
+                                              "siltglue.glue"}
