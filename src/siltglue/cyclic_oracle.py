@@ -16,9 +16,15 @@ depends on nothing from the arc side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .exactlin import Mat, QZERO, sparse_rank, sylvester_rows
 from .tube import Arc, TubeCtx, normalize
+
+# bounded caches: one representation per canonical arc (a rank-n tube has
+# n(2n+1) of length up to 2n+1) and one (hom, ext) per ordered pair
+_REP_CACHE = 1024
+_PAIR_CACHE = 4096
 
 
 @dataclass(frozen=True)
@@ -62,11 +68,14 @@ def _is_nilpotent(rep: "NilpRep") -> bool:
 def rep_of_arc(a: Arc, ctx: TubeCtx) -> NilpRep:
     """The uniserial module of a finite arc: socle at position start+1,
     one basis vector per composition factor, arrows shifting towards the
-    socle."""
-    a = normalize(a, ctx)
+    socle.  Built once per canonical arc."""
+    return _uniserial(normalize(a, ctx), ctx.n)
+
+
+@lru_cache(maxsize=_REP_CACHE)
+def _uniserial(a: Arc, n: int) -> NilpRep:
     if a.is_infinite():
         raise ValueError("the oracle covers finite-length objects only")
-    n = ctx.n
     socle_vertex = (a.start + 1) % n
     length = a.end - a.start - 1
     layers = [(socle_vertex + t) % n for t in range(length)]
@@ -88,6 +97,18 @@ def rep_of_arc(a: Arc, ctx: TubeCtx) -> NilpRep:
 
 def hom_dim_oracle(x: NilpRep, y: NilpRep) -> int:
     """Kernel dimension of the intertwiner system over all n arrows."""
+    return _hom_ext_oracle(x, y)[0]
+
+
+def ext_dim_oracle(x: NilpRep, y: NilpRep) -> int:
+    """First extensions from the two-term Hom complex of the quiver: the
+    arrow-space dimension minus the vertex-space dimension plus hom."""
+    return _hom_ext_oracle(x, y)[1]
+
+
+@lru_cache(maxsize=_PAIR_CACHE)
+def _hom_ext_oracle(x: NilpRep, y: NilpRep) -> tuple:
+    """(dim Hom, dim Ext^1) from one intertwiner rank."""
     if x.n != y.n:
         raise ValueError("rank mismatch")
     n = x.n
@@ -103,25 +124,12 @@ def hom_dim_oracle(x: NilpRep, y: NilpRep) -> int:
         w = (v - 1) % n
         terms.append((out[v], var[w], 1, x.maps[v], y.dims[w]))
         terms.append((out[v], var[v], -1, x.dims[v], y.maps[v]))
-    return var[-1] - sparse_rank(sylvester_rows(out[-1], terms))
-
-
-def ext_dim_oracle(x: NilpRep, y: NilpRep) -> int:
-    """First extensions from the two-term Hom complex of the quiver: the
-    arrow-space dimension minus the vertex-space dimension plus hom."""
-    return _hom_ext_oracle(x, y)[1]
-
-
-def _hom_ext_oracle(x: NilpRep, y: NilpRep) -> tuple:
-    """(dim Hom, dim Ext^1) from one intertwiner rank."""
-    hom = hom_dim_oracle(x, y)
-    n = x.n
-    vertex = sum(x.dims[v] * y.dims[v] for v in range(n))
-    arrows = sum(x.dims[v] * y.dims[(v - 1) % n] for v in range(n))
-    ext = arrows - vertex + hom
+    rank = sparse_rank(sylvester_rows(out[-1], terms))
+    # var[-1] and out[-1] are the vertex- and arrow-space dimensions
+    ext = out[-1] - rank
     if ext < 0:
         raise ArithmeticError("negative oracle Ext dimension")
-    return hom, ext
+    return var[-1] - rank, ext
 
 
 def sweep_arcs(ctx: TubeCtx, max_len: int, hom_arcs, ext_arcs) -> tuple:
@@ -135,11 +143,12 @@ def sweep_arcs(ctx: TubeCtx, max_len: int, hom_arcs, ext_arcs) -> tuple:
     """
     arcs = [Arc(s, s + 1 + l)
             for s in range(ctx.n) for l in range(1, max_len + 1)]
-    reps = {a: rep_of_arc(a, ctx) for a in arcs}
     mismatches = []
     for a in arcs:
+        x = rep_of_arc(a, ctx)
         for b in arcs:
-            hom, ext = _hom_ext_oracle(reps[a], reps[b])
+            # each pair is ranked once here, so the pair cache is bypassed
+            hom, ext = _hom_ext_oracle.__wrapped__(x, rep_of_arc(b, ctx))
             if ext_arcs(a, b, ctx) != ext:
                 mismatches.append(("ext", a, b))
             if hom_arcs(a, b, ctx) != hom:

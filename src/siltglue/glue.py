@@ -20,9 +20,9 @@ from typing import Dict, Optional, Tuple
 import re
 
 from .expansion import ExpansionSpec, push_forward, reduce_left, reduce_right
-from .tube import (Arc, TubeCtx, arc_sort_key, ext_dim_arcs, hom_simple_to,
-                   hom_to_simple, normalize, parse_arc, render_arc, tau_arc,
-                   tau_arc_inverse)
+from .tube import (Arc, TubeCtx, _neg_crossings, arc_sort_key, ext_dim_arcs,
+                   hom_simple_to, hom_to_simple, normalize, parse_arc,
+                   render_arc, tau_arc, tau_arc_inverse)
 
 
 class GlueCaseError(RuntimeError):
@@ -179,9 +179,11 @@ def verify_tilting_spec(spec: TiltingSpec) -> Tuple[bool, list]:
     for pid, td in spec.tubes:
         ctx = TubeCtx(td.rank)
         arcs = td.sorted_arcs()
-        for a in arcs:
-            for b in arcs:
-                if ext_dim_arcs(a, b, ctx) != 0:
+        canon = [normalize(a, ctx) for a in arcs]
+        # every ordered pair: an arc of length >= n extends itself
+        for a, ca in zip(arcs, canon):
+            for b, cb in zip(arcs, canon):
+                if _neg_crossings(ca, cb, ctx.n):
                     reasons.append(
                         f"point {pid}: extensions between {render_arc(a)} "
                         f"and {render_arc(b)}")

@@ -64,6 +64,31 @@ def test_crossing_arcs_invalid():
     assert any("extensions" in r for r in reasons)
 
 
+def test_reasons_are_pinned_in_full():
+    # every ordered pair is checked, each arc with itself included: [0,4]
+    # has length 3 >= 2 in a rank-2 tube and extends itself
+    ok, reasons = verify_tilting_spec(single(2, [Arc(0, 4), Arc(1, None)]))
+    assert not ok
+    assert reasons == [
+        "point x: extensions between [0,4] and [0,4]",
+        "point x: extensions between [1,inf) and [0,4]",
+        "point x: component rooted at [0,4] has 1 summands, expected 3",
+        "point x: Pruefer socles [0] do not match the complement rule []",
+    ]
+    ok, reasons = verify_tilting_spec(
+        single(3, [Arc(0, 2), Arc(1, 3), Arc(0, None)]))
+    assert reasons == ["point x: extensions between [1,3] and [0,2]",
+                       "point x: adjacent wings form a segment"]
+    # three simples, each extending its translate: the pairs come out row
+    # by row in arc order
+    ok, reasons = verify_tilting_spec(
+        single(3, [Arc(2, 4), Arc(0, 2), Arc(1, 3)]))
+    assert reasons == ["point x: extensions between [0,2] and [2,4]",
+                       "point x: extensions between [1,3] and [0,2]",
+                       "point x: extensions between [2,4] and [1,3]"] + [
+                           "point x: adjacent wings form a segment"] * 3
+
+
 def test_wrong_pruefer_pattern_invalid():
     # simple branch at position 1 forbids the Pruefer over its inverse
     # translate socle

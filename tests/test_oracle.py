@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siltglue.cyclic_oracle import (NilpRep, _is_nilpotent, ext_dim_oracle,
+from siltglue import cyclic_oracle
+from siltglue.cyclic_oracle import (NilpRep, _hom_ext_oracle, _is_nilpotent,
+                                    _uniserial, ext_dim_oracle,
                                     hom_dim_oracle, rep_of_arc, sweep_arcs)
-from siltglue.exactlin import Mat
-from siltglue.tube import Arc, TubeCtx, ext_dim_arcs, hom_dim_arcs, tau_arc
+from siltglue.exactlin import Mat, sparse_rank
+from siltglue.tube import (Arc, TubeCtx, ext_dim_arcs, hom_dim_arcs,
+                           normalize, tau_arc)
 
 
 def test_rep_of_arc_simple():
@@ -27,8 +30,52 @@ def test_rep_of_arc_wrapping():
 
 
 def test_rep_of_arc_rejects_pruefer():
-    with pytest.raises(ValueError):
-        rep_of_arc(Arc(0, None), TubeCtx(2))
+    # a refused arc leaves nothing in the cache: the second call raises too
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            rep_of_arc(Arc(0, None), TubeCtx(2))
+
+
+def test_shifted_arcs_share_one_representation():
+    ctx = TubeCtx(3)
+    assert rep_of_arc(Arc(0, 3), ctx) is rep_of_arc(Arc(3, 6), ctx)
+    assert rep_of_arc(Arc(-3, 0), ctx) is rep_of_arc(Arc(0, 3), ctx)
+
+
+def test_hom_then_ext_ranks_the_system_once(monkeypatch):
+    ranks = []
+
+    def counting_rank(rows):
+        ranks.append(1)
+        return sparse_rank(rows)
+
+    monkeypatch.setattr(cyclic_oracle, "sparse_rank", counting_rank)
+    _hom_ext_oracle.cache_clear()
+    ctx = TubeCtx(3)
+    x, y = rep_of_arc(Arc(0, 4), ctx), rep_of_arc(Arc(2, 5), ctx)
+    assert (hom_dim_oracle(x, y), ext_dim_oracle(x, y)) == (1, 1)
+    info = _hom_ext_oracle.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert len(ranks) == 1
+
+
+def test_cached_answers_match_freshly_built_reps():
+    # the cached route is asked through arcs shifted by a multiple of n,
+    # the fresh one builds new NilpReps and ranks them outside the cache
+    for n in (1, 2, 3, 4):
+        ctx = TubeCtx(n)
+        arcs = [Arc(s, s + 1 + l)
+                for s in range(n) for l in range(1, 2 * n + 2)]
+        fresh = {a: _uniserial.__wrapped__(normalize(a, ctx), n) for a in arcs}
+        for k, a in enumerate(arcs):
+            x = rep_of_arc(Arc(a.start + k % 3 * n, a.end + k % 3 * n), ctx)
+            assert x == fresh[a] and x is not fresh[a]
+            for b in arcs:
+                y = rep_of_arc(Arc(b.start - n, b.end - n), ctx)
+                want = _hom_ext_oracle.__wrapped__(fresh[a], fresh[b])
+                assert (hom_dim_oracle(x, y), ext_dim_oracle(x, y)) == want
+                assert (hom_dim_oracle(fresh[a], fresh[b]),
+                        ext_dim_oracle(fresh[a], fresh[b])) == want
 
 
 def test_nilpotency_enforced():

@@ -1,4 +1,5 @@
 import importlib
+import pkgutil
 import subprocess
 import sys
 
@@ -77,3 +78,16 @@ def test_importing_the_package_loads_no_submodule():
                          text=True, check=True)
     assert out.stdout == "['siltglue']\n"
     assert set(dir(siltglue)) >= set(ALL)
+
+
+def test_every_cache_is_bounded():
+    caches = {}
+    for info in pkgutil.iter_modules(siltglue.__path__):
+        module = importlib.import_module(f"siltglue.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_parameters"):
+                caches[f"{info.name}.{name}"] = obj.cache_parameters()
+    assert {"cyclic_oracle._uniserial", "cyclic_oracle._hom_ext_oracle",
+            "kronecker.hom_dim"} <= set(caches)
+    for name, params in caches.items():
+        assert params["maxsize"] is not None, name
