@@ -365,38 +365,57 @@ def echelon(rows: Iterable[dict]) -> dict:
     the order found.  The keys are the pivot columns of rref, and the rows
     led by column c or later span the row space vectors zero before c.
 
-    Same pivot policy as rref but never materializes dense rows.  Stored
-    zeros are dropped, each row is scaled to integers, and elimination
-    against the pivot rows runs on ints as in rref.
+    Same pivot policy as rref but never materializes dense rows: each row
+    is inserted in turn by reduce_row.
     """
     pivrows: dict = {}
     for row in rows:
-        nd = [(c, v.as_integer_ratio()) for c, v in row.items() if v]
-        if not nd:
-            continue
-        den = math.lcm(*[d for _, (_, d) in nd])
-        cur = {c: n * (den // d) for c, (n, d) in nd}
-        while cur:
-            c = min(cur)
-            prow = pivrows.get(c)
-            if prow is None:
-                pivrows[c] = cur
-                break
-            g = math.gcd(prow[c], cur[c])
-            a, b = prow[c] // g, cur[c] // g
-            if a != 1:
-                cur = {cc: a * v for cc, v in cur.items()}
-            for cc, v in prow.items():
-                nv = cur.get(cc, 0) - b * v
-                if nv:
-                    cur[cc] = nv
-                else:
-                    del cur[cc]
-            if cur:
-                g = math.gcd(*cur.values())
-                if g != 1:
-                    cur = {cc: v // g for cc, v in cur.items()}
+        reduce_row(pivrows, row)
     return pivrows
+
+
+def reduce_row(pivrows: dict, row: dict, insert: bool = True) -> dict:
+    """Reduce a sparse row against an echelon basis, integer rows keyed by
+    leading column as echelon returns them; the insertion step of echelon.
+
+    Stored zeros are dropped, the row is scaled to integers, and each
+    elimination is a*row - b*pivot_row with the content removed, as in rref.
+    With insert, reduction stops at the first column without a pivot row and
+    the remainder is added to pivrows under that column; otherwise every
+    pivot column is cleared and pivrows is left as it is.  Returns the
+    remainder, an integer row that is a nonzero multiple of the row minus a
+    combination of pivot rows, or {} if the row lies in their span.
+    """
+    nd = [(c, v.as_integer_ratio()) for c, v in row.items() if v]
+    if not nd:
+        return {}
+    den = math.lcm(*[d for _, (_, d) in nd])
+    cur = {c: n * (den // d) for c, (n, d) in nd}
+    while cur:
+        # a pivot row led by c is zero before c: clearing the smallest
+        # column first never refills a column already cleared
+        c = (min(cur) if insert
+             else min((cc for cc in cur if cc in pivrows), default=None))
+        prow = pivrows.get(c)
+        if prow is None:
+            if insert:
+                pivrows[c] = cur
+            return cur
+        g = math.gcd(prow[c], cur[c])
+        a, b = prow[c] // g, cur[c] // g
+        if a != 1:
+            cur = {cc: a * v for cc, v in cur.items()}
+        for cc, v in prow.items():
+            nv = cur.get(cc, 0) - b * v
+            if nv:
+                cur[cc] = nv
+            else:
+                del cur[cc]
+        if cur:
+            g = math.gcd(*cur.values())
+            if g != 1:
+                cur = {cc: v // g for cc, v in cur.items()}
+    return cur
 
 
 def sparse_transpose(rows: Iterable[dict]) -> dict:

@@ -25,8 +25,9 @@ from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .exactlin import (Mat, QONE, QZERO, block, cokernel_coordinates, det,
-                       echelon, kernel_basis, rank, row_space_projection,
-                       sparse_rank, sparse_transpose, sylvester_rows)
+                       echelon, kernel_basis, rank, reduce_row,
+                       row_space_projection, sparse_rank, sparse_transpose,
+                       sylvester_rows)
 
 # ---------------------------------------------------------------------------
 # points of the projective line
@@ -537,42 +538,25 @@ def _int_arrows(y: ExplicitRep) -> tuple:
 
 
 def regular_support_points(y: ExplicitRep) -> list:
-    """Candidate points of the projective line for regular summands of y.
+    """The points of the projective line that carry a regular summand of y.
 
-    The regular support lies among the points (a:b) where the arrow pencil
-    b*Y_alpha - a*Y_beta drops below its generic rank r.  Both arrows are
-    scaled once to integers, and the pencil is ranked on those integer rows
-    at (1:0) and at t = 2..k+3 for Y_alpha - t*Y_beta, k = min(d1, d2): at
-    most r <= k finite points drop, so the largest rank is r and some finite
-    sample reaches it.  At the first such sample, its pivot columns and then
-    the pivot rows of that column slice pick an r x r minor that is nonzero
-    there, hence nonzero as a polynomial in t; the rational roots of that one
-    minor are a superset of the finite drop points.  Spurious candidates are
-    harmless: decompose() finds no regular summand there.  The cost is
-    polynomial in the bit size of y.
+    Deflation (_regular_block) splits off the preinjectives and the
+    preprojectives and leaves a square regular pencil A_r, B_r of size rho,
+    the regular dimension.  Its determinant det(A_r - t*B_r) vanishes
+    exactly at the finite points (t:1) of the support, and has degree below
+    rho exactly when B_r is singular, that is when (1:0) carries a summand.
+    The rational roots come from _poly_det and _rational_roots, so the list
+    is the rational part of the support, with no sampling and no spurious
+    point; an irrational support point is left out, and decompose() then
+    reports a mismatch.  The cost is polynomial in the bit size of y.
     """
-    d1, d2 = y.dim.d1, y.dim.d2
-    if d1 == 0 or d2 == 0:
-        return []
-    k = min(d1, d2)
-    ia, ib = _int_arrows(y)
-    samples = [[dict(enumerate(a - t * b for a, b in zip(ra, rb)))
-                for ra, rb in zip(ia, ib)] for t in range(2, k + 4)]
-    ranks = [sparse_rank(rows) for rows in samples]
-    rank_inf = sparse_rank(dict(enumerate(rb)) for rb in ib)
-    r_gen = max(ranks + [rank_inf])
-    cands = set()
-    if rank_inf < r_gen:
-        cands.add((1, 0))
-    if r_gen:
-        rows = samples[ranks.index(r_gen)]
-        cols = echelon(rows)
-        sel = echelon({i: row[c] for i, row in enumerate(rows)} for c in cols)
-        minor = _poly_det([[[ia[i][j], -ib[i][j]] for j in cols]
-                           for i in sel])
-        for t in _rational_roots(minor):
-            cands.add(normalize_point(t.numerator, t.denominator))
-    return sorted(cands)
+    _, _, ra, rb = _regular_block(y)
+    rho = len(ra)
+    poly = _poly_det([[[r.get(j, 0), -z.get(j, 0)] for j in range(rho)]
+                      for r, z in zip(ra, rb)])
+    pts = [normalize_point(t.numerator, t.denominator)
+           for t in _rational_roots(poly)]
+    return sorted(pts + [(1, 0)] * (len(poly) - 1 < rho))
 
 
 def _poly_mul(a: list, b: list) -> list:
@@ -745,74 +729,118 @@ def _times(vecs: list, rows: list) -> list:
     return out
 
 
-def _preimage(a: list, w: list, n: int) -> list:
-    """A basis of {v : v a in span w}, a and w sparse rows over n columns:
-    the echelon rows of [w | 0] and [a | 1] that vanish on the first n."""
-    rows = w + [{**r, n + i: 1} for i, r in enumerate(a)]
-    return [{c - n: x for c, x in row.items()}
-            for c, row in echelon(rows).items() if c >= n]
+def _pencil(a: list, b: list, s: int, t: int) -> list:
+    """The sparse rows of t*a - s*b, the pencil at the point (s:t)."""
+    return [{j: v for j in ra.keys() | rb.keys()
+             if (v := t * ra.get(j, 0) - s * rb.get(j, 0))}
+            for ra, rb in zip(a, b)]
 
 
-def _chain(f: list, g: list, n: int, x: list) -> tuple:
-    """The chain x, {v : v f in x g}, ... until its dimension stops
-    changing: the list of dimensions and the last space."""
-    dims = [len(x)]
-    while len(x := _preimage(f, _times(x, g), n)) != dims[-1]:
-        dims.append(len(x))
-    return dims, x
+def _transpose(rows: list, n: int) -> list:
+    """The n columns of a sparse matrix as sparse rows."""
+    cols = sparse_transpose(rows)
+    return [cols.get(j, {}) for j in range(n)]
 
 
-def _kernel_counts(a: list, b: list, n: int) -> list:
-    """m_1, m_2, ... from the chain K_0 = {v : v a = 0}, K_j = {v : v a in
-    K_(j-1) b}: with D_j = dim K_j - dim K_(j-1), m_i = D_(i-1) - D_i."""
-    dims = _chain(a, b, n, [])[0]
-    steps = [y - x for x, y in zip(dims, dims[1:])] + [0]
-    return [x - y for x, y in zip(steps, steps[1:])]
+def _chain(f: list, g: list, n: int) -> tuple:
+    """The kernel chain K_1 = {v : v f = 0}, K_j = {v : v f in K_(j-1) g} of
+    sparse rows f and g over n columns, to its limit, in one echelon basis:
+    [f | I] is echelonized once, each step inserts the g-images [w | 0] of
+    the rows new to K, and the rows led by a column >= n are the current K.
+    Returns the counts m_i = D_(i-1) - D_i, D_j = dim K_j - dim K_(j-1),
+    the leading columns of the limit K (coordinates of the rows of f) and
+    the g-images of its basis."""
+    piv = echelon({**r, n + i: 1} for i, r in enumerate(f))
+    new, steps, images = [r for c, r in piv.items() if c >= n], [], []
+    while new:
+        steps.append(len(new))
+        ws = _times([{c - n: x for c, x in r.items()} for r in new], g)
+        images += ws
+        new = [r for w in ws if (r := reduce_row(piv, w)) and min(r) >= n]
+    counts = [x - y for x, y in zip(steps, steps[1:] + [0])]
+    return counts, [c - n for c in piv if c >= n], images
 
 
-def _preinjective_counts(a: list, b: list, n: int) -> list:
-    """Multiplicities of Q_1, Q_2, ... for the arrows a and b: the kernel
-    chain on the limit of L_0 = everything, L_j = {v : v b in L_(j-1) a},
-    which holds the preinjectives but no preprojective or regular at (0:1)."""
-    lim = _chain(b, a, n, [{i: 1} for i in range(len(a))])[1]
-    return _kernel_counts(_times(lim, a), _times(lim, b), n)
+def _deflate(a: list, b: list, n: int, k: int) -> tuple:
+    """One deflation step of the pencil of sparse integer rows a, b over n
+    columns (Van Dooren 1979, Beelen-Van Dooren 1988, exactly on integer
+    echelon bases): the multiplicities of Q_1, Q_2, ... and the quotient
+    pencil by the preinjective submodule.
+
+    The points (0:1), (1:0), (1:1), (2:1), ... are tried in that order,
+    from index k on.  At a point (s:t), the kernel chain of t*a - s*b (with
+    b, or a if t = 0) counts the Q_i and the regulars at (s:t) by length;
+    its limit U1 and U2 = U1 a + U1 b hold the Q_i and those regulars.  Each
+    Q_i adds 1 to the sum of the counts and 1 to dim U1 - dim U2, each such
+    regular 1 and 0, so the two agree exactly at a point off the regular
+    support, found within min(#rows, n) + 1 tries.
+    There U1, U2 span the preinjective submodule, and the quotient keeps the
+    coordinates that are not pivots of their echelon bases: the a-row and
+    b-row of each kept basis vector are reduced as one row against U2 in
+    both halves, so they share one scale and the pencil stays exact.
+    Returns the counts, the quotient rows, their number of columns and the
+    index of the point used."""
+    for k in range(k, k + min(len(a), n) + 1):
+        s, t = (0, 1) if k == 0 else (1, 0) if k == 1 else (k - 1, 1)
+        counts, lim, images = _chain(_pencil(a, b, s, t), b if t else a, n)
+        u2 = echelon(images)
+        if sum(counts) == len(lim) - len(u2):
+            break
+    else:
+        raise ArithmeticError("no rational point off the regular support")
+    col = {j: i for i, j in enumerate(j for j in range(n) if j not in u2)}
+    both = {**u2, **{c + n: {j + n: x for j, x in r.items()}
+                     for c, r in u2.items()}}
+    qa, qb, lim = [], [], set(lim)
+    for i in range(len(a)):
+        if i not in lim:
+            row = {**a[i], **{j + n: x for j, x in b[i].items()}}
+            r = reduce_row(both, row, insert=False)
+            qa.append({col[j]: x for j, x in r.items() if j < n})
+            qb.append({col[j - n]: x for j, x in r.items() if j >= n})
+    return counts, qa, qb, len(col), k
+
+
+def _regular_block(y: ExplicitRep) -> tuple:
+    """(ps, qs, ra, rb): the multiplicities of P_1, P_2, ... and Q_1, Q_2,
+    ..., and the regular block of y as square sparse integer rows.  One
+    deflation step splits off the preinjectives; the same step on the
+    transposed quotient splits off the preprojectives, which transposition
+    turns into preinjectives, and leaves the transposed regular block."""
+    sa, sb = ([{j: x for j, x in enumerate(r) if x} for r in m]
+              for m in _int_arrows(y))
+    qs, a, b, n, k = _deflate(sa, sb, y.dim.d2, 0)
+    ps, a, b, n, _ = _deflate(_transpose(a, n), _transpose(b, n), len(a), k)
+    return ps, qs, _transpose(a, n), _transpose(b, n)
 
 
 @lru_cache(maxsize=1024)
 def decompose(y: ExplicitRep) -> ObjectSum:
     """Decompose a representation into indecomposables with multiplicities.
 
-    Subspace chains of the arrow pencil (its Wong sequences; Van Dooren
-    1979, Berger-Trenn 2012) on integer rows of the vertex spaces count the
-    preinjectives, and on the transposed pencil the preprojectives.  If a
-    remainder is left, at each point (a:b) of regular_support_points the
-    kernel chain of (b*Y_alpha - a*Y_beta, Y_beta, or Y_alpha if b = 0)
-    counts the preinjectives and the regulars at (a:b).  Raises if the
-    dimension count does not come out exact."""
-    d2 = y.dim.d2
-    ia, ib = _int_arrows(y)
-    sa, sb = ([{j: x for j, x in enumerate(r) if x} for r in m]
-              for m in (ia, ib))
-    qs = _preinjective_counts(sa, sb, d2)
-    ps = _preinjective_counts(*([sparse_transpose(m).get(j, {})
-                                 for j in range(d2)] for m in (sa, sb)),
-                              y.dim.d1)
+    Deflation of the arrow pencil (_regular_block) counts the preinjectives
+    and the preprojectives and leaves the regular block, of size rho.  On
+    that block alone, at each point (a:b) of its regular_support_points, the
+    kernel chain of (b*A_r - a*B_r, B_r, or A_r if b = 0) counts the
+    regulars at (a:b) by length.  Raises if a count is negative or the
+    dimension count does not come out exact, as for an irrational
+    support."""
+    ps, qs, ra, rb = _regular_block(y)
     if min(qs + ps, default=0) < 0:
         raise ArithmeticError("negative preprojective/preinjective count")
     parts = ([(Preprojective(i), m) for i, m in enumerate(ps, 1)]
              + [(Preinjective(i), m) for i, m in enumerate(qs, 1)])
     covered = sum((dim_vector(x).scaled(m) for x, m in parts), DimVector(0, 0))
-    if covered != y.dim:
-        for a, b in regular_support_points(y):
-            pencil = [{j: v for j, (x, z) in enumerate(zip(ra, rb))
-                       if (v := b * x - a * z)} for ra, rb in zip(ia, ib)]
-            for l, m in enumerate(_kernel_counts(pencil, sb if b else sa, d2),
-                                  1):
-                m -= qs[l - 1] if l <= len(qs) else 0
-                if m < 0:
-                    raise ArithmeticError("negative regular multiplicity")
-                parts.append((Regular((a, b), l), m))
-                covered = covered + DimVector(l, l).scaled(m)
+    rho = len(ra)
+    reg = ExplicitRep(DimVector(rho, rho), Mat.from_sparse(ra, rho),
+                      Mat.from_sparse(rb, rho))
+    for a, b in regular_support_points(reg) if rho else ():
+        counts = _chain(_pencil(ra, rb, a, b), rb if b else ra, rho)[0]
+        for l, m in enumerate(counts, 1):
+            if m < 0:
+                raise ArithmeticError("negative regular multiplicity")
+            parts.append((Regular((a, b), l), m))
+            covered = covered + DimVector(l, l).scaled(m)
     if covered != y.dim:
         raise ArithmeticError(
             f"decomposition mismatch: found {covered}, expected {y.dim}; "

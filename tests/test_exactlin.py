@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siltglue.exactlin import (Mat, block, det, kernel_basis,
-                               left_kernel_basis, rank, row_space_projection,
-                               rref, solve, sparse_rank, sylvester_rows)
+from siltglue.exactlin import (Mat, block, det, echelon, kernel_basis,
+                               left_kernel_basis, rank, reduce_row,
+                               row_space_projection, rref, solve, sparse_rank,
+                               sylvester_rows)
 from siltglue.kronecker import _poly_det
 
 
@@ -301,6 +302,37 @@ def test_sparse_rank_matches_reference_with_stored_zeros(m, rng):
     rows = [{j: v for j, v in enumerate(m.row(i))
              if v != 0 or rng.random() < 0.4} for i in range(m.rows)]
     assert sparse_rank(iter(rows)) == len(reference_rref(m)[1])
+
+
+def sparse_rows(m: Mat) -> list:
+    return [{j: v for j, v in enumerate(m.row(i)) if v} for i in range(m.rows)]
+
+
+@given(dependent_matrices(), st.integers(min_value=0, max_value=6))
+@settings(max_examples=150, deadline=None)
+def test_echelon_one_row_at_a_time_matches_one_call(m, split):
+    rows = sparse_rows(m)
+    piv = echelon(rows[:split])
+    for row in rows[split:]:
+        reduce_row(piv, row)
+    want = echelon(rows)
+    assert piv == want and list(piv) == list(want)
+
+
+@given(dependent_matrices())
+@settings(max_examples=150, deadline=None)
+def test_reduce_row_without_insert_clears_every_pivot_column(m):
+    rows = sparse_rows(m)
+    if not rows:
+        return
+    piv = echelon(rows[1:])
+    before = dict(piv)
+    rest = reduce_row(piv, rows[0], insert=False)
+    assert piv == before
+    assert not rest.keys() & piv.keys()
+    basis = list(piv.values())
+    assert (sparse_rank(basis + [rows[0]]) == sparse_rank(basis + [rest])
+            == sparse_rank(basis + [rows[0], rest]))
 
 
 @given(st.integers(min_value=0, max_value=6).flatmap(

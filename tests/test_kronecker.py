@@ -10,11 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from siltglue.exactlin import Mat, rank
+from siltglue.exactlin import Mat, echelon, rank, sparse_rank, sparse_transpose
 from siltglue.kronecker import (DimVector, ExplicitRep, Generic,
                                 KroneckerObject, Lukas, ObjectSum,
                                 Preinjective, Preprojective, Pruefer, Regular,
-                                _poly_det, _poly_mul, _rational_roots,
+                                _deflate, _int_arrows, _poly_det, _poly_mul,
+                                _rational_roots, _times,
                                 ar_translate, ar_translate_inverse,
                                 bongartz_extension, decompose, dim_vector,
                                 euler_form, explicit_rep, ext_cocycle_basis,
@@ -584,8 +585,8 @@ def reference_decompose(y: ExplicitRep) -> ObjectSum:
     Z-summands is the dimension of Hom(y, Z) modulo maps factoring through
     the middle term of the almost split sequence ending at Z (the radical
     of Z when Z is projective), read as second differences of hom_dim on
-    the intertwiner systems; regular candidates come from the arrow
-    pencil."""
+    the intertwiner systems; regular candidates come from the sampled minor
+    of the arrow pencil."""
     total = y.dim.total()
     if total == 0:
         return ()
@@ -620,7 +621,7 @@ def reference_decompose(y: ExplicitRep) -> ObjectSum:
             covered = covered + dim_vector(Q(i)).scaled(m)
     if covered != y.dim:
         remaining = y.dim.total() - covered.total()
-        for p in regular_support_points(y):
+        for p in reference_minor_support_points(y):
             hs = {0: 0}
             for l in range(1, remaining // 2 + 2):
                 hs[l] = h(R(p, l))
@@ -631,6 +632,114 @@ def reference_decompose(y: ExplicitRep) -> ObjectSum:
                 if m:
                     parts.append((R(p, l), m))
                     covered = covered + DimVector(l, l).scaled(m)
+    if covered != y.dim:
+        raise ArithmeticError("decomposition mismatch")
+    return object_sum(parts)
+
+
+def reference_minor_support_points(y: ExplicitRep) -> list:
+    """Candidate points for regular summands from one sampled minor of the
+    whole arrow pencil: a superset of the regular support.
+
+    Both arrows are scaled once to integers, and the pencil is ranked at
+    (1:0) and at t = 2..k+3 for Y_alpha - t*Y_beta, k = min(d1, d2): at most
+    r <= k finite points drop, so the largest rank is r and some finite
+    sample reaches it.  At the first such sample, its pivot columns and then
+    the pivot rows of that column slice pick an r x r minor that is nonzero
+    there, hence nonzero as a polynomial in t; the rational roots of that one
+    minor are a superset of the finite drop points.  The minor also carries
+    factors of the preprojective and preinjective blocks, whose roots are
+    the spurious candidates.
+    """
+    d1, d2 = y.dim.d1, y.dim.d2
+    if d1 == 0 or d2 == 0:
+        return []
+    k = min(d1, d2)
+    ia, ib = _int_arrows(y)
+    samples = [[dict(enumerate(a - t * b for a, b in zip(ra, rb)))
+                for ra, rb in zip(ia, ib)] for t in range(2, k + 4)]
+    ranks = [sparse_rank(rows) for rows in samples]
+    rank_inf = sparse_rank(dict(enumerate(rb)) for rb in ib)
+    r_gen = max(ranks + [rank_inf])
+    cands = set()
+    if rank_inf < r_gen:
+        cands.add((1, 0))
+    if r_gen:
+        rows = samples[ranks.index(r_gen)]
+        cols = echelon(rows)
+        sel = echelon({i: row[c] for i, row in enumerate(rows)} for c in cols)
+        minor = _poly_det([[[ia[i][j], -ib[i][j]] for j in cols]
+                           for i in sel])
+        for t in _rational_roots(minor):
+            cands.add(normalize_point(t.numerator, t.denominator))
+    return sorted(cands)
+
+
+def chain_preimage(a: list, w: list, n: int) -> list:
+    """A basis of {v : v a in span w}, a and w sparse rows over n columns:
+    the echelon rows of [w | 0] and [a | 1] that vanish on the first n."""
+    rows = w + [{**r, n + i: 1} for i, r in enumerate(a)]
+    return [{c - n: x for c, x in row.items()}
+            for c, row in echelon(rows).items() if c >= n]
+
+
+def chain_to_limit(f: list, g: list, n: int, x: list) -> tuple:
+    """The chain x, {v : v f in x g}, ... until its dimension stops
+    changing, each step a fresh elimination: the list of dimensions and
+    the last space."""
+    dims = [len(x)]
+    while len(x := chain_preimage(f, _times(x, g), n)) != dims[-1]:
+        dims.append(len(x))
+    return dims, x
+
+
+def chain_kernel_counts(a: list, b: list, n: int) -> list:
+    """m_1, m_2, ... from the chain K_0 = {v : v a = 0}, K_j = {v : v a in
+    K_(j-1) b}: with D_j = dim K_j - dim K_(j-1), m_i = D_(i-1) - D_i."""
+    dims = chain_to_limit(a, b, n, [])[0]
+    steps = [y - x for x, y in zip(dims, dims[1:])] + [0]
+    return [x - y for x, y in zip(steps, steps[1:])]
+
+
+def chain_preinjective_counts(a: list, b: list, n: int) -> list:
+    """Multiplicities of Q_1, Q_2, ... for the arrows a and b: the kernel
+    chain on the limit of L_0 = everything, L_j = {v : v b in L_(j-1) a},
+    which holds the preinjectives but no preprojective or regular at (0:1)."""
+    lim = chain_to_limit(b, a, n, [{i: 1} for i in range(len(a))])[1]
+    return chain_kernel_counts(_times(lim, a), _times(lim, b), n)
+
+
+def reference_chain_decompose(y: ExplicitRep) -> ObjectSum:
+    """Decomposition by kernel chains on the whole vertex spaces: limit
+    chains and restricted kernel chains count the preinjectives, and on the
+    transposed pencil the preprojectives; at each candidate of
+    reference_minor_support_points one more kernel chain of the whole
+    pencil counts the preinjectives and the regulars there, and the
+    preinjectives are subtracted."""
+    d2 = y.dim.d2
+    ia, ib = _int_arrows(y)
+    sa, sb = ([{j: x for j, x in enumerate(r) if x} for r in m]
+              for m in (ia, ib))
+    qs = chain_preinjective_counts(sa, sb, d2)
+    ps = chain_preinjective_counts(*([sparse_transpose(m).get(j, {})
+                                      for j in range(d2)] for m in (sa, sb)),
+                                   y.dim.d1)
+    if min(qs + ps, default=0) < 0:
+        raise ArithmeticError("negative preprojective/preinjective count")
+    parts = ([(P(i), m) for i, m in enumerate(ps, 1)]
+             + [(Q(i), m) for i, m in enumerate(qs, 1)])
+    covered = sum((dim_vector(x).scaled(m) for x, m in parts), DimVector(0, 0))
+    if covered != y.dim:
+        for a, b in reference_minor_support_points(y):
+            pencil = [{j: v for j, (x, z) in enumerate(zip(ra, rb))
+                       if (v := b * x - a * z)} for ra, rb in zip(ia, ib)]
+            counts = chain_kernel_counts(pencil, sb if b else sa, d2)
+            for l, m in enumerate(counts, 1):
+                m -= qs[l - 1] if l <= len(qs) else 0
+                if m < 0:
+                    raise ArithmeticError("negative regular multiplicity")
+                parts.append((R((a, b), l), m))
+                covered = covered + DimVector(l, l).scaled(m)
     if covered != y.dim:
         raise ArithmeticError("decomposition mismatch")
     return object_sum(parts)
@@ -697,3 +806,64 @@ def test_decompose_solves_no_intertwiner_system():
     decompose.cache_clear()
     assert decompose(y) == object_sum((o, 1) for o in parts)
     assert hom_dim.cache_info().misses == 0
+
+
+# -- deflation against the chain route and the sampled minor -----------------
+
+
+@given(mixed_sums(), st.integers(min_value=0, max_value=2**32),
+       st.booleans())
+@example([(R((0, 1), 1), 1), (R((1, 0), 2), 1), (R((1, 1), 1), 2),
+          (Q(2), 1), (P(3), 1)], 5, True)
+@settings(max_examples=40, deadline=None)
+def test_deflation_matches_the_chain_and_functorial_references(pairs, seed,
+                                                               change):
+    y = rep_direct_sum([explicit_rep(o) for o, m in pairs for _ in range(m)])
+    if change:
+        y = changed_basis(random.Random(seed), y)
+    want = object_sum(pairs)
+    assert decompose(y) == want
+    assert reference_chain_decompose(y) == want
+    assert reference_decompose(y) == want
+
+
+@given(summand_lists(), st.integers(min_value=0, max_value=2**32),
+       st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_support_points_are_exactly_the_regular_points(summands, seed, change):
+    y = rep_direct_sum([explicit_rep(o) for o in summands])
+    if change:
+        y = changed_basis(random.Random(seed), y)
+    points = regular_support_points(y)
+    assert points == sorted({o.point for o in summands
+                             if isinstance(o, Regular)})
+    assert set(points) <= set(reference_minor_support_points(y))
+
+
+def test_deflation_steps_past_the_support_points():
+    parts = [R((0, 1), 1), R((1, 0), 2), R((1, 1), 1), R((2, 1), 1), P(3),
+             Q(2)]
+    y = changed_basis(random.Random(5),
+                      rep_direct_sum([explicit_rep(o) for o in parts]))
+    sa, sb = ([{j: x for j, x in enumerate(r) if x} for r in m]
+              for m in _int_arrows(y))
+    qs, a, b, n, k = _deflate(sa, sb, y.dim.d2, 0)
+    # (0:1), (1:0), (1:1) and (2:1) carry regulars; (3:1) is the fifth point
+    assert (qs, k) == ([0, 1], 4)
+    # the quotient is P3 + the regular part: (2, 3) + (5, 5)
+    assert (len(a), len(b), n) == (7, 7, 8)
+    assert regular_support_points(y) == [(0, 1), (1, 0), (1, 1), (2, 1)]
+    assert decompose(y) == object_sum((o, 1) for o in parts)
+
+
+def test_changed_basis_208_dimensional_sum_decomposes_under_three_seconds():
+    parts = [P(20), P(30), Q(20), Q(31), R((1, 1), 2), R((2, 3), 3)]
+    y = rep_direct_sum([explicit_rep(o) for o in parts])
+    assert y.dim.total() == 208
+    rng = random.Random(0)
+    s, u = upper_unimodular(rng, y.dim.d1), upper_unimodular(rng, y.dim.d2)
+    y = ExplicitRep(y.dim, s.mul(y.m_alpha).mul(u), s.mul(y.m_beta).mul(u))
+    t0 = time.process_time()
+    with wall_budget(120):
+        assert decompose(y) == object_sum((o, 1) for o in parts)
+    assert time.process_time() - t0 < 3.0

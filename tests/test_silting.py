@@ -325,3 +325,16 @@ def test_large_row_literal_glues_under_two_seconds():
     out = glue_kronecker("P20", P19_LITERAL, "P20")
     assert time.process_time() - t0 < 2.0
     assert out.render() == "P19 + P20"
+
+
+# bench/workloads.py _glue_literal(random.Random(1), "P79", 1), as the P19
+# literal is _glue_literal(random.Random(1), "P19", 1)
+P79_LITERAL = (pathlib.Path(__file__).parent / "data"
+               / "p79_literal.txt").read_text().strip()
+
+
+def test_p79_literal_glues_on_row_p80_under_five_seconds():
+    t0 = time.process_time()
+    out = glue_kronecker("P80", P79_LITERAL, "P80")
+    assert time.process_time() - t0 < 5.0
+    assert out.render() == "P79 + P80"
