@@ -257,17 +257,24 @@ def _post_terms(src: ProjSum, k: ProjMorphism, out: int, var: int,
             (o[3], v[0], sign, i1, k.arr_b), (o[3], v[3], sign, i1, k.s22)]
 
 
+def _delta_terms(c: TwoTermComplex, d: TwoTermComplex, out: int,
+                 var: int) -> list:
+    """Sylvester terms of delta(c, d), its unknowns stored from var on and
+    its outputs written from out on."""
+    nm1 = morphism_space_dim(c.deg_m1, d.deg_m1)
+    return (_pre_terms(c.diff, d.deg_0, out, var + nm1, -1)
+            + _post_terms(c.deg_m1, d.diff, out, var, 1))
+
+
 def delta_map(c: TwoTermComplex, d: TwoTermComplex) -> tuple:
     """delta(c, d): (f_-1, f_0) -> f_-1 d_d - d_c f_0 on the layout
     [Hom(c_-1, d_-1) | Hom(c_0, d_0)], one sparse row per coordinate of
     Hom(c_-1, d_0).  Its kernel is the chain maps c -> d, its cokernel
     Hom_K(c, d[1]).  Returns (rows, number of unknowns)."""
-    nm1 = morphism_space_dim(c.deg_m1, d.deg_m1)
-    rows = sylvester_rows(
-        morphism_space_dim(c.deg_m1, d.deg_0),
-        _pre_terms(c.diff, d.deg_0, 0, nm1, -1)
-        + _post_terms(c.deg_m1, d.diff, 0, 0, 1))
-    return rows, nm1 + morphism_space_dim(c.deg_0, d.deg_0)
+    rows = sylvester_rows(morphism_space_dim(c.deg_m1, d.deg_0),
+                          _delta_terms(c, d, 0, 0))
+    return rows, (morphism_space_dim(c.deg_m1, d.deg_m1)
+                  + morphism_space_dim(c.deg_0, d.deg_0))
 
 
 def partial_map(c: TwoTermComplex, d: TwoTermComplex) -> list:

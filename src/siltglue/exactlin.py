@@ -1,13 +1,17 @@
-"""Exact rational linear algebra on small dense matrices.
+"""Exact rational linear algebra: one sparse integer elimination core.
 
 Matrices, vectors and results are exact rationals (Fraction) at the API;
-there is no floating point anywhere in the package.  Inside, elimination
-runs on Python integers: each row is scaled by the lcm of its denominators
-and rows are combined fraction-free, a*row - b*pivot_row with the content
-removed, or by Bareiss for determinants.  Matrices are immutable, row-major,
-and all elimination uses the leftmost nonzero pivot with first-row
-tie-break, so echelon forms, ranks and kernel bases are deterministic across
-runs and platforms, and equal to those of rational Gauss-Jordan.
+there is no floating point anywhere in the package.  Every row reduction
+here runs in reduce_row, on sparse integer rows: each row is scaled by the
+lcm of its denominators and combined fraction-free with a pivot row,
+a*row - b*pivot_row with the content removed.  echelon inserts rows one at
+a time; rref back-substitutes its basis, and rank, kernels, solving and
+row-space projections are read off rref.  Determinants alone use their own
+loop, Bareiss elimination, since content-reduced rows lose the
+determinant.  Pivots are leftmost nonzero columns, so pivot columns,
+reduced echelon forms and kernel bases are deterministic across runs and
+platforms, and equal to those of rational Gauss-Jordan.  Mat is immutable
+and row-major.
 """
 
 from __future__ import annotations
@@ -231,56 +235,28 @@ def _nonzeros(m) -> tuple:
 # -- elimination -------------------------------------------------------------
 
 
-def _int_row(values) -> list:
-    """A row of rationals scaled by the lcm of its denominators: an integer
-    row with the same zero pattern and the same span."""
-    nd = [x.as_integer_ratio() for x in values]
-    den = math.lcm(*[d for _, d in nd])
-    return [n for n, _ in nd] if den == 1 else [n * (den // d) for n, d in nd]
-
-
-def _eliminate(row: list, pivot_row: list, c: int) -> list:
-    """a*row - b*pivot_row with a/b the reduced ratio of the two entries in
-    column c, so column c clears, divided by its content."""
-    g = math.gcd(pivot_row[c], row[c])
-    a, b = pivot_row[c] // g, row[c] // g
-    out = [a * x - b * y for x, y in zip(row, pivot_row)]
-    g = math.gcd(*out)
-    return [x // g for x in out] if g > 1 else out
-
-
 def rref(m: Mat) -> tuple:
     """Reduced row echelon form and the tuple of pivot columns.
 
-    Pivot choice: leftmost nonzero column, first available row.  Elimination
-    runs on integer rows, each a nonzero multiple of the row that rational
-    Gauss-Jordan would hold at the same step, so zero patterns and pivots
-    agree with it; dividing each pivot row by its pivot at the end gives the
-    reduced form exactly.
+    The echelon basis of m's rows, back-substituted: walking the pivots
+    from the right, each pivot row is reduced against the rows already
+    reduced, which clears its other pivot columns, and divided by its
+    pivot.  The reduced rows are unique, so they equal those of rational
+    Gauss-Jordan.
     """
-    nr, nc = m.rows, m.cols
-    rows = [_int_row(m.row(i)) for i in range(nr)]
-    pivots = []
-    r = 0
-    for c in range(nc):
-        if r >= nr:
-            break
-        sel = next((i for i in range(r, nr) if rows[i][c]), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        pivot_row = rows[r]
-        for i in range(nr):
-            if i != r and rows[i][c]:
-                rows[i] = _eliminate(rows[i], pivot_row, c)
-        pivots.append(c)
-        r += 1
-    ent = []
-    for row, c in zip(rows, pivots):
+    pivrows = echelon({j: v for j, v in enumerate(m.row(i)) if v}
+                      for i in range(m.rows))
+    done: dict = {}
+    for c in sorted(pivrows, reverse=True):
+        done[c] = reduce_row(done, pivrows[c], insert=False)
+    pivots = tuple(sorted(done))
+    ent = [QZERO] * (m.rows * m.cols)
+    for r, c in enumerate(pivots):
+        row = done[c]
         pv = row[c]
-        ent.extend(Fraction(x, pv) if x else QZERO for x in row)
-    ent.extend([QZERO] * ((nr - r) * nc))
-    return Mat(nr, nc, tuple(ent)), tuple(pivots)
+        for j, v in row.items():
+            ent[r * m.cols + j] = Fraction(v, pv)
+    return Mat(m.rows, m.cols, tuple(ent)), pivots
 
 
 def rank(m: Mat) -> int:
@@ -294,18 +270,20 @@ def kernel_basis(m: Mat) -> list:
     One basis vector per free column of the reduced echelon form; the free
     coordinate is 1 and pivot coordinates carry the negated echelon entries.
     """
+    return [vec for _, vec in _free_kernel(m)]
+
+
+def _free_kernel(m: Mat) -> list:
+    """The free columns of rref(m), each with its kernel_basis vector."""
     red, pivots = rref(m)
-    pivset = set(pivots)
-    basis = []
-    for c in range(m.cols):
-        if c in pivset:
-            continue
+    out = []
+    for c in sorted(set(range(m.cols)).difference(pivots)):
         vec = [QZERO] * m.cols
         vec[c] = QONE
         for r, p in enumerate(pivots):
             vec[p] = -red.at(r, c)
-        basis.append(tuple(vec))
-    return basis
+        out.append((c, tuple(vec)))
+    return out
 
 
 def solve(m: Mat, b: Sequence) -> Optional[tuple]:
@@ -338,20 +316,14 @@ def row_space_projection(m: Mat) -> tuple:
     Returns (proj, section) with proj: cols x q and section: q x cols such
     that w |-> w*proj is the quotient map onto coordinates indexed by the
     free columns of rref(m), and section*proj is the identity on the
-    quotient.
+    quotient.  The columns of proj are the kernel_basis vectors, the rows
+    of section the unit vectors at the free columns.
     """
-    red, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in set(pivots)]
-    q = len(free)
-    proj = [[QZERO] * q for _ in range(m.cols)]
-    for t, f in enumerate(free):
-        proj[f][t] = QONE
-        for r, p in enumerate(pivots):
-            proj[p][t] = -red.at(r, f)
-    section = [[QZERO] * m.cols for _ in range(q)]
-    for t, f in enumerate(free):
-        section[t][f] = QONE
-    return Mat.from_rows(proj, cols=q), Mat.from_rows(section, cols=m.cols)
+    kernel = _free_kernel(m)
+    proj = Mat(len(kernel), m.cols, tuple(x for _, v in kernel for x in v))
+    section = [[QONE if c == f else QZERO for c in range(m.cols)]
+               for f, _ in kernel]
+    return proj.transpose(), Mat.from_rows(section, cols=m.cols)
 
 
 def sparse_rank(rows: Iterable[dict]) -> int:
@@ -364,9 +336,7 @@ def echelon(rows: Iterable[dict]) -> dict:
     col -> rational (or int): integer rows, keyed by their leading column in
     the order found.  The keys are the pivot columns of rref, and the rows
     led by column c or later span the row space vectors zero before c.
-
-    Same pivot policy as rref but never materializes dense rows: each row
-    is inserted in turn by reduce_row.
+    Each row is inserted in turn by reduce_row.
     """
     pivrows: dict = {}
     for row in rows:
@@ -379,7 +349,7 @@ def reduce_row(pivrows: dict, row: dict, insert: bool = True) -> dict:
     leading column as echelon returns them; the insertion step of echelon.
 
     Stored zeros are dropped, the row is scaled to integers, and each
-    elimination is a*row - b*pivot_row with the content removed, as in rref.
+    elimination is a*row - b*pivot_row with the content removed.
     With insert, reduction stops at the first column without a pivot row and
     the remainder is added to pivrows under that column; otherwise every
     pivot column is cleared and pivrows is left as it is.  Returns the

@@ -14,17 +14,17 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .exactlin import Mat, rank, sparse_rank, sparse_transpose, vstack
+from .exactlin import Mat, echelon, rank, reduce_row, sylvester_rows, vstack
 from .kronecker import (DimVector, ExplicitRep, KroneckerObject, LocalizedRing,
                         Point, Preinjective, Preprojective, Pruefer, Regular,
                         decompose, explicit_rep, normalize_point, object_sum,
                         parse_object, parse_point, quotient_rep, render_object,
                         render_object_sum, symbolic_ext_dim)
-from .complexes import (ProjMorphism, ProjSum, TwoTermComplex, chain_endo_basis,
-                        cocone, delta_map, derived_hom_dim, direct_sum,
-                        hom_complex_to_module, minimize, morphism_space_dim,
-                        parse_complex_literal, shifted_projective,
-                        universal_extension, zero_complex)
+from .complexes import (ProjMorphism, ProjSum, TwoTermComplex, _delta_terms,
+                        _post_terms, _pre_terms, cocone, derived_hom_dim,
+                        direct_sum, hom_complex_to_module, minimize,
+                        morphism_space_dim, parse_complex_literal,
+                        shifted_projective, universal_extension, zero_complex)
 
 # ---------------------------------------------------------------------------
 # presentations and cohomology of complexes
@@ -133,16 +133,37 @@ def phi_surjective(sigma1: TwoTermComplex, sigma2: TwoTermComplex,
     """Surjectivity of (f, g) -> alpha.f + g.alpha from the chain
     endomorphisms of sigma2 and sigma1 onto the degree-one Hom space,
     computed modulo homotopy.  Requires the orthogonality conditions on
-    the pair; violations raise naming the failing condition."""
+    the pair; violations raise naming the failing condition.
+
+    One system on the unknowns [f | g | h]: f and g candidate chain
+    endomorphisms of sigma2 and sigma1, h the unknowns of
+    delta(sigma2, sigma1).  With D = diag(delta(sigma2, sigma2),
+    delta(sigma1, sigma1), 0) and L = [f_-1 alpha | alpha g_0 |
+    delta(sigma2, sigma1)], the image of phi plus the homotopies is
+    L(ker D), of dimension rk [D; L] - rk D.  So phi is onto, of an
+    n-dimensional space, iff each of the n rows of L adds a pivot to an
+    echelon basis of the rows of D.
+    """
     _check_pair_conditions(sigma1, sigma2)
     if alpha.src != sigma2.deg_m1 or alpha.dst != sigma1.deg_0:
         raise ValueError("alpha must be a degree-one map sigma2 -> sigma1[1]")
-    n = morphism_space_dim(sigma2.deg_m1, sigma1.deg_0)
-    vectors = [fm1.then(alpha).flat() for fm1, _ in chain_endo_basis(sigma2)]
-    vectors += [alpha.then(g0).flat() for _, g0 in chain_endo_basis(sigma1)]
-    homotopies, _ = delta_map(sigma2, sigma1)
-    return sparse_rank([dict(enumerate(v)) for v in vectors]
-                       + list(sparse_transpose(homotopies).values())) == n
+    hom = morphism_space_dim
+    n = hom(sigma2.deg_m1, sigma1.deg_0)
+    d2 = hom(sigma2.deg_m1, sigma2.deg_0)   # rows of delta(sigma2, sigma2)
+    d1 = hom(sigma1.deg_m1, sigma1.deg_0)   # rows of delta(sigma1, sigma1)
+    # offsets of g, of g_0 and of h; f = (f_-1, f_0) starts at 0
+    g = hom(sigma2.deg_m1, sigma2.deg_m1) + hom(sigma2.deg_0, sigma2.deg_0)
+    g0 = g + hom(sigma1.deg_m1, sigma1.deg_m1)
+    h = g0 + hom(sigma1.deg_0, sigma1.deg_0)
+    rows = sylvester_rows(
+        n + d2 + d1,
+        _post_terms(sigma2.deg_m1, alpha, 0, 0, 1)
+        + _pre_terms(alpha, sigma1.deg_0, 0, g0, 1)
+        + _delta_terms(sigma2, sigma1, 0, h)
+        + _delta_terms(sigma2, sigma2, n, 0)
+        + _delta_terms(sigma1, sigma1, n + d2, g))
+    pivrows = echelon(rows[n:])
+    return all(reduce_row(pivrows, row) for row in rows[:n])
 
 
 def cocone_of_attachment(sigma1: TwoTermComplex, sigma2: TwoTermComplex,

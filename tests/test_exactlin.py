@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siltglue.exactlin import (Mat, block, det, echelon, kernel_basis,
-                               left_kernel_basis, rank, reduce_row,
-                               row_space_projection, rref, solve, sparse_rank,
-                               sylvester_rows)
+from siltglue.exactlin import (Mat, block, det, echelon, hstack,
+                               kernel_basis, left_kernel_basis, rank,
+                               reduce_row, row_space_projection, rref, solve,
+                               sparse_rank, sylvester_rows)
 from siltglue.kronecker import _poly_det
 
 
@@ -243,6 +243,23 @@ def reference_rref(m: Mat) -> tuple:
     return Mat.from_rows(rows, cols=nc), tuple(pivots)
 
 
+def reference_kernel_basis(m: Mat) -> list:
+    """The kernel basis read off reference_rref: one vector per free
+    column, 1 there, minus the reduced entries of that column at the
+    pivots."""
+    red, pivots = reference_rref(m)
+    basis = []
+    for f in range(m.cols):
+        if f in pivots:
+            continue
+        vec = [Fraction(0)] * m.cols
+        vec[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            vec[p] = -red.at(r, f)
+        basis.append(tuple(vec))
+    return basis
+
+
 def reference_det(rows) -> Fraction:
     """Determinant over Fraction: the product of the pivots of Gaussian
     elimination, negated once per row swap."""
@@ -294,6 +311,37 @@ def test_rref_matches_rational_gauss_jordan(m):
     assert pivots == want_pivots
     assert red.entries == want_red.entries
     assert all(type(x) is Fraction for x in red.entries)
+
+
+@given(dependent_matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernel_solve_and_projection_are_the_reference_constructions(m, data):
+    kernel = reference_kernel_basis(m)
+    assert kernel_basis(m) == kernel
+    free = [f for f in range(m.cols) if f not in reference_rref(m)[1]]
+    proj, section = row_space_projection(m)
+    assert proj == Mat.from_rows([[v[c] for v in kernel]
+                                  for c in range(m.cols)], cols=len(free))
+    assert section == Mat.from_rows([[Fraction(int(c == f))
+                                      for c in range(m.cols)] for f in free],
+                                    cols=m.cols)
+    # a right-hand side in the column space, or an arbitrary one, which is
+    # inconsistent whenever it leaves the column space
+    if data.draw(st.booleans()):
+        x = data.draw(st.lists(dense_fractions, min_size=m.cols,
+                               max_size=m.cols))
+        b = m.mul(Mat(m.cols, 1, tuple(x))).entries
+    else:
+        b = tuple(data.draw(st.lists(dense_fractions, min_size=m.rows,
+                                     max_size=m.rows)))
+    red, pivots = reference_rref(hstack([m, Mat(m.rows, 1, b)]))
+    want = None
+    if m.cols not in pivots:
+        want = [Fraction(0)] * m.cols
+        for r, p in enumerate(pivots):
+            want[p] = red.at(r, m.cols)
+        want = tuple(want)
+    assert solve(m, b) == want
 
 
 @given(dependent_matrices(), st.randoms(use_true_random=False))

@@ -4,11 +4,12 @@ import time
 import pytest
 
 from siltglue.complexes import (ProjMorphism, ProjSum, TwoTermComplex,
-                                chain_endo_basis, chain_map_basis_shift1,
-                                delta_map, derived_hom_dim, direct_sum,
-                                morphism_space_dim, power, shifted_projective,
-                                stalk_complex, universal_extension)
-from siltglue.exactlin import Mat, rank, vstack
+                                chain_map_basis_shift1, delta_map,
+                                derived_hom_dim, direct_sum,
+                                morphism_from_flat, morphism_space_dim, power,
+                                shifted_projective, stalk_complex,
+                                universal_extension)
+from siltglue.exactlin import Mat, vstack
 from siltglue.kronecker import (Preinjective, Preprojective, Regular,
                                 explicit_rep, object_sum, render_object_sum,
                                 zero_rep)
@@ -19,6 +20,9 @@ from siltglue.silting import (GlueError, GlueOutcomeKronecker,
                               in_positive_perp, in_y_class, identify_summands,
                               parse_row, phi_surjective,
                               presentation_of_object)
+
+from test_exactlin import reference_kernel_basis, reference_rref
+from test_kronecker import wall_budget
 
 P = Preprojective
 Q = Preinjective
@@ -106,14 +110,30 @@ def test_phi_matches_cocone_self_orthogonality():
 
 
 def reference_phi_surjective(s1, s2, alpha) -> bool:
-    """The dense route: the rank of the stacked images of the chain
-    endomorphisms and the dense transpose of the homotopy map."""
+    """The dense route, on rational Gauss-Jordan alone: chain
+    endomorphisms as the kernels of delta(c, c), then the rank of their
+    images under phi stacked on the dense transpose of the homotopy map."""
+    def chain_endos(c):
+        rows, nd = delta_map(c, c)
+        nm1 = morphism_space_dim(c.deg_m1, c.deg_m1)
+        return [(morphism_from_flat(c.deg_m1, c.deg_m1, v[:nm1]),
+                 morphism_from_flat(c.deg_0, c.deg_0, v[nm1:]))
+                for v in reference_kernel_basis(Mat.from_sparse(rows, nd))]
+
     n = morphism_space_dim(s2.deg_m1, s1.deg_0)
-    vectors = [f.then(alpha).flat() for f, _ in chain_endo_basis(s2)]
-    vectors += [alpha.then(g).flat() for _, g in chain_endo_basis(s1)]
+    vectors = [f.then(alpha).flat() for f, _ in chain_endos(s2)]
+    vectors += [alpha.then(g).flat() for _, g in chain_endos(s1)]
     homotopies, nh = delta_map(s2, s1)
-    return rank(vstack([Mat.from_rows(vectors, cols=n),
-                        Mat.from_sparse(homotopies, nh).transpose()])) == n
+    stacked = vstack([Mat.from_rows(vectors, cols=n),
+                      Mat.from_sparse(homotopies, nh).transpose()])
+    return len(reference_rref(stacked)[1]) == n
+
+
+def _large_zero_attachment() -> tuple:
+    """(pres P12, pres(P11)^2) with the zero attaching map."""
+    s1 = presentation_of_object(P(12))
+    s2 = power(presentation_of_object(P(11)), 2)
+    return s1, s2, ProjMorphism.zero(s2.deg_m1, s1.deg_0)
 
 
 def test_phi_sparse_rank_matches_the_dense_rank():
@@ -127,7 +147,7 @@ def test_phi_sparse_rank_matches_the_dense_rank():
         (presentation_of_object(Q(1)),
          power(presentation_of_object(Q(2)), 2)),
     ]
-    verdicts = set()
+    pairs = [_large_zero_attachment()]
     for s1, s2 in fixtures:
         basis = chain_map_basis_shift1(s2, s1)
         samples = [ProjMorphism.zero(s2.deg_m1, s1.deg_0)]
@@ -138,11 +158,21 @@ def test_phi_sparse_rank_matches_the_dense_rank():
             samples.append(acc)
         if len(basis) >= 4:
             samples.append(basis[0].add(basis[3]))
-        for alpha in samples:
-            verdict = phi_surjective(s1, s2, alpha)
-            assert verdict == reference_phi_surjective(s1, s2, alpha)
-            verdicts.add(verdict)
+        pairs += [(s1, s2, alpha) for alpha in samples]
+    verdicts = set()
+    for s1, s2, alpha in pairs:
+        verdict = phi_surjective(s1, s2, alpha)
+        assert verdict == reference_phi_surjective(s1, s2, alpha)
+        verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_phi_on_a_large_pair_within_budget():
+    s1, s2, alpha = _large_zero_attachment()
+    t0 = time.process_time()
+    with wall_budget(10):
+        assert phi_surjective(s1, s2, alpha)
+    assert time.process_time() - t0 < 0.1
 
 
 def test_phi_precondition_errors_name_the_condition():
