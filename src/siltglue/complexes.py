@@ -30,8 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactlin import (Mat, QONE, QZERO, block, cokernel_coordinates, hstack,
-                       kernel_basis, sparse_rank, sylvester_rows, vstack)
+from .exactlin import (Mat, QONE, QZERO, block, cokernel_coordinates, echelon,
+                       hstack, kernel_basis, quotient_pencil, reduce_row,
+                       sparse_rank, sylvester_rows, vstack)
 from .kronecker import DimVector, ExplicitRep
 
 # ---------------------------------------------------------------------------
@@ -124,10 +125,6 @@ class ProjMorphism:
         return ProjMorphism(self.src, self.dst, self.s11.scale(c),
                             self.s22.scale(c), self.arr_a.scale(c),
                             self.arr_b.scale(c))
-
-    def is_zero(self) -> bool:
-        return (self.s11.is_zero() and self.s22.is_zero()
-                and self.arr_a.is_zero() and self.arr_b.is_zero())
 
     def flat(self) -> tuple:
         return (self.s11.entries + self.s22.entries
@@ -403,71 +400,36 @@ def universal_extension(left: TwoTermComplex, right: TwoTermComplex) -> TwoTermC
 def minimize(c: TwoTermComplex) -> TwoTermComplex:
     """Homotopy-minimal model: cancel every invertible scalar component of
     the differential.  Afterwards both scalar blocks vanish, so the only
-    possibly nonzero block is the arrow block P1 -> P2."""
-    a, b = c.deg_m1.p1, c.deg_m1.p2
-    cc, d = c.deg_0.p1, c.deg_0.p2
-    s11 = c.diff.s11.to_rows()
-    s22 = c.diff.s22.to_rows()
-    arr_a = c.diff.arr_a.to_rows()
-    arr_b = c.diff.arr_b.to_rows()
+    possibly nonzero block is the arrow block P1 -> P2.
 
-    def find_pivot(rows):
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                if v != 0:
-                    return i, j
-        return None
-
-    while True:
-        piv = find_pivot(s11)
-        if piv is not None:
-            i, j = piv
-            u = s11[i][j]
-            for r in range(a):
-                if r == i or s11[r][j] == 0:
-                    continue
-                fctr = s11[r][j] / u
-                s11[r] = [x - fctr * y for x, y in zip(s11[r], s11[i])]
-                arr_a[r] = [x - fctr * y for x, y in zip(arr_a[r], arr_a[i])]
-                arr_b[r] = [x - fctr * y for x, y in zip(arr_b[r], arr_b[i])]
-            del s11[i], arr_a[i], arr_b[i]
-            s11 = [row[:j] + row[j + 1:] for row in s11]
-            a -= 1
-            cc -= 1
-            continue
-        piv = find_pivot(s22)
-        if piv is not None:
-            i, j = piv
-            u = s22[i][j]
-            for r in range(b):
-                if r == i or s22[r][j] == 0:
-                    continue
-                fctr = s22[r][j] / u
-                s22[r] = [x - fctr * y for x, y in zip(s22[r], s22[i])]
-            for r in range(a):
-                fa = arr_a[r][j] / u
-                if fa:
-                    arr_a[r] = [x - fa * y for x, y in zip(arr_a[r], s22[i])]
-                fb = arr_b[r][j] / u
-                if fb:
-                    arr_b[r] = [x - fb * y for x, y in zip(arr_b[r], s22[i])]
-            del s22[i]
-            s22 = [row[:j] + row[j + 1:] for row in s22]
-            arr_a = [row[:j] + row[j + 1:] for row in arr_a]
-            arr_b = [row[:j] + row[j + 1:] for row in arr_b]
-            b -= 1
-            d -= 1
-            continue
-        break
-    m1 = ProjSum(a, b)
-    d0 = ProjSum(cc, d)
-    diff = ProjMorphism(
-        m1, d0,
-        Mat.from_rows(s11, cols=cc),
-        Mat.from_rows(s22, cols=d),
-        Mat.from_rows(arr_a, cols=d),
-        Mat.from_rows(arr_b, cols=d))
-    return TwoTermComplex(m1, d0, diff)
+    With a differential [[u, x], [y, z]], u invertible, the complex is
+    homotopy equivalent to one with differential z - y u^-1 x: one sparse
+    Schur complement.  Each P1-source row [s11 | arr_a | arr_b] is reduced
+    against the kept rows that lead in s11; with an s11 entry left it is
+    kept and cancels a P1 from both terms, with none it survives.  The
+    P2 -> P1 block is zero, so each s22 pivot cancels a P2 and touches only
+    the arrow block, where quotient_pencil clears its column.
+    """
+    k, p1, p2 = c.diff, c.deg_0.p1, c.deg_0.p2
+    kept, rest = {}, []
+    for row in hstack([k.s11, k.arr_a, k.arr_b]).sparse_rows():
+        if min(row, default=p1) < p1:
+            row = reduce_row(kept, row, insert=False)
+            if min(row, default=p1) < p1:
+                kept[min(row)] = row
+                continue
+        rest.append(row)
+    s22 = echelon(k.s22.sparse_rows())
+    end = p1 + p2
+    qa, qb, q = quotient_pencil(
+        [{j - p1: x for j, x in r.items() if j < end} for r in rest],
+        [{j - end: x for j, x in r.items() if j >= end} for r in rest],
+        range(len(rest)), s22, p2)
+    m1 = ProjSum(len(rest), c.deg_m1.p2 - len(s22))
+    d0 = ProjSum(p1 - len(kept), q)
+    return TwoTermComplex(m1, d0, ProjMorphism(
+        m1, d0, Mat.zeros(m1.p1, d0.p1), Mat.zeros(m1.p2, d0.p2),
+        Mat.from_sparse(qa, q), Mat.from_sparse(qb, q)))
 
 
 # ---------------------------------------------------------------------------

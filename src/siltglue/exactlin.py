@@ -5,13 +5,13 @@ there is no floating point anywhere in the package.  Every row reduction
 here runs in reduce_row, on sparse integer rows: each row is scaled by the
 lcm of its denominators and combined fraction-free with a pivot row,
 a*row - b*pivot_row with the content removed.  echelon inserts rows one at
-a time; rref back-substitutes its basis, and rank, kernels, solving and
-row-space projections are read off rref.  Determinants alone use their own
-loop, Bareiss elimination, since content-reduced rows lose the
-determinant.  Pivots are leftmost nonzero columns, so pivot columns,
-reduced echelon forms and kernel bases are deterministic across runs and
-platforms, and equal to those of rational Gauss-Jordan.  Mat is immutable
-and row-major.
+a time; rref back-substitutes its basis, and rank, kernels and solving are
+read off rref; quotient_pencil reduces paired rows modulo an echelon basis,
+for quotients and minimal models.  Determinants alone use their own loop,
+Bareiss elimination, since content-reduced rows lose the determinant.
+Pivots are leftmost nonzero columns, so pivot columns, reduced echelon
+forms and kernel bases are deterministic across runs and platforms, and
+equal to those of rational Gauss-Jordan.  Mat is immutable and row-major.
 """
 
 from __future__ import annotations
@@ -104,6 +104,11 @@ class Mat:
 
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
+
+    def sparse_rows(self) -> list:
+        """The rows as dicts col -> value of their nonzero entries."""
+        return [{j: v for j, v in enumerate(self.row(i)) if v}
+                for i in range(self.rows)]
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
@@ -244,8 +249,7 @@ def rref(m: Mat) -> tuple:
     pivot.  The reduced rows are unique, so they equal those of rational
     Gauss-Jordan.
     """
-    pivrows = echelon({j: v for j, v in enumerate(m.row(i)) if v}
-                      for i in range(m.rows))
+    pivrows = echelon(m.sparse_rows())
     done: dict = {}
     for c in sorted(pivrows, reverse=True):
         done[c] = reduce_row(done, pivrows[c], insert=False)
@@ -270,11 +274,6 @@ def kernel_basis(m: Mat) -> list:
     One basis vector per free column of the reduced echelon form; the free
     coordinate is 1 and pivot coordinates carry the negated echelon entries.
     """
-    return [vec for _, vec in _free_kernel(m)]
-
-
-def _free_kernel(m: Mat) -> list:
-    """The free columns of rref(m), each with its kernel_basis vector."""
     red, pivots = rref(m)
     out = []
     for c in sorted(set(range(m.cols)).difference(pivots)):
@@ -282,7 +281,7 @@ def _free_kernel(m: Mat) -> list:
         vec[c] = QONE
         for r, p in enumerate(pivots):
             vec[p] = -red.at(r, c)
-        out.append((c, tuple(vec)))
+        out.append(tuple(vec))
     return out
 
 
@@ -303,27 +302,6 @@ def solve(m: Mat, b: Sequence) -> Optional[tuple]:
     for r, p in enumerate(pivots):
         x[p] = red.at(r, m.cols)
     return tuple(x)
-
-
-def left_kernel_basis(m: Mat) -> list:
-    """Basis of {v : v m = 0}, i.e. the kernel of the row action."""
-    return kernel_basis(m.transpose())
-
-
-def row_space_projection(m: Mat) -> tuple:
-    """Projection data for the quotient of the ambient row space by rowspace(m).
-
-    Returns (proj, section) with proj: cols x q and section: q x cols such
-    that w |-> w*proj is the quotient map onto coordinates indexed by the
-    free columns of rref(m), and section*proj is the identity on the
-    quotient.  The columns of proj are the kernel_basis vectors, the rows
-    of section the unit vectors at the free columns.
-    """
-    kernel = _free_kernel(m)
-    proj = Mat(len(kernel), m.cols, tuple(x for _, v in kernel for x in v))
-    section = [[QONE if c == f else QZERO for c in range(m.cols)]
-               for f, _ in kernel]
-    return proj.transpose(), Mat.from_rows(section, cols=m.cols)
 
 
 def sparse_rank(rows: Iterable[dict]) -> int:
@@ -386,6 +364,27 @@ def reduce_row(pivrows: dict, row: dict, insert: bool = True) -> dict:
             if g != 1:
                 cur = {cc: v // g for cc, v in cur.items()}
     return cur
+
+
+def quotient_pencil(a: Sequence[dict], b: Sequence[dict], kept: Iterable[int],
+                    basis: dict, n: int) -> tuple:
+    """The paired sparse rows a, b over n columns listed in kept, modulo
+    the row space of an echelon basis as echelon returns it: the two rows
+    of a pair are reduced as one row against the basis placed in both
+    halves, so they share one nonzero scale and the pencil stays exact.
+    Keeps the columns that are not pivots, in order, and returns the
+    reduced a-rows, the b-rows and their number of columns."""
+    col = {j: i for i, j in enumerate(j for j in range(n) if j not in basis)}
+    both = {**basis, **{c + n: {j + n: x for j, x in r.items()}
+                        for c, r in basis.items()}}
+    qa, qb = [], []
+    for i in kept:
+        r = {**a[i], **{j + n: x for j, x in b[i].items()}}
+        if basis:
+            r = reduce_row(both, r, insert=False)
+        qa.append({col[j]: x for j, x in r.items() if j < n})
+        qb.append({col[j - n]: x for j, x in r.items() if j >= n})
+    return qa, qb, len(col)
 
 
 def sparse_transpose(rows: Iterable[dict]) -> dict:

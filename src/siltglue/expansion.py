@@ -114,19 +114,23 @@ def _inv(spec: ExpansionSpec, b: int, killed_residue: int) -> int:
 
 
 def _reduce(spec: ExpansionSpec, a: Arc, killed_residue: int) -> Optional[Arc]:
+    """Delete the factors of a congruent to killed_residue.  As n >= 2, the
+    first surviving factor is the first factor or the next one, and the
+    last is the last factor or the one before; they cross only when a is
+    the killed simple, so the cost does not depend on the length of a."""
     a = normalize(a, spec.big)
-    first_f = a.start + 1
-    n = spec.n
+    n, killed = spec.n, killed_residue % spec.n
+    s = a.start + 1
+    if s % n == killed:
+        s += 1
     if a.is_infinite():
-        s = first_f if first_f % n != killed_residue % n else first_f + 1
         return normalize(Arc(_inv(spec, s, killed_residue) - 1, None),
                          spec.reduced)
-    last_f = a.end - 1
-    survivors = [t for t in range(first_f, last_f + 1)
-                 if t % n != killed_residue % n]
-    if not survivors:
+    e = a.end - 1
+    if e % n == killed:
+        e -= 1
+    if s > e:
         return None
-    s, e = survivors[0], survivors[-1]
     return normalize(Arc(_inv(spec, s, killed_residue) - 1,
                          _inv(spec, e, killed_residue) + 1), spec.reduced)
 

@@ -122,22 +122,6 @@ def parse_spec(text: str) -> TiltingSpec:
     return TiltingSpec.make(tubes, divisible)
 
 
-def spec_diff(a: TiltingSpec, b: TiltingSpec) -> str:
-    """Human-readable difference of two tilting data."""
-    out = []
-    pts = sorted({p for p, _ in a.tubes} | {p for p, _ in b.tubes})
-    for p in pts:
-        ta = dict(a.tubes).get(p)
-        tb = dict(b.tubes).get(p)
-        if ta is None or tb is None or ta != tb:
-            ra = "-" if ta is None else ",".join(map(render_arc, ta.sorted_arcs()))
-            rb = "-" if tb is None else ",".join(map(render_arc, tb.sorted_arcs()))
-            out.append(f"point {p}: {ra}  !=  {rb}")
-    if a.divisible != b.divisible:
-        out.append(f"V: {sorted(a.divisible)} != {sorted(b.divisible)}")
-    return "; ".join(out) if out else "equal"
-
-
 # ---------------------------------------------------------------------------
 # validity
 # ---------------------------------------------------------------------------

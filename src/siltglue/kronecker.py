@@ -25,9 +25,8 @@ from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .exactlin import (Mat, QONE, QZERO, block, cokernel_coordinates, det,
-                       echelon, kernel_basis, rank, reduce_row,
-                       row_space_projection, sparse_rank, sparse_transpose,
-                       sylvester_rows)
+                       echelon, kernel_basis, quotient_pencil, reduce_row,
+                       sparse_rank, sparse_transpose, sylvester_rows)
 
 # ---------------------------------------------------------------------------
 # points of the projective line
@@ -287,14 +286,6 @@ def ar_translate(x: KroneckerObject) -> Optional[KroneckerObject]:
     return x
 
 
-def ar_translate_inverse(x: KroneckerObject) -> Optional[KroneckerObject]:
-    if isinstance(x, Preinjective):
-        return Preinjective(x.index - 2) if x.index >= 3 else None
-    if isinstance(x, Preprojective):
-        return Preprojective(x.index + 2)
-    return x
-
-
 # ---------------------------------------------------------------------------
 # explicit representations
 # ---------------------------------------------------------------------------
@@ -312,10 +303,6 @@ class ExplicitRep:
         for m in (self.m_alpha, self.m_beta):
             if (m.rows, m.cols) != (self.dim.d1, self.dim.d2):
                 raise ValueError("arrow matrix shape does not match dim vector")
-
-
-def zero_rep() -> ExplicitRep:
-    return ExplicitRep(DimVector(0, 0), Mat.zeros(0, 0), Mat.zeros(0, 0))
 
 
 def rep_direct_sum(reps: Sequence[ExplicitRep]) -> ExplicitRep:
@@ -477,15 +464,17 @@ def quotient_rep(y: ExplicitRep, span1: Mat, span2: Mat) -> ExplicitRep:
     """Quotient of y by the subrepresentation spanned by the given row
     spaces (span1 in the d1 component, span2 in the d2 component).
 
-    The spans must form a subrepresentation; the induced arrow actions are
-    computed through a section of the quotient projection.
+    The spans must form a subrepresentation.  quotient_pencil keeps the
+    coordinates that are not pivots of their echelon bases, each d1 basis
+    vector a nonzero multiple of the class of its unit vector.
     """
-    proj1, sect1 = row_space_projection(span1)
-    proj2, _ = row_space_projection(span2)
-    q1, q2 = proj1.cols, proj2.cols
-    ma = sect1.mul(y.m_alpha).mul(proj2)
-    mb = sect1.mul(y.m_beta).mul(proj2)
-    return ExplicitRep(DimVector(q1, q2), ma, mb)
+    kept = echelon(span1.sparse_rows())
+    qa, qb, q2 = quotient_pencil(
+        y.m_alpha.sparse_rows(), y.m_beta.sparse_rows(),
+        [i for i in range(y.dim.d1) if i not in kept],
+        echelon(span2.sparse_rows()), y.dim.d2)
+    return ExplicitRep(DimVector(len(qa), q2), Mat.from_sparse(qa, q2),
+                       Mat.from_sparse(qb, q2))
 
 
 def trace_subrep(x: ExplicitRep, y: ExplicitRep) -> tuple:
@@ -515,13 +504,6 @@ def quotient_by_idempotent_trace(e: int) -> KroneckerObject:
     if mult != 1:
         raise ArithmeticError("trace quotient has unexpected multiplicity")
     return obj
-
-
-def trace_dim_vector(e: int) -> DimVector:
-    ring = rep_direct_sum([explicit_rep(Preprojective(1)),
-                           explicit_rep(Preprojective(2))])
-    tr1, tr2 = trace_subrep(explicit_rep(Preprojective(e)), ring)
-    return DimVector(rank(tr1), rank(tr2))
 
 
 # ---------------------------------------------------------------------------
@@ -775,9 +757,8 @@ def _deflate(a: list, b: list, n: int, k: int) -> tuple:
     regular 1 and 0, so the two agree exactly at a point off the regular
     support, found within min(#rows, n) + 1 tries.
     There U1, U2 span the preinjective submodule, and the quotient keeps the
-    coordinates that are not pivots of their echelon bases: the a-row and
-    b-row of each kept basis vector are reduced as one row against U2 in
-    both halves, so they share one scale and the pencil stays exact.
+    coordinates that are not pivots of their echelon bases: quotient_pencil
+    reduces the rows off U1 modulo U2, exactly.
     Returns the counts, the quotient rows, their number of columns and the
     index of the point used."""
     for k in range(k, k + min(len(a), n) + 1):
@@ -788,17 +769,9 @@ def _deflate(a: list, b: list, n: int, k: int) -> tuple:
             break
     else:
         raise ArithmeticError("no rational point off the regular support")
-    col = {j: i for i, j in enumerate(j for j in range(n) if j not in u2)}
-    both = {**u2, **{c + n: {j + n: x for j, x in r.items()}
-                     for c, r in u2.items()}}
-    qa, qb, lim = [], [], set(lim)
-    for i in range(len(a)):
-        if i not in lim:
-            row = {**a[i], **{j + n: x for j, x in b[i].items()}}
-            r = reduce_row(both, row, insert=False)
-            qa.append({col[j]: x for j, x in r.items() if j < n})
-            qb.append({col[j - n]: x for j, x in r.items() if j >= n})
-    return counts, qa, qb, len(col), k
+    lim = set(lim)
+    kept = [i for i in range(len(a)) if i not in lim]
+    return (counts, *quotient_pencil(a, b, kept, u2, n), k)
 
 
 def _regular_block(y: ExplicitRep) -> tuple:

@@ -18,7 +18,7 @@ from .exactlin import Mat, echelon, rank, reduce_row, sylvester_rows, vstack
 from .kronecker import (DimVector, ExplicitRep, KroneckerObject, LocalizedRing,
                         Point, Preinjective, Preprojective, Pruefer, Regular,
                         decompose, explicit_rep, normalize_point, object_sum,
-                        parse_object, parse_point, quotient_rep, render_object,
+                        parse_object, parse_point, render_object,
                         render_object_sum, symbolic_ext_dim)
 from .complexes import (ProjMorphism, ProjSum, TwoTermComplex, _delta_terms,
                         _post_terms, _pre_terms, cocone, derived_hom_dim,
@@ -27,7 +27,7 @@ from .complexes import (ProjMorphism, ProjSum, TwoTermComplex, _delta_terms,
                         shifted_projective, universal_extension, zero_complex)
 
 # ---------------------------------------------------------------------------
-# presentations and cohomology of complexes
+# presentations
 # ---------------------------------------------------------------------------
 
 
@@ -61,18 +61,6 @@ def presentation_of(x: ExplicitRep) -> TwoTermComplex:
 
 def presentation_of_object(x: KroneckerObject) -> TwoTermComplex:
     return presentation_of(explicit_rep(x))
-
-
-def h0_rep(c: TwoTermComplex) -> ExplicitRep:
-    """Degree-zero cohomology of a two-term complex, as a representation."""
-    f1, f2 = c.diff.rep_morphism()
-    return quotient_rep(c.deg_0.rep(), f1, f2)
-
-
-def hm1_dim(c: TwoTermComplex) -> DimVector:
-    """Dimension vector of the degree minus-one cohomology."""
-    f1, f2 = c.diff.rep_morphism()
-    return DimVector(f1.rows - rank(f1), f2.rows - rank(f2))
 
 
 # ---------------------------------------------------------------------------

@@ -333,27 +333,3 @@ def translation_quiver_dot(ctx: TubeCtx, max_len: int) -> str:
                      ' [style=dashed, label="tau"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# collection files
-# ---------------------------------------------------------------------------
-
-
-def dump_collection(arcs: Iterable[Arc], ctx: TubeCtx) -> str:
-    lines = [f"tube rank={ctx.n}"]
-    for a in sorted((normalize(x, ctx) for x in arcs), key=arc_sort_key):
-        lines.append(render_arc(a))
-    return "\n".join(lines) + "\n"
-
-
-def load_collection(text: str) -> tuple:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty collection file")
-    m = re.fullmatch(r"tube rank=(\d+)", lines[0])
-    if not m:
-        raise ValueError("collection file must start with 'tube rank=N'")
-    ctx = TubeCtx(int(m.group(1)))
-    arcs = [normalize(parse_arc(ln), ctx) for ln in lines[1:]]
-    return ctx, arcs

@@ -78,6 +78,15 @@ def test_glue_kronecker_zero_output(capsys):
     assert code == 0 and out == "0 w.r.t. P1[1] + P2[1]\n"
 
 
+def test_glue_kronecker_literal_with_both_cancellations(capsys):
+    # the minimal model cancels a P1 through the s11 entry 3 and a P2
+    # through the s22 entry 1, which clears an arrow column of both rows
+    code, out, _ = run_cli(capsys, "glue-kronecker", "--row", "P4", "--left",
+                           "[P1^2+P2 -> P1+P2^3 | 3 (1,0) (0,1) (5,7); "
+                           "0 (2,0) (0,2) (1,1); 0 0 0 1]", "--right", "P4")
+    assert code == 0 and out == "P3 + P4\n"
+
+
 def test_glue_kronecker_inadmissible_is_domain_error(capsys):
     code, _, err = run_cli(capsys, "glue-kronecker", "--row", "P1",
                            "--left", "P1", "--right", "P1")

@@ -1,17 +1,26 @@
 import itertools
+import random
+from collections import Counter
 
-from siltglue.exactlin import Mat
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from siltglue.exactlin import Mat, hstack, rank
 from siltglue.complexes import (ProjMorphism, ProjSum, TwoTermComplex,
                                 derived_hom_dim, direct_sum,
                                 hom_complex_to_module, minimize, power,
                                 shifted_projective, stalk_complex)
-from siltglue.kronecker import (DimVector, Preinjective, Preprojective,
-                                Regular, decompose, explicit_rep, ext_dim,
-                                ext_dim_objects, hom_dim, hom_dim_objects,
-                                object_sum)
-from siltglue.silting import (ComplexSummand, canonical_resolution, h0_rep,
-                              hm1_dim, identify_summands, presentation_of,
+from siltglue.kronecker import (DimVector, ExplicitRep, Preinjective,
+                                Preprojective, Regular, decompose,
+                                explicit_rep, ext_dim, ext_dim_objects,
+                                hom_dim, hom_dim_objects, object_sum,
+                                quotient_rep)
+from siltglue.silting import (ComplexSummand, canonical_resolution,
+                              identify_summands, presentation_of,
                               presentation_of_object)
+
+from test_exactlin import rows_are_multiples
+from test_kronecker import unimodular
 
 P = Preprojective
 Q = Preinjective
@@ -19,6 +28,18 @@ R = Regular
 
 CATALOG = [P(1), P(2), P(3), Q(1), Q(2), Q(3), R((1, 0), 1), R((0, 1), 2),
            R((1, 1), 1)]
+
+
+def h0_rep(c: TwoTermComplex) -> ExplicitRep:
+    """Degree-zero cohomology of a two-term complex, as a representation."""
+    f1, f2 = c.diff.rep_morphism()
+    return quotient_rep(c.deg_0.rep(), f1, f2)
+
+
+def hm1_dim(c: TwoTermComplex) -> DimVector:
+    """Dimension vector of the degree minus-one cohomology."""
+    f1, f2 = c.diff.rep_morphism()
+    return DimVector(f1.rows - rank(f1), f2.rows - rank(f2))
 
 
 def test_projsum_rep_dimensions():
@@ -106,15 +127,128 @@ def test_hom_complex_to_module_routes():
 
 def test_minimize_cancels_contractible_summands():
     pres = presentation_of_object(Q(1))
-    fat = direct_sum([pres, _contractible()])
+    fat = direct_sum([pres, _unit(ProjSum(1, 0))])
     slim = minimize(fat)
     assert (slim.deg_m1, slim.deg_0) == (pres.deg_m1, pres.deg_0)
 
 
-def _contractible():
-    s = ProjSum(1, 0)
-    return __import__("siltglue.complexes", fromlist=["TwoTermComplex"]) \
-        .TwoTermComplex(s, s, ProjMorphism.identity(s))
+def _unit(s: ProjSum) -> TwoTermComplex:
+    return TwoTermComplex(s, s, ProjMorphism.identity(s))
+
+
+def reference_minimize(c: TwoTermComplex) -> TwoTermComplex:
+    """The dense route minimize replaced: cancel one invertible scalar
+    entry at a time, the first nonzero entry of s11 in row-major order and
+    then of s22, by Fraction row operations, until both scalar blocks
+    vanish."""
+    a, b = c.deg_m1.p1, c.deg_m1.p2
+    cc, d = c.deg_0.p1, c.deg_0.p2
+    s11 = c.diff.s11.to_rows()
+    s22 = c.diff.s22.to_rows()
+    arr_a = c.diff.arr_a.to_rows()
+    arr_b = c.diff.arr_b.to_rows()
+
+    def find_pivot(rows):
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
+                if v != 0:
+                    return i, j
+        return None
+
+    while True:
+        piv = find_pivot(s11)
+        if piv is not None:
+            i, j = piv
+            u = s11[i][j]
+            for r in range(a):
+                if r == i or s11[r][j] == 0:
+                    continue
+                fctr = s11[r][j] / u
+                s11[r] = [x - fctr * y for x, y in zip(s11[r], s11[i])]
+                arr_a[r] = [x - fctr * y for x, y in zip(arr_a[r], arr_a[i])]
+                arr_b[r] = [x - fctr * y for x, y in zip(arr_b[r], arr_b[i])]
+            del s11[i], arr_a[i], arr_b[i]
+            s11 = [row[:j] + row[j + 1:] for row in s11]
+            a -= 1
+            cc -= 1
+            continue
+        piv = find_pivot(s22)
+        if piv is not None:
+            i, j = piv
+            u = s22[i][j]
+            for r in range(b):
+                if r == i or s22[r][j] == 0:
+                    continue
+                fctr = s22[r][j] / u
+                s22[r] = [x - fctr * y for x, y in zip(s22[r], s22[i])]
+            for r in range(a):
+                fa = arr_a[r][j] / u
+                if fa:
+                    arr_a[r] = [x - fa * y for x, y in zip(arr_a[r], s22[i])]
+                fb = arr_b[r][j] / u
+                if fb:
+                    arr_b[r] = [x - fb * y for x, y in zip(arr_b[r], s22[i])]
+            del s22[i]
+            s22 = [row[:j] + row[j + 1:] for row in s22]
+            arr_a = [row[:j] + row[j + 1:] for row in arr_a]
+            arr_b = [row[:j] + row[j + 1:] for row in arr_b]
+            b -= 1
+            d -= 1
+            continue
+        break
+    m1 = ProjSum(a, b)
+    d0 = ProjSum(cc, d)
+    diff = ProjMorphism(
+        m1, d0,
+        Mat.from_rows(s11, cols=cc),
+        Mat.from_rows(s22, cols=d),
+        Mat.from_rows(arr_a, cols=d),
+        Mat.from_rows(arr_b, cols=d))
+    return TwoTermComplex(m1, d0, diff)
+
+
+# presentations, shifted projectives, stalks, contractible units and a
+# resolution with nonzero P1 -> P1 block
+PIECES = [P(1), P(2), P(3), P(4), Q(1), Q(2), Q(3), R((1, 0), 2),
+          R((0, 1), 1), R((2, -1), 2), shifted_projective(1),
+          shifted_projective(2), stalk_complex(ProjSum(1, 0)),
+          stalk_complex(ProjSum(0, 1)), _unit(ProjSum(1, 0)),
+          _unit(ProjSum(0, 1)), canonical_resolution(explicit_rep(Q(2)))]
+
+
+def _piece(x) -> TwoTermComplex:
+    return x if isinstance(x, TwoTermComplex) else presentation_of_object(x)
+
+
+def automorphism(rng: random.Random, s: ProjSum) -> ProjMorphism:
+    """Unimodular scalar blocks and seeded arrows: an automorphism, as the
+    P2 -> P1 block is zero."""
+    def arrows():
+        return Mat.from_rows([[rng.randint(-2, 2) for _ in range(s.p2)]
+                              for _ in range(s.p1)], cols=s.p2)
+
+    return ProjMorphism(s, s, unimodular(rng, s.p1), unimodular(rng, s.p2),
+                        arrows(), arrows())
+
+
+@given(st.lists(st.sampled_from(PIECES), min_size=1, max_size=5),
+       st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=60, deadline=None)
+def test_minimize_matches_the_pivot_by_pivot_reference(pieces, seed):
+    rng = random.Random(seed)
+    c = direct_sum([_piece(x) for x in pieces])
+    c = TwoTermComplex(c.deg_m1, c.deg_0, automorphism(rng, c.deg_m1).then(
+        c.diff).then(automorphism(rng, c.deg_0)))
+    got, want = minimize(c), reference_minimize(c)
+    assert (got.deg_m1, got.deg_0) == (want.deg_m1, want.deg_0)
+    assert got.diff.s11.is_zero() and got.diff.s22.is_zero()
+    assert rows_are_multiples(hstack([got.diff.arr_a, got.diff.arr_b]),
+                              hstack([want.diff.arr_a, want.diff.arr_b]))
+    named = Counter()
+    for x in pieces:
+        named.update(dict(identify_summands(_piece(x))))
+    assert (dict(identify_summands(got)) == dict(identify_summands(want))
+            == dict(identify_summands(c)) == dict(named))
 
 
 def test_identify_summands_round_trip():

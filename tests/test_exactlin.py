@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siltglue.exactlin import (Mat, block, det, echelon, hstack,
-                               kernel_basis, left_kernel_basis, rank,
-                               reduce_row, row_space_projection, rref, solve,
+                               kernel_basis, rank, reduce_row, rref, solve,
                                sparse_rank, sylvester_rows)
 from siltglue.kronecker import _poly_det
 
@@ -89,6 +88,11 @@ def test_solve_dimension_mismatch_is_usage_error():
         solve(Mat.identity(2), [1, 2, 3])
 
 
+def left_kernel_basis(m: Mat) -> list:
+    """Basis of {v : v m = 0}, i.e. the kernel of the row action."""
+    return kernel_basis(m.transpose())
+
+
 def test_left_kernel():
     m = Mat.from_rows([[1, 0], [2, 0], [0, 0]])
     basis = left_kernel_basis(m)
@@ -96,15 +100,6 @@ def test_left_kernel():
     for v in basis:
         prod = Mat(1, 3, tuple(v)).mul(m)
         assert prod.is_zero()
-
-
-def test_row_space_projection_section():
-    m = Mat.from_rows([[1, 2, 0], [0, 0, 1]])
-    proj, section = row_space_projection(m)
-    assert proj.cols == 1 and section.rows == 1
-    assert section.mul(proj) == Mat.identity(1)
-    # rows of m project to zero
-    assert m.mul(proj).is_zero()
 
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -215,7 +210,9 @@ def test_sylvester_rows_int_is_identity():
 
 def reference_rref(m: Mat) -> tuple:
     """Gauss-Jordan over Fraction: leftmost nonzero column, first available
-    row, each pivot row divided by its pivot as soon as it is chosen."""
+    row, each pivot row divided by its pivot as soon as it is chosen.  A
+    row operation visits only the nonzero columns of the pivot row, which
+    leaves every other entry as it is."""
     rows = m.to_rows()
     nr, nc = m.rows, m.cols
     pivots = []
@@ -234,13 +231,30 @@ def reference_rref(m: Mat) -> tuple:
         pv = rows[r][c]
         if pv != 1:
             rows[r] = [x / pv for x in rows[r]]
+        nonzero = [(j, x) for j, x in enumerate(rows[r]) if x != 0]
         for i in range(nr):
             if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                f, row = rows[i][c], rows[i]
+                for j, x in nonzero:
+                    row[j] -= f * x
         pivots.append(c)
         r += 1
     return Mat.from_rows(rows, cols=nc), tuple(pivots)
+
+
+def rows_are_multiples(got: Mat, want: Mat) -> bool:
+    """Each row of got is a nonzero multiple of the same row of want."""
+    if (got.rows, got.cols) != (want.rows, want.cols):
+        return False
+    for i in range(got.rows):
+        g, w = got.row(i), want.row(i)
+        k = next((x / y for x, y in zip(g, w) if y), None)
+        if k is None:
+            if any(g):
+                return False
+        elif k == 0 or any(x != k * y for x, y in zip(g, w)):
+            return False
+    return True
 
 
 def reference_kernel_basis(m: Mat) -> list:
@@ -316,15 +330,7 @@ def test_rref_matches_rational_gauss_jordan(m):
 @given(dependent_matrices(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_kernel_solve_and_projection_are_the_reference_constructions(m, data):
-    kernel = reference_kernel_basis(m)
-    assert kernel_basis(m) == kernel
-    free = [f for f in range(m.cols) if f not in reference_rref(m)[1]]
-    proj, section = row_space_projection(m)
-    assert proj == Mat.from_rows([[v[c] for v in kernel]
-                                  for c in range(m.cols)], cols=len(free))
-    assert section == Mat.from_rows([[Fraction(int(c == f))
-                                      for c in range(m.cols)] for f in free],
-                                    cols=m.cols)
+    assert kernel_basis(m) == reference_kernel_basis(m)
     # a right-hand side in the column space, or an arbitrary one, which is
     # inconsistent whenever it leaves the column space
     if data.draw(st.booleans()):

@@ -1,9 +1,11 @@
 import pytest
 
-from siltglue.expansion import (ExpansionSpec, parse_expansion_spec,
+from siltglue.expansion import (ExpansionSpec, _inv, parse_expansion_spec,
                                 push_forward, reduce_left, reduce_right)
 from siltglue.tube import (Arc, TubeCtx, ext_dim_arcs, hom_dim_arcs, normalize,
                            render_arc, subobject_arcs, tau_arc)
+
+from test_kronecker import wall_budget
 
 
 def spec34():
@@ -64,6 +66,51 @@ def test_reduce_right_examples():
     assert reduce_right(s, s.rho_arc) is None
     assert reduce_right(s, s.lambda_arc) == Arc(s.sbar_factor - 1,
                                                 s.sbar_factor + 1)
+
+
+def reference_reduce(spec, a, killed_residue):
+    """The factor-list route: list every factor of the arc, drop those
+    congruent to killed_residue and keep the first and last survivors."""
+    a = normalize(a, spec.big)
+    first_f = a.start + 1
+    n = spec.n
+    if a.is_infinite():
+        s = first_f if first_f % n != killed_residue % n else first_f + 1
+        return normalize(Arc(_inv(spec, s, killed_residue) - 1, None),
+                         spec.reduced)
+    last_f = a.end - 1
+    survivors = [t for t in range(first_f, last_f + 1)
+                 if t % n != killed_residue % n]
+    if not survivors:
+        return None
+    s, e = survivors[0], survivors[-1]
+    return normalize(Arc(_inv(spec, s, killed_residue) - 1,
+                         _inv(spec, e, killed_residue) + 1), spec.reduced)
+
+
+def test_reduce_matches_the_factor_list_route():
+    # every start up to the shift by n, every length up to 4n, both adjoints
+    for n in range(2, 9):
+        for lstart in range(n):
+            s = ExpansionSpec(n, Arc(lstart, lstart + 2))
+            arcs = [Arc(st, st + 1 + l)
+                    for st in range(n) for l in range(1, 4 * n + 1)]
+            arcs += [Arc(st, None) for st in range(n)]
+            for a in arcs:
+                assert reduce_left(s, a) == reference_reduce(
+                    s, a, s.lam_factor), (n, lstart, a)
+                assert reduce_right(s, a) == reference_reduce(
+                    s, a, s.rho_factor), (n, lstart, a)
+
+
+def test_reduce_at_rank_ten_to_the_twelve_within_budget():
+    # an arc of length n covers each residue once: one factor is deleted
+    n = 10 ** 12
+    s = ExpansionSpec(n, Arc(0, 2))
+    a = Arc(7, 7 + n + 1)
+    with wall_budget(1.0):
+        for out in (reduce_left(s, a), reduce_right(s, a)):
+            assert out.length() == n - 1
 
 
 def test_length_additivity_of_push():

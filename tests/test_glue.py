@@ -9,8 +9,25 @@ from siltglue.glue import (GlueOutcome, TiltingSpec, TubeData,
                            choose_seed, enumerate_single_tube_specs,
                            glue_left, glue_right, parse_spec,
                            right_case_predicates, round_trip, serialize_spec,
-                           spec_diff, verify_tilting_spec)
-from siltglue.tube import (Arc, TubeCtx, is_rigid, rigid_candidates)
+                           verify_tilting_spec)
+from siltglue.tube import (Arc, TubeCtx, is_rigid, render_arc,
+                           rigid_candidates)
+
+
+def spec_diff(a: TiltingSpec, b: TiltingSpec) -> str:
+    """Human-readable difference of two tilting data."""
+    out = []
+    pts = sorted({p for p, _ in a.tubes} | {p for p, _ in b.tubes})
+    for p in pts:
+        ta = dict(a.tubes).get(p)
+        tb = dict(b.tubes).get(p)
+        if ta is None or tb is None or ta != tb:
+            ra = "-" if ta is None else ",".join(map(render_arc, ta.sorted_arcs()))
+            rb = "-" if tb is None else ",".join(map(render_arc, tb.sorted_arcs()))
+            out.append(f"point {p}: {ra}  !=  {rb}")
+    if a.divisible != b.divisible:
+        out.append(f"V: {sorted(a.divisible)} != {sorted(b.divisible)}")
+    return "; ".join(out) if out else "equal"
 
 
 def single(rank, arcs, divisible=True, point="x"):

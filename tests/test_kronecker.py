@@ -10,25 +10,30 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from siltglue.exactlin import Mat, echelon, rank, sparse_rank, sparse_transpose
+from siltglue.exactlin import (Mat, echelon, hstack, rank, sparse_rank,
+                               sparse_transpose, vstack)
 from siltglue.kronecker import (DimVector, ExplicitRep, Generic,
                                 KroneckerObject, Lukas, ObjectSum,
                                 Preinjective, Preprojective, Pruefer, Regular,
                                 _deflate, _int_arrows, _poly_det, _poly_mul,
                                 _rational_roots, _times,
-                                ar_translate, ar_translate_inverse,
+                                ar_translate,
                                 bongartz_extension, decompose, dim_vector,
                                 euler_form, explicit_rep, ext_cocycle_basis,
                                 ext_dim, ext_dim_objects, hom_basis, hom_dim,
                                 hom_dim_objects, is_tilting_module,
                                 normalize_point, object_sum, parse_object,
                                 parse_object_sum, quotient_by_idempotent_trace,
+                                quotient_rep,
                                 regular_support_points, render_object,
                                 render_object_sum, rep_direct_sum,
-                                symbolic_ext_dim, trace_dim_vector)
+                                symbolic_ext_dim, trace_subrep)
 
 P = Preprojective
 Q = Preinjective
+from test_exactlin import (reference_kernel_basis, reference_rref,
+                           rows_are_multiples)
+
 R = Regular
 
 
@@ -115,6 +120,14 @@ def test_uniserial_endomorphism_dimension():
 # -- AR translation -----------------------------------------------------------
 
 
+def ar_translate_inverse(x: KroneckerObject):
+    if isinstance(x, Preinjective):
+        return Preinjective(x.index - 2) if x.index >= 3 else None
+    if isinstance(x, Preprojective):
+        return Preprojective(x.index + 2)
+    return x
+
+
 def test_ar_translate():
     assert ar_translate(Q(1)) == Q(3)
     assert ar_translate(P(1)) is None
@@ -165,8 +178,60 @@ def test_decompose_without_hints_finds_rational_points():
 # -- traces -------------------------------------------------------------------
 
 
+def trace_dim_vector(e: int) -> DimVector:
+    ring = rep_direct_sum([explicit_rep(Preprojective(1)),
+                           explicit_rep(Preprojective(2))])
+    tr1, tr2 = trace_subrep(explicit_rep(Preprojective(e)), ring)
+    return DimVector(rank(tr1), rank(tr2))
+
+
 def test_trace_of_simple_projective_in_ring():
     assert trace_dim_vector(1) == DimVector(0, 3)
+
+
+def reference_quotient_rep(y: ExplicitRep, span1: Mat,
+                           span2: Mat) -> ExplicitRep:
+    """The dense route quotient_rep replaced: the section by unit vectors at
+    the free columns of reference_rref(span1), the arrows, and the quotient
+    map whose columns are the kernel vectors of span2."""
+    free1 = [f for f in range(y.dim.d1) if f not in reference_rref(span1)[1]]
+    kernel2 = reference_kernel_basis(span2)
+    sect1 = Mat.from_rows([[Fraction(int(c == f)) for c in range(y.dim.d1)]
+                           for f in free1], cols=y.dim.d1)
+    proj2 = Mat.from_rows([[v[c] for v in kernel2] for c in range(y.dim.d2)],
+                          cols=len(kernel2))
+    return ExplicitRep(DimVector(len(free1), len(kernel2)),
+                       sect1.mul(y.m_alpha).mul(proj2),
+                       sect1.mul(y.m_beta).mul(proj2))
+
+
+@st.composite
+def subrep_cases(draw):
+    """A representation y with spans of a subrepresentation: seeded rows at
+    vertex 1, and at vertex 2 their images under both arrows plus seeded
+    rows."""
+    entry = st.just(Fraction(0)) | st.fractions(min_value=-4, max_value=4,
+                                                max_denominator=3)
+
+    def mat(r, c):
+        return Mat(r, c, tuple(draw(st.lists(entry, min_size=r * c,
+                                             max_size=r * c))))
+
+    d1, d2 = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    y = ExplicitRep(DimVector(d1, d2), mat(d1, d2), mat(d1, d2))
+    span1 = mat(draw(st.integers(0, 3)), d1)
+    span2 = vstack([span1.mul(y.m_alpha), span1.mul(y.m_beta),
+                    mat(draw(st.integers(0, 2)), d2)])
+    return y, span1, span2
+
+
+@given(subrep_cases())
+@settings(max_examples=150, deadline=None)
+def test_quotient_rep_matches_the_dense_projection(case):
+    got, want = quotient_rep(*case), reference_quotient_rep(*case)
+    assert got.dim == want.dim
+    assert rows_are_multiples(hstack([got.m_alpha, got.m_beta]),
+                              hstack([want.m_alpha, want.m_beta]))
 
 
 def test_idempotent_trace_quotients():

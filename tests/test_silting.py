@@ -10,9 +10,9 @@ from siltglue.complexes import (ProjMorphism, ProjSum, TwoTermComplex,
                                 shifted_projective, stalk_complex,
                                 universal_extension)
 from siltglue.exactlin import Mat, vstack
-from siltglue.kronecker import (Preinjective, Preprojective, Regular,
-                                explicit_rep, object_sum, render_object_sum,
-                                zero_rep)
+from siltglue.kronecker import (DimVector, ExplicitRep, Preinjective,
+                                Preprojective, Regular, explicit_rep,
+                                object_sum, render_object_sum)
 from siltglue.silting import (GlueError, GlueOutcomeKronecker,
                               PreconditionError, _complex_token_table,
                               classify_silting, cocone_of_attachment,
@@ -27,6 +27,10 @@ from test_kronecker import wall_budget
 P = Preprojective
 Q = Preinjective
 R = Regular
+
+
+def zero_rep() -> ExplicitRep:
+    return ExplicitRep(DimVector(0, 0), Mat.zeros(0, 0), Mat.zeros(0, 0))
 
 
 # -- membership classes -------------------------------------------------------

@@ -1,21 +1,41 @@
 import itertools
 import math
+import re
 from fractions import Fraction
+from typing import Iterable
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siltglue.tube import (Arc, TubeCtx, arc_sort_key, crossings,
-                           dump_collection, enumerate_maximal_rigid,
-                           ext_dim_arcs, extension_middle, hom_dim_arcs,
-                           is_maximal_rigid, is_rigid, load_collection,
-                           normalize, parse_arc, quotient_arcs, render_arc,
-                           rigid_candidates, socle, subobject_arcs, tau_arc,
-                           tau_arc_inverse, top, translation_quiver,
-                           translation_quiver_dot)
+                           enumerate_maximal_rigid, ext_dim_arcs,
+                           extension_middle, hom_dim_arcs, is_maximal_rigid,
+                           is_rigid, normalize, parse_arc, quotient_arcs,
+                           render_arc, rigid_candidates, socle,
+                           subobject_arcs, tau_arc, tau_arc_inverse, top,
+                           translation_quiver, translation_quiver_dot)
 
 N3 = TubeCtx(3)
+
+
+def dump_collection(arcs: Iterable[Arc], ctx: TubeCtx) -> str:
+    lines = [f"tube rank={ctx.n}"]
+    for a in sorted((normalize(x, ctx) for x in arcs), key=arc_sort_key):
+        lines.append(render_arc(a))
+    return "\n".join(lines) + "\n"
+
+
+def load_collection(text: str) -> tuple:
+    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty collection file")
+    m = re.fullmatch(r"tube rank=(\d+)", lines[0])
+    if not m:
+        raise ValueError("collection file must start with 'tube rank=N'")
+    ctx = TubeCtx(int(m.group(1)))
+    arcs = [normalize(parse_arc(ln), ctx) for ln in lines[1:]]
+    return ctx, arcs
 
 
 # -- normalization and grammar ------------------------------------------------
