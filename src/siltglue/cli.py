@@ -64,10 +64,21 @@ def cmd_glue_kronecker(args) -> int:
     return 0
 
 
+def _read_spec(path):
+    """The tilting datum in a spec file, checked by verify_tilting_spec: an
+    invalid one is a domain error naming its first reason."""
+    from . import glue
+    with open(path, "r", encoding="utf-8") as fh:
+        spec = glue.parse_spec(fh.read())
+    ok, reasons = glue.verify_tilting_spec(spec)
+    if not ok:
+        raise ValueError(f"not a tilting datum: {reasons[0]}")
+    return spec
+
+
 def cmd_glue_tube(args) -> int:
     from . import expansion, glue, tube
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = glue.parse_spec(fh.read())
+    spec = _read_spec(args.spec)
     point = args.point or glue._resolve_point(spec, None)
     rank = spec.tube(point).rank + 1
     espec = expansion.ExpansionSpec(rank, tube.parse_arc(args.lam))
@@ -95,8 +106,7 @@ def _left_new_summand(espec, glued, point):
 
 def cmd_choose_seed(args) -> int:
     from . import glue, tube
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = glue.parse_spec(fh.read())
+    spec = _read_spec(args.spec)
     seed = glue.choose_seed(spec, args.point)
     print(f"side {seed.side}")
     print(f"lambda {tube.render_arc(seed.espec.lambda_arc)}")
@@ -106,8 +116,7 @@ def cmd_choose_seed(args) -> int:
 
 def cmd_reduce(args) -> int:
     from . import expansion, glue, tube
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = glue.parse_spec(fh.read())
+    spec = _read_spec(args.spec)
     point = args.point or glue._resolve_point(spec, None)
     espec = expansion.ExpansionSpec(spec.tube(point).rank,
                                     tube.parse_arc(args.lam))

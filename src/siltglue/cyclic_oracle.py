@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exactlin import Mat, QZERO, sparse_rank, sylvester_rows
+from .exactlin import Mat, sparse_rank, sylvester_rows
 from .tube import Arc, TubeCtx, normalize
 
 # bounded caches: one representation per canonical arc (a rank-n tube has
@@ -35,6 +35,15 @@ class NilpRep:
     n: int
     dims: tuple
     maps: tuple
+
+    def __hash__(self):
+        # the pair cache hashes its reps on every lookup: hash once and
+        # keep the value on the instance, as Mat does
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.n, self.dims, self.maps))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __post_init__(self):
         if len(self.dims) != self.n or len(self.maps) != self.n:
@@ -83,15 +92,17 @@ def _uniserial(a: Arc, n: int) -> NilpRep:
     for t, v in enumerate(layers):
         index_at_vertex[v].append(t)
     dims = tuple(len(ix) for ix in index_at_vertex)
+    # the maps are 0/1, so their entries stay ints: the intertwiner rows
+    # then hold ints, and no Fraction is tested or multiplied
     mats = []
     for v in range(n):
         src = index_at_vertex[v]
         dst = index_at_vertex[(v - 1) % n]
-        rows = [[QZERO] * len(dst) for _ in src]
+        ent = [0] * (len(src) * len(dst))
         for r, t in enumerate(src):
             if t >= 1:
-                rows[r][dst.index(t - 1)] = 1
-        mats.append(Mat.from_rows(rows, cols=len(dst)))
+                ent[r * len(dst) + dst.index(t - 1)] = 1
+        mats.append(Mat(len(src), len(dst), tuple(ent)))
     return NilpRep(n, dims, tuple(mats))
 
 
@@ -121,6 +132,8 @@ def _hom_ext_oracle(x: NilpRep, y: NilpRep) -> tuple:
     # X_v f_w = f_v Y_v as maps V^x_v -> V^y_w, w = v - 1
     terms = []
     for v in range(n):
+        if out[v + 1] == out[v]:
+            continue  # no equations at this arrow
         w = (v - 1) % n
         terms.append((out[v], var[w], 1, x.maps[v], y.dims[w]))
         terms.append((out[v], var[v], -1, x.dims[v], y.maps[v]))

@@ -33,18 +33,15 @@ class ExpansionSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("an expansion needs rank at least 2")
-        lam = normalize(self.lambda_arc, TubeCtx(self.n))
+        big = TubeCtx(self.n)
+        lam = normalize(self.lambda_arc, big)
         if lam.length() != 1:
             raise ValueError("the chosen arc must be a simple (length 1)")
         object.__setattr__(self, "lambda_arc", lam)
-
-    @property
-    def big(self) -> TubeCtx:
-        return TubeCtx(self.n)
-
-    @property
-    def reduced(self) -> TubeCtx:
-        return TubeCtx(self.n - 1)
+        # the contexts of the big and the reduced tube, built once; they are
+        # attributes, not fields, so equality and hashing ignore them
+        object.__setattr__(self, "big", big)
+        object.__setattr__(self, "reduced", TubeCtx(self.n - 1))
 
     @property
     def rho_arc(self) -> Arc:

@@ -20,7 +20,7 @@ from typing import Dict, Optional, Tuple
 import re
 
 from .expansion import ExpansionSpec, push_forward, reduce_left, reduce_right
-from .tube import (Arc, TubeCtx, _neg_crossings, arc_sort_key, ext_dim_arcs,
+from .tube import (Arc, TubeCtx, arc_sort_key, ext_dim_arcs,
                    hom_simple_to, hom_to_simple, normalize, parse_arc,
                    render_arc, tau_arc, tau_arc_inverse)
 
@@ -127,26 +127,79 @@ def parse_spec(text: str) -> TiltingSpec:
 # ---------------------------------------------------------------------------
 
 
-def _factor_residues(a: Arc, n: int) -> frozenset:
+def _residues(a: Arc, n: int) -> tuple:
+    """The composition-factor residues of an arc as a cyclic interval
+    (start, length) mod n; a length of n or more is the whole circle."""
     if a.is_infinite():
-        return frozenset(range(n))
-    return frozenset(t % n for t in range(a.start + 1, a.end))
+        return (0, n)
+    return ((a.start + 1) % n, a.end - a.start - 1)
 
 
-def _components(finite: list, ctx: TubeCtx) -> list:
+def _within(x: int, iv: tuple, n: int) -> bool:
+    """Membership of a residue in a cyclic interval."""
+    return (x - iv[0]) % n < iv[1]
+
+
+def _contains(outer: tuple, inner: tuple, n: int) -> bool:
+    """Inclusion of cyclic intervals."""
+    if outer[1] >= n:
+        return True
+    return inner[1] < n and (inner[0] - outer[0]) % n + inner[1] <= outer[1]
+
+
+def _runs(ivs, n: int) -> list:
+    """The union of cyclic intervals as sorted maximal runs (first, last)
+    of 0..n-1."""
+    pieces = []
+    for start, length in ivs:
+        if length >= n:
+            return [(0, n - 1)]
+        last = start + length - 1
+        pieces += [(start, last)] if last < n else [(start, n - 1),
+                                                    (0, last - n)]
+    out = []
+    for first, last in sorted(pieces):
+        if out and first <= out[-1][1] + 1:
+            out[-1] = (out[-1][0], max(out[-1][1], last))
+        else:
+            out.append((first, last))
+    return out
+
+
+def _gaps(runs: list, lo: int, hi: int) -> list:
+    """The runs (first, last) of lo..hi left free by runs sorted by their
+    first element; these may overlap and end past hi, but none starts past
+    hi + 1."""
+    out, nxt = [], lo
+    for first, last in runs + [(hi + 1, hi + 1)]:
+        if first > nxt:
+            out.append((nxt, first - 1))
+        nxt = max(nxt, last + 1)
+    return out
+
+
+def _render_runs(runs: list) -> str:
+    """Sorted runs as a residue list, each run of three or more as a..b."""
+    parts = [f"{a}..{b}" if b - a >= 2
+             else ", ".join(map(str, range(a, b + 1))) for a, b in runs]
+    return "[" + ", ".join(parts) + "]"
+
+
+def _components(finite: list, n: int) -> list:
     """Partition of a rigid finite collection into nesting components,
-    each returned as (root, members); the root spans its component."""
+    each returned as (root, members, residues of the root); the root spans
+    its component."""
     arcs = sorted(finite, key=lambda a: (-(a.length()), arc_sort_key(a)))
     comps = []
     for a in arcs:
-        fa = _factor_residues(a, ctx.n)
+        fa = _residues(a, n)
         for root, members, rootset in comps:
-            if fa <= rootset:
+            if _contains(rootset, fa, n):
                 members.append(a)
                 break
         else:
             comps.append((a, [a], fa))
-    return [(root, members) for root, members, _ in comps]
+    return comps
 
 
 def verify_tilting_spec(spec: TiltingSpec) -> Tuple[bool, list]:
@@ -155,73 +208,70 @@ def verify_tilting_spec(spec: TiltingSpec) -> Tuple[bool, list]:
     Checks per-tube rigidity, the branch structure away from the divisible
     points (full wing tilting in pairwise non-adjacent wings), and the
     Pruefer pattern on the divisible points: a Pruefer summand sits exactly
-    over the simples whose translate misses the wing bases.
+    over the simples whose translate misses the wing bases.  Residue sets
+    are cyclic intervals, so the cost does not depend on the ranks.
     """
     reasons = []
     if not spec.divisible:
         reasons.append("the set of divisible points is empty")
     for pid, td in spec.tubes:
         ctx = TubeCtx(td.rank)
+        n = ctx.n
         arcs = td.sorted_arcs()
-        canon = [normalize(a, ctx) for a in arcs]
-        # every ordered pair: an arc of length >= n extends itself
-        for a, ca in zip(arcs, canon):
-            for b, cb in zip(arcs, canon):
-                if _neg_crossings(ca, cb, ctx.n):
+        finite = [a for a in arcs if not a.is_infinite()]
+        pruefer = [a for a in arcs if a.is_infinite()]
+        ends = []
+        for a in arcs:
+            ca = normalize(a, ctx)
+            ends.append((a, ca.start, ca.end))
+        # every ordered pair: an arc of length >= n extends itself.  The
+        # lift of b by kn crosses a from the left when i - j2 < kn < hi, the
+        # lift range of tube._crossing_lifts
+        for a, i, j in ends:
+            for b, i2, j2 in ends:
+                if j2 is None:
+                    continue
+                hi = i - i2 if j is None else min(i - i2, j - j2)
+                if (hi - 1) // n > (i - j2) // n:
                     reasons.append(
                         f"point {pid}: extensions between {render_arc(a)} "
                         f"and {render_arc(b)}")
-        finite = td.finite_arcs()
-        bases = frozenset().union(*[_factor_residues(a, ctx.n) for a in finite]) \
-            if finite else frozenset()
-        comps = _components(finite, ctx)
-        for root, members in comps:
+        comps = _components(finite, n)
+        for root, members, _ in comps:
             if len(members) != root.length():
                 reasons.append(
                     f"point {pid}: component rooted at {render_arc(root)} has "
                     f"{len(members)} summands, expected {root.length()}")
-        for i in range(len(comps)):
-            for j in range(i + 1, len(comps)):
-                b1 = _factor_residues(comps[i][0], ctx.n)
-                b2 = _factor_residues(comps[j][0], ctx.n)
-                if b1 & b2:
+        for i, (_, _, b1) in enumerate(comps):
+            for _, _, b2 in comps[i + 1:]:
+                if _within(b2[0], b1, n) or _within(b1[0], b2, n):
                     reasons.append(f"point {pid}: wing bases overlap")
-                union = b1 | b2
-                if len(union) >= ctx.n:
+                # the union is the circle when b2 holds b1's complement, and
+                # one run when the two meet or touch
+                if b1[1] >= n or _contains(
+                        b2, ((b1[0] + b1[1]) % n, n - b1[1]), n):
                     reasons.append(f"point {pid}: wing bases cover the tube")
-                elif _is_segment(union, ctx.n):
-                    reasons.append(f"point {pid}: adjacent wings form a segment")
+                elif ((b2[0] - b1[0]) % n <= b1[1]
+                      or (b1[0] - b2[0]) % n <= b2[1]):
+                    reasons.append(
+                        f"point {pid}: adjacent wings form a segment")
         if pid in spec.divisible:
-            want = {s for s in range(ctx.n) if (s - 1) % ctx.n not in bases}
-            have = {(a.start + 1) % ctx.n for a in td.infinite_arcs()}
+            # a Pruefer socle s is wanted when s - 1 misses the wing bases
+            want = _gaps(_runs([((a.start + 2) % n, a.length())
+                                for a in finite], n), 0, n - 1)
+            have = _runs([((a.start + 1) % n, 1) for a in pruefer], n)
             if want != have:
                 reasons.append(
-                    f"point {pid}: Pruefer socles {sorted(have)} do not match "
-                    f"the complement rule {sorted(want)}")
-            if len(arcs) != ctx.n:
+                    f"point {pid}: Pruefer socles {_render_runs(have)} do not "
+                    f"match the complement rule {_render_runs(want)}")
+            if len(arcs) != n:
                 reasons.append(
                     f"point {pid}: divisible tube carries {len(arcs)} arcs, "
-                    f"expected {ctx.n}")
-        else:
-            if td.infinite_arcs():
-                reasons.append(
-                    f"point {pid}: Pruefer arcs outside the divisible set")
+                    f"expected {n}")
+        elif pruefer:
+            reasons.append(
+                f"point {pid}: Pruefer arcs outside the divisible set")
     return (not reasons, reasons)
-
-
-def _is_segment(residues: frozenset, n: int) -> bool:
-    """True when the residue set is a run of consecutive marked points."""
-    if not residues or len(residues) >= n:
-        return False
-    for s in residues:
-        if (s - 1) % n not in residues:
-            run = 0
-            t = s
-            while t in residues:
-                run += 1
-                t = (t + 1) % n
-            return run == len(residues)
-    return False  # every residue has a predecessor: the whole circle
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +302,56 @@ def _orthogonal(cand: Arc, coll, ctx: TubeCtx) -> bool:
     return True
 
 
+def _free_lengths(s: int, spans, n: int) -> list:
+    """The lengths l in 1..n-1 for which the arc [s, s+1+l] has no
+    extension either way with any arc of spans, as ascending runs
+    (first, last).  Each span is an arc's (start, end), None for an
+    infinite end, or for the infinite start of a reflected Pruefer arc.
+
+    Ext(b, c) > 0 when a lift of c starts below b and ends inside it; the
+    highest lift starting below b starts j = (b.start - s - 1) % n + 1
+    below it, and bars the lengths j..j+len(b)-1 (all from j on for an
+    infinite b).  Ext(c, b) > 0 when a lift of b starts below s and ends
+    inside c; the lowest lift ending above s ends at s + m, with
+    m = (b.end - s - 1) % n + 1, starts below s when m <= len(b), and then
+    bars every length from m on.  Any other lift bars only lengths of n or
+    more, and each candidate, of length below n, is rigid.
+    """
+    bars = []
+    for start, end in spans:
+        length = None if start is None or end is None else end - start - 1
+        if start is not None:
+            j = (start - s - 1) % n + 1
+            bars.append((j, n - 1 if length is None else j + length - 1))
+        if end is not None:
+            m = (end - s - 1) % n + 1
+            if length is None or m <= length:
+                bars.append((m, n - 1))
+    return _gaps(sorted(bars), 1, n - 1)
+
+
+def _tally(runs: list) -> tuple:
+    """The first two lengths of the runs, and how many there are."""
+    first_two = []
+    for first, last in runs:
+        first_two.extend(
+            range(first, min(last, first + 1 - len(first_two)) + 1))
+    return first_two, sum(last - first + 1 for first, last in runs)
+
+
+def _the_summand(found: list, count: int, in_v: bool, where: str) -> Arc:
+    """The first qualifying summand; on a divisible point it must be the
+    only one.  found lists the first qualifying ones, count all of them."""
+    if in_v and count != 1:
+        shown = ", ".join(render_arc(c) for c in found[:2])
+        raise GlueCaseError(
+            f"expected exactly one qualifying {where} summand, found "
+            f"{count}" + (f": {shown}" if shown else ""))
+    if not count:
+        raise GlueCaseError(f"no qualifying summand with the required {where}")
+    return found[0]
+
+
 def glue_left(espec: ExpansionSpec, spec: TiltingSpec,
               point: Optional[str] = None) -> TiltingSpec:
     """Left-universal gluing: push the reduced datum forward and adjoin the
@@ -259,28 +359,25 @@ def glue_left(espec: ExpansionSpec, spec: TiltingSpec,
     orthogonal to the pushed collection.
 
     On a divisible point the whole tube competes (and the new summand may
-    be a Pruefer arc); elsewhere only finite arcs qualify.  A missing or
-    ambiguous candidate is a hard failure, since it contradicts the
-    uniqueness this procedure is built on.
+    be a Pruefer arc); elsewhere only finite arcs qualify, and the
+    shortest one is taken.  A missing or ambiguous candidate is a hard
+    failure, since it contradicts the uniqueness this procedure is built
+    on.  The qualifying lengths come from _free_lengths, so the cost does
+    not depend on the rank.
     """
     point = _resolve_point(spec, point)
     pushed_spec = _push_spec(espec, spec, point)
     ctx = espec.big
     td = pushed_spec.tube(point)
-    pushed = td.sorted_arcs()
-    lam = espec.lambda_arc
+    s = espec.lambda_arc.start
     in_v = point in spec.divisible
-    cands = [Arc(lam.start, lam.start + 1 + l) for l in range(1, ctx.n)]
-    if in_v:
-        cands.append(Arc(lam.start, None))
-    qualifying = [c for c in cands if _orthogonal(normalize(c, ctx), pushed, ctx)]
-    if in_v and len(qualifying) != 1:
-        raise GlueCaseError(
-            f"expected exactly one qualifying socle summand, found "
-            f"{[render_arc(c) for c in qualifying]}")
-    if not qualifying:
-        raise GlueCaseError("no qualifying summand with the required socle")
-    new = normalize(qualifying[0], ctx)
+    lengths, count = _tally(
+        _free_lengths(s, [(b.start, b.end) for b in td.arcs], ctx.n))
+    found = [Arc(s, s + 1 + l) for l in lengths]
+    if in_v and _orthogonal(Arc(s, None), td.arcs, ctx):
+        found.append(Arc(s, None))
+        count += 1
+    new = normalize(_the_summand(found, count, in_v, "socle"), ctx)
     return pushed_spec.with_tube(point, TubeData(ctx.n, td.arcs | {new}))
 
 
@@ -302,22 +399,18 @@ def glue_right(espec: ExpansionSpec, spec: TiltingSpec,
     pushed_spec = _push_spec(espec, spec, point)
     ctx = espec.big
     td = pushed_spec.tube(point)
-    pushed = td.sorted_arcs()
-    rho = espec.rho_arc
     in_v = point in spec.divisible
 
     def adjoin_top_candidate() -> Tuple[GlueOutcome, Arc, TiltingSpec]:
-        end = rho.start + 2
-        cands = [Arc(end - 2 - l + 1, end) for l in range(1, ctx.n)]
-        qualifying = [c for c in cands
-                      if _orthogonal(normalize(c, ctx), pushed, ctx)]
-        if in_v and len(qualifying) != 1:
-            raise GlueCaseError(
-                f"expected exactly one qualifying top summand, found "
-                f"{[render_arc(c) for c in qualifying]}")
-        if not qualifying:
-            raise GlueCaseError("no qualifying summand with the required top")
-        new = normalize(qualifying[0], ctx)
+        # the reflection [i, j] -> [-j, -i] reverses Ext, so the arcs
+        # [e-1-l, e] with top at e-1 are the reflections of the arcs
+        # [-e, -e+1+l] with socle at 1-e, against the reflected collection
+        e = espec.rho_arc.start + 2
+        lengths, count = _tally(_free_lengths(
+            -e, [(None if b.is_infinite() else -b.end, -b.start)
+                 for b in td.arcs], ctx.n))
+        found = [Arc(e - 1 - l, e) for l in lengths]
+        new = normalize(_the_summand(found, count, in_v, "top"), ctx)
         out = pushed_spec.with_tube(point, TubeData(ctx.n, td.arcs | {new}))
         return (GlueOutcome.NEW_SUMMAND, new, out)
 
@@ -347,15 +440,16 @@ def right_case_predicates(espec: ExpansionSpec, spec: TiltingSpec,
 def _right_case(espec: ExpansionSpec, branch: list) -> dict:
     """The predicates of right_case_predicates on a pushed branch."""
     ctx = espec.big
-    wing = frozenset().union(*[_factor_residues(a, ctx.n) for a in branch])
+    wing = [_residues(a, ctx.n) for a in branch]
     rho_res = espec.rho_arc.start + 1
     tau_rho = tau_arc(espec.rho_arc, ctx)
     return {
-        "rho_in_wing": rho_res % ctx.n in wing,
+        "rho_in_wing": any(_within(rho_res, iv, ctx.n) for iv in wing),
         "tau_rho_perp": all(hom_to_simple(b, tau_rho, ctx) == 0
                             and ext_dim_arcs(b, tau_rho, ctx) == 0
                             for b in branch),
-        "tau_rho_in_wing": (rho_res - 1) % ctx.n in wing,
+        "tau_rho_in_wing": any(_within(rho_res - 1, iv, ctx.n)
+                               for iv in wing),
     }
 
 

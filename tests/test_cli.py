@@ -195,6 +195,53 @@ def test_reduce_verb(tmp_path, capsys):
     assert out.splitlines()[0] == "curve points=[x:2] V={x}"
 
 
+BIG_TUBE = ("curve points=[x:1000000000000000000, y:1] V={y}\npoint x\n"
+            "[0,2]\npoint y\n[0,inf)\n")
+
+
+@pytest.mark.parametrize("argv, want", [
+    pytest.param(["glue-tube", "--side", "left", "--lambda", "[5,7]"],
+                 "outcome new-summand [5,7]", id="glue-left"),
+    pytest.param(["glue-tube", "--side", "right", "--lambda", "[5,7]"],
+                 "outcome torsion-unchanged", id="glue-right"),
+    pytest.param(["glue-tube", "--side", "right", "--lambda", "[1,3]"],
+                 "outcome new-summand [0,2]", id="glue-right-new-summand"),
+    pytest.param(["choose-seed"], "side left", id="choose-seed"),
+])
+def test_spec_verbs_at_rank_ten_to_the_eighteen_answer_in_start_up_time(
+        tmp_path, argv, want):
+    spec = tmp_path / "datum.txt"
+    spec.write_text(BIG_TUBE, encoding="utf-8")
+    out = subprocess.run(
+        [sys.executable, "-m", "siltglue.cli", argv[0], "--spec", str(spec),
+         "--point", "x", *argv[1:]],
+        capture_output=True, text=True, timeout=2)
+    assert out.returncode == 0 and out.stdout.splitlines()[0] == want
+    if argv[1:3] == ["--side", "left"]:
+        assert out.stdout.splitlines()[1:] == [
+            "curve points=[x:1000000000000000001, y:1] V={y}", "point x",
+            "[0,2]", "[5,7]", "point y", "[0,inf)"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["glue-tube", "--side", "left", "--lambda", "[5,7]"],
+                 id="glue-tube"),
+    pytest.param(["choose-seed", "--point", "x"], id="choose-seed"),
+    pytest.param(["reduce", "--lambda", "[5,7]", "--adjoint", "left"],
+                 id="reduce"),
+])
+def test_spec_verbs_reject_an_invalid_datum_with_its_first_reason(
+        tmp_path, capsys, argv):
+    # one Pruefer arc on a divisible tube of rank 10^5
+    spec = tmp_path / "datum.txt"
+    spec.write_text("curve points=[x:100000] V={x}\npoint x\n[0,inf)\n",
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, argv[0], "--spec", str(spec), *argv[1:])
+    assert (code, out) == (1, "")
+    assert err == ("error: not a tilting datum: point x: Pruefer socles [1] "
+                   "do not match the complement rule [0..99999]\n")
+
+
 def test_outputs_byte_stable(capsys):
     first = run_cli(capsys, "classify-silting")[1]
     second = run_cli(capsys, "classify-silting")[1]

@@ -1,17 +1,20 @@
 import itertools
 import math
+import random
 import time
 
 import pytest
 
+from siltglue import glue
 from siltglue.expansion import ExpansionSpec
-from siltglue.glue import (GlueOutcome, TiltingSpec, TubeData,
+from siltglue.glue import (GlueCaseError, GlueOutcome, TiltingSpec, TubeData,
                            choose_seed, enumerate_single_tube_specs,
                            glue_left, glue_right, parse_spec,
                            right_case_predicates, round_trip, serialize_spec,
                            verify_tilting_spec)
-from siltglue.tube import (Arc, TubeCtx, is_rigid, render_arc,
-                           rigid_candidates)
+from siltglue.tube import (Arc, TubeCtx, arc_sort_key, ext_dim_arcs,
+                           hom_to_simple, is_rigid, normalize, render_arc,
+                           rigid_candidates, tau_arc)
 
 
 def spec_diff(a: TiltingSpec, b: TiltingSpec) -> str:
@@ -33,6 +36,213 @@ def spec_diff(a: TiltingSpec, b: TiltingSpec) -> str:
 def single(rank, arcs, divisible=True, point="x"):
     return TiltingSpec.make({point: TubeData(rank, frozenset(arcs))},
                             {point} if divisible else set())
+
+
+# -- references: residue sets and the candidate scan ----------------------------
+
+
+def reference_factor_residues(a: Arc, n: int) -> frozenset:
+    """The composition-factor residues of an arc, one by one."""
+    if a.is_infinite():
+        return frozenset(range(n))
+    return frozenset(t % n for t in range(a.start + 1, a.end))
+
+
+def _render_residues(residues) -> str:
+    """A sorted residue list, each run of three or more as a..b."""
+    out, run = [], []
+    for r in sorted(residues) + [None]:
+        if run and (r is None or r != run[-1] + 1):
+            out += ([f"{run[0]}..{run[-1]}"] if len(run) >= 3
+                    else [str(t) for t in run])
+            run = []
+        run.append(r)
+    return "[" + ", ".join(out) + "]"
+
+
+def _reference_is_segment(residues: frozenset, n: int) -> bool:
+    if not residues or len(residues) >= n:
+        return False
+    for s in residues:
+        if (s - 1) % n not in residues:
+            run, t = 0, s
+            while t in residues:
+                run += 1
+                t = (t + 1) % n
+            return run == len(residues)
+    return False
+
+
+def reference_verify_tilting_spec(spec: TiltingSpec) -> tuple:
+    """verify_tilting_spec on residue sets and crossing counts."""
+    reasons = []
+    if not spec.divisible:
+        reasons.append("the set of divisible points is empty")
+    for pid, td in spec.tubes:
+        ctx = TubeCtx(td.rank)
+        n = ctx.n
+        arcs = td.sorted_arcs()
+        for a in arcs:
+            for b in arcs:
+                if ext_dim_arcs(a, b, ctx):
+                    reasons.append(
+                        f"point {pid}: extensions between {render_arc(a)} "
+                        f"and {render_arc(b)}")
+        finite = td.finite_arcs()
+        bases = frozenset().union(
+            *[reference_factor_residues(a, n) for a in finite])
+        comps = []
+        for a in sorted(finite, key=lambda a: (-a.length(), arc_sort_key(a))):
+            fa = reference_factor_residues(a, n)
+            for root, members, rootset in comps:
+                if fa <= rootset:
+                    members.append(a)
+                    break
+            else:
+                comps.append((a, [a], fa))
+        for root, members, _ in comps:
+            if len(members) != root.length():
+                reasons.append(
+                    f"point {pid}: component rooted at {render_arc(root)} has "
+                    f"{len(members)} summands, expected {root.length()}")
+        for i, (_, _, b1) in enumerate(comps):
+            for _, _, b2 in comps[i + 1:]:
+                if b1 & b2:
+                    reasons.append(f"point {pid}: wing bases overlap")
+                if len(b1 | b2) >= n:
+                    reasons.append(f"point {pid}: wing bases cover the tube")
+                elif _reference_is_segment(b1 | b2, n):
+                    reasons.append(f"point {pid}: adjacent wings form a segment")
+        if pid in spec.divisible:
+            want = {s for s in range(n) if (s - 1) % n not in bases}
+            have = {(a.start + 1) % n for a in td.infinite_arcs()}
+            if want != have:
+                reasons.append(
+                    f"point {pid}: Pruefer socles {_render_residues(have)} do "
+                    f"not match the complement rule {_render_residues(want)}")
+            if len(arcs) != n:
+                reasons.append(
+                    f"point {pid}: divisible tube carries {len(arcs)} arcs, "
+                    f"expected {n}")
+        elif td.infinite_arcs():
+            reasons.append(
+                f"point {pid}: Pruefer arcs outside the divisible set")
+    return (not reasons, reasons)
+
+
+def _reference_crosses(a, b, n) -> bool:
+    """Some lift of b, both as canonical (start, end), crosses a from the
+    left: i' + kn < i < j' + kn < j for an integer k."""
+    (i, j), (i2, j2) = a, b
+    if j2 is None:
+        return False
+    hi = i - i2 if j is None else min(i - i2, j - j2)
+    return (hi - 1) // n > (i - j2) // n
+
+
+def _reference_pick(cands, pushed, ctx, in_v, where):
+    """The first candidate with no crossing either way with itself or a
+    pushed arc; on a divisible point it must be the only one."""
+    def ends(a):
+        a = normalize(a, ctx)
+        return (a.start, a.end)
+
+    coll = [ends(b) for b in pushed]
+    qualifying = []
+    for c in cands:
+        e = ends(c)
+        if not any(_reference_crosses(e, b, ctx.n)
+                   or _reference_crosses(b, e, ctx.n) for b in coll + [e]):
+            qualifying.append(c)
+    if in_v and len(qualifying) != 1:
+        raise GlueCaseError(
+            f"expected exactly one qualifying {where} summand, found "
+            f"{[render_arc(c) for c in qualifying]}")
+    if not qualifying:
+        raise GlueCaseError(f"no qualifying summand with the required {where}")
+    return normalize(qualifying[0], ctx)
+
+
+def reference_glue_left(espec, spec, point=None):
+    """glue_left by a scan over the n - 1 finite candidates with the
+    required socle (and the Pruefer one on a divisible point)."""
+    point = glue._resolve_point(spec, point)
+    pushed_spec = glue._push_spec(espec, spec, point)
+    ctx = espec.big
+    td = pushed_spec.tube(point)
+    lam = espec.lambda_arc
+    in_v = point in spec.divisible
+    cands = [Arc(lam.start, lam.start + 1 + l) for l in range(1, ctx.n)]
+    if in_v:
+        cands.append(Arc(lam.start, None))
+    new = _reference_pick(cands, td.sorted_arcs(), ctx, in_v, "socle")
+    return pushed_spec.with_tube(point, TubeData(ctx.n, td.arcs | {new}))
+
+
+def reference_right_case(espec, branch) -> dict:
+    ctx = espec.big
+    wing = frozenset().union(
+        *[reference_factor_residues(a, ctx.n) for a in branch])
+    rho_res = espec.rho_arc.start + 1
+    tau_rho = tau_arc(espec.rho_arc, ctx)
+    return {
+        "rho_in_wing": rho_res % ctx.n in wing,
+        "tau_rho_perp": all(hom_to_simple(b, tau_rho, ctx) == 0
+                            and ext_dim_arcs(b, tau_rho, ctx) == 0
+                            for b in branch),
+        "tau_rho_in_wing": (rho_res - 1) % ctx.n in wing,
+    }
+
+
+def reference_glue_right(espec, spec, point=None):
+    """glue_right by a scan over the n - 1 candidates with the required
+    top, and the case split on residue sets."""
+    point = glue._resolve_point(spec, point)
+    pushed_spec = glue._push_spec(espec, spec, point)
+    ctx = espec.big
+    td = pushed_spec.tube(point)
+    end = espec.rho_arc.start + 2
+    in_v = point in spec.divisible
+
+    def adjoin():
+        cands = [Arc(end - 1 - l, end) for l in range(1, ctx.n)]
+        new = _reference_pick(cands, td.sorted_arcs(), ctx, in_v, "top")
+        return (GlueOutcome.NEW_SUMMAND, new,
+                pushed_spec.with_tube(point, TubeData(ctx.n, td.arcs | {new})))
+
+    if in_v:
+        return adjoin()
+    case = reference_right_case(espec, td.finite_arcs())
+    if case["rho_in_wing"]:
+        return adjoin()
+    if case["tau_rho_perp"]:
+        return (GlueOutcome.TORSION_UNCHANGED, None, pushed_spec)
+    if case["tau_rho_in_wing"]:
+        return (GlueOutcome.UNDETERMINED, None, spec)
+    raise GlueCaseError("right gluing configuration matched no case")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (GlueCaseError, ValueError) as exc:
+        return type(exc)
+
+
+def _same_as_reference(espec, spec, point="x"):
+    """Both gluings agree with the scan, result or exception class; returns
+    the left and right results."""
+    left = _outcome(glue_left, espec, spec, point)
+    assert left == _outcome(reference_glue_left, espec, spec, point), (
+        serialize_spec(spec), espec)
+    right = _outcome(glue_right, espec, spec, point)
+    assert right == _outcome(reference_glue_right, espec, spec, point), (
+        serialize_spec(spec), espec)
+    if point not in spec.divisible:
+        assert right_case_predicates(espec, spec, point) == \
+            reference_right_case(espec, glue._push_spec(
+                espec, spec, point).tube(point).finite_arcs())
+    return left, right
 
 
 # -- serialization ------------------------------------------------------------
@@ -348,3 +558,121 @@ def test_round_trip_rank_five():
     assert len(specs) == 126
     for spec in specs:
         assert round_trip(spec, "x"), serialize_spec(spec)
+
+
+# -- the closed-form summand and the interval checks against the references ---
+
+
+def test_glue_matches_the_candidate_scan_on_every_datum_up_to_rank_seven():
+    for rank in range(1, 8):
+        for spec in enumerate_single_tube_specs(rank):
+            for lstart in range(rank + 1):
+                _same_as_reference(
+                    ExpansionSpec(rank + 1, Arc(lstart, lstart + 2)), spec)
+
+
+def _greedy_rigid(rng, n, tries, pruefer):
+    """Random arcs of length below n (and Pruefer arcs, if asked), each
+    kept when it has no extension either way with the ones kept."""
+    ctx, kept = TubeCtx(n), []
+    for _ in range(tries):
+        s = rng.randrange(-n, 2 * n)
+        a = (Arc(s, None) if pruefer and rng.random() < 0.2
+             else Arc(s, s + 1 + rng.randrange(1, n)))
+        if all(ext_dim_arcs(a, b, ctx) == 0 == ext_dim_arcs(b, a, ctx)
+               for b in kept):
+            kept.append(a)
+    return kept
+
+
+def test_glue_matches_the_candidate_scan_on_seeded_rigid_data():
+    # rigid but mostly not tilting: on a divisible point the count of
+    # qualifying summands is often not one, and both routes must raise
+    rng = random.Random(1401)
+    for _ in range(150):
+        rank = rng.randrange(2, 61)
+        in_v = rng.random() < 0.5
+        arcs = _greedy_rigid(rng, rank, rng.randrange(1, 2 * rank), in_v)
+        if in_v:
+            spec = single(rank, arcs)
+        else:
+            spec = TiltingSpec.make(
+                {"x": TubeData(rank, frozenset(arcs)),
+                 "y": TubeData(1, frozenset({Arc(0, None)}))}, {"y"})
+        lstart = rng.randrange(-rank, 2 * rank)
+        _same_as_reference(ExpansionSpec(rank + 1, Arc(lstart, lstart + 2)),
+                           spec)
+
+
+def test_glue_matches_the_candidate_scan_along_seeded_gluing_chains():
+    # valid data up to rank 60, each glued from the one before on a seeded
+    # side and simple, at a divisible point and at a plain one
+    rng = random.Random(1402)
+    pruefer_y = TubeData(1, frozenset({Arc(0, None)}))
+    starts = [single(1, [Arc(0, None)]),
+              TiltingSpec.make({"x": TubeData(1, frozenset()), "y": pruefer_y},
+                               {"y"})]
+    for spec in starts * 2:
+        while spec.tube("x").rank < 60:
+            rank = spec.tube("x").rank
+            lstart = rng.randrange(rank + 1)
+            left, right = _same_as_reference(
+                ExpansionSpec(rank + 1, Arc(lstart, lstart + 2)), spec)
+            glued = [out for out in (left, right[2]
+                                     if isinstance(right, tuple) else right)
+                     if isinstance(out, TiltingSpec)
+                     and out.tube("x").rank == rank + 1
+                     and verify_tilting_spec(out)[0]]
+            assert glued, serialize_spec(spec)
+            spec = rng.choice(glued)
+
+
+def test_verify_matches_the_residue_set_reference():
+    for rank in range(1, 6):
+        for spec in enumerate_single_tube_specs(rank):
+            assert verify_tilting_spec(spec) == \
+                reference_verify_tilting_spec(spec)
+    for rank in (2, 3, 4):
+        for branch in _branch_configs(rank):
+            spec = TiltingSpec.make(
+                {"x": TubeData(rank, branch),
+                 "y": TubeData(1, frozenset({Arc(0, None)}))}, {"y"})
+            assert verify_tilting_spec(spec) == \
+                reference_verify_tilting_spec(spec)
+    # random arc sets, rigid or not, long arcs and Pruefer arcs included
+    rng = random.Random(1403)
+    for _ in range(3000):
+        n = rng.randrange(1, 9)
+        arcs = set()
+        for _ in range(rng.randrange(0, n + 3)):
+            s = rng.randrange(n)
+            arcs.add(Arc(s, None) if rng.random() < 0.25
+                     else Arc(s, s + 1 + rng.randrange(1, 2 * n + 2)))
+        spec = single(n, arcs, divisible=rng.random() < 0.6)
+        assert verify_tilting_spec(spec) == \
+            reference_verify_tilting_spec(spec), serialize_spec(spec)
+
+
+def test_round_trip_every_datum_of_ranks_six_to_eight():
+    # ranks up to five are swept above
+    for rank in (6, 7, 8):
+        for spec in enumerate_single_tube_specs(rank):
+            assert round_trip(spec, "x"), serialize_spec(spec)
+
+
+def test_error_texts_stay_bounded_at_a_large_rank():
+    n = 10**12
+    ok, reasons = verify_tilting_spec(single(n, [Arc(0, None)]))
+    assert reasons == [
+        "point x: Pruefer socles [1] do not match the complement rule "
+        "[0..999999999999]",
+        f"point x: divisible tube carries 1 arcs, expected {n}"]
+    espec = ExpansionSpec(n + 1, Arc(5, 7))
+    with pytest.raises(GlueCaseError) as exc:
+        glue_left(espec, single(n, []), "x")
+    assert str(exc.value) == ("expected exactly one qualifying socle summand, "
+                              f"found {n + 1}: [5,7], [5,8]")
+    with pytest.raises(GlueCaseError) as exc:
+        glue_right(espec, single(n, []), "x")
+    assert str(exc.value) == ("expected exactly one qualifying top summand, "
+                              f"found {n}: [4,6], [3,6]")

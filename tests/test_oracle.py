@@ -42,6 +42,24 @@ def test_shifted_arcs_share_one_representation():
     assert rep_of_arc(Arc(-3, 0), ctx) is rep_of_arc(Arc(0, 3), ctx)
 
 
+def test_intertwiner_rows_hold_ints_and_reps_keep_their_hash(monkeypatch):
+    # the uniserial maps are 0/1 ints, so the rows built from them hold no
+    # Fraction; each rep hashes its maps once
+    seen = []
+
+    def capturing_rank(rows):
+        seen.extend(v for row in rows for v in row.values())
+        return sparse_rank(rows)
+
+    monkeypatch.setattr(cyclic_oracle, "sparse_rank", capturing_rank)
+    ctx = TubeCtx(3)
+    x, y = rep_of_arc(Arc(0, 6), ctx), rep_of_arc(Arc(2, 7), ctx)
+    assert all(type(v) is int for m in x.maps for v in m.entries)
+    _hom_ext_oracle.__wrapped__(x, y)
+    assert seen and all(type(v) is int for v in seen)
+    assert hash(x) == x.__dict__["_hash"] == hash((x.n, x.dims, x.maps))
+
+
 def test_hom_then_ext_ranks_the_system_once(monkeypatch):
     ranks = []
 
