@@ -2,7 +2,7 @@
 
 Every verb is a thin adapter over the library; outputs are plain text with
 canonical ordering so they are byte-stable across runs.  Exit codes:
-0 success, 1 domain error, 2 usage error.
+0 success, 1 domain error, 2 usage error, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -236,7 +236,13 @@ def main(argv=None) -> int:
         except ValueError:
             parser.error(f"SILTGLUE_MAXLEN must be an integer, got {env!r}")
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # reader gone: exit 128 + SIGPIPE; the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, KeyError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

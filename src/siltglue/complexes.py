@@ -26,13 +26,13 @@ dim Hom(c, d[-1]) is n - rk partial.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .exactlin import (Mat, QONE, QZERO, block, cokernel_coordinates, echelon,
                        hstack, kernel_basis, quotient_pencil, reduce_row,
                        sparse_rank, sylvester_rows, vstack)
+from .frozen import frozen
 from .kronecker import DimVector, ExplicitRep
 
 # ---------------------------------------------------------------------------
@@ -40,7 +40,7 @@ from .kronecker import DimVector, ExplicitRep
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class ProjSum:
     """P1^p1 + P2^p2."""
 
@@ -67,7 +67,7 @@ class ProjSum:
                            hstack([Mat.zeros(b, a), zero, one]))
 
 
-@dataclass(frozen=True)
+@frozen
 class ProjMorphism:
     """Morphism P1^a + P2^b -> P1^c + P2^d in block form.
 
@@ -170,7 +170,7 @@ def morphism_basis(src: ProjSum, dst: ProjSum) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class TwoTermComplex:
     """deg_m1 --diff--> deg_0, concentrated in degrees -1 and 0."""
 

@@ -15,10 +15,10 @@ depends on nothing from the arc side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .exactlin import Mat, sparse_rank, sylvester_rows
+from .frozen import frozen
 from .tube import Arc, TubeCtx, normalize
 
 # bounded caches: one representation per canonical arc (a rank-n tube has
@@ -27,7 +27,7 @@ _REP_CACHE = 1024
 _PAIR_CACHE = 4096
 
 
-@dataclass(frozen=True)
+@frozen
 class NilpRep:
     """dims[v] vector-space dimensions; maps[v] the arrow action
     V_v -> V_{v-1 mod n} on row vectors."""

@@ -17,9 +17,10 @@ equal to those of rational Gauss-Jordan.  Mat is immutable and row-major.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
+
+from .frozen import frozen
 
 Scalar = Fraction
 
@@ -32,7 +33,7 @@ def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
+@frozen
 class Mat:
     """Immutable rows x cols matrix with Fraction entries, row-major."""
 

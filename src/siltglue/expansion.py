@@ -17,13 +17,13 @@ below.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 
+from .frozen import frozen
 from .tube import Arc, TubeCtx, normalize, parse_arc, tau_arc
 
 
-@dataclass(frozen=True)
+@frozen
 class ExpansionSpec:
     """Expansion data: rank of the big tube and the chosen simple arc."""
 

@@ -13,13 +13,13 @@ resolved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Optional, Tuple
 
 import re
 
 from .expansion import ExpansionSpec, push_forward, reduce_left, reduce_right
+from .frozen import frozen
 from .tube import (Arc, TubeCtx, arc_sort_key, ext_dim_arcs,
                    hom_simple_to, hom_to_simple, normalize, parse_arc,
                    render_arc, tau_arc, tau_arc_inverse)
@@ -34,7 +34,7 @@ class GlueCaseError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class TubeData:
     rank: int
     arcs: frozenset
@@ -48,20 +48,21 @@ class TubeData:
     def infinite_arcs(self) -> list:
         return [a for a in self.sorted_arcs() if a.is_infinite()]
 
+    def canonical(self) -> "TubeData":
+        ctx = TubeCtx(self.rank)
+        return TubeData(self.rank,
+                        frozenset(normalize(a, ctx) for a in self.arcs))
 
-@dataclass(frozen=True)
+
+@frozen
 class TiltingSpec:
     tubes: tuple          # sorted tuple of (point_id, TubeData)
     divisible: frozenset  # point ids whose tubes carry Pruefer summands
 
     @staticmethod
     def make(tubes: Dict[str, TubeData], divisible) -> "TiltingSpec":
-        canon = []
-        for pid, td in tubes.items():
-            ctx = TubeCtx(td.rank)
-            canon.append((pid, TubeData(td.rank, frozenset(
-                normalize(a, ctx) for a in td.arcs))))
-        return TiltingSpec(tuple(sorted(canon)), frozenset(divisible))
+        canon = sorted((pid, td.canonical()) for pid, td in tubes.items())
+        return TiltingSpec(tuple(canon), frozenset(divisible))
 
     def tube(self, point: str) -> TubeData:
         for pid, td in self.tubes:
@@ -71,8 +72,8 @@ class TiltingSpec:
 
     def with_tube(self, point: str, td: TubeData) -> "TiltingSpec":
         out = dict(self.tubes)
-        out[point] = td
-        return TiltingSpec.make(out, self.divisible)
+        out[point] = td.canonical()  # the other tubes are canonical
+        return TiltingSpec(tuple(sorted(out.items())), self.divisible)
 
 
 def serialize_spec(spec: TiltingSpec) -> str:
@@ -467,7 +468,7 @@ def _push_spec(espec: ExpansionSpec, spec: TiltingSpec, point: str) -> TiltingSp
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class Seed:
     side: str              # "left" | "right"
     espec: ExpansionSpec

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Union
@@ -27,6 +26,7 @@ from typing import Optional, Sequence, Union
 from .exactlin import (Mat, QONE, QZERO, block, cokernel_coordinates, det,
                        echelon, kernel_basis, quotient_pencil, reduce_row,
                        sparse_rank, sparse_transpose, sylvester_rows)
+from .frozen import frozen
 
 # ---------------------------------------------------------------------------
 # points of the projective line
@@ -55,7 +55,7 @@ def render_point(p: Point) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class DimVector:
     d1: int
     d2: int
@@ -74,7 +74,7 @@ class DimVector:
         return self.d1 + self.d2
 
 
-@dataclass(frozen=True)
+@frozen
 class Preprojective:
     index: int
 
@@ -83,7 +83,7 @@ class Preprojective:
             raise ValueError("preprojective index starts at 1")
 
 
-@dataclass(frozen=True)
+@frozen
 class Preinjective:
     index: int
 
@@ -92,7 +92,7 @@ class Preinjective:
             raise ValueError("preinjective index starts at 1")
 
 
-@dataclass(frozen=True)
+@frozen
 class Regular:
     point: Point
     length: int
@@ -103,7 +103,7 @@ class Regular:
         object.__setattr__(self, "point", normalize_point(*self.point))
 
 
-@dataclass(frozen=True)
+@frozen
 class Pruefer:
     point: Point
 
@@ -111,17 +111,17 @@ class Pruefer:
         object.__setattr__(self, "point", normalize_point(*self.point))
 
 
-@dataclass(frozen=True)
+@frozen
 class Lukas:
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class Generic:
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class LocalizedRing:
     """Symbolic summand: the universal localization of the algebra at the
     simple regular modules of a finite set of points."""
@@ -291,7 +291,7 @@ def ar_translate(x: KroneckerObject) -> Optional[KroneckerObject]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class ExplicitRep:
     """Concrete representation: d1 x d2 matrices acting on row vectors."""
 
@@ -816,8 +816,9 @@ def decompose(y: ExplicitRep) -> ObjectSum:
             covered = covered + DimVector(l, l).scaled(m)
     if covered != y.dim:
         raise ArithmeticError(
-            f"decomposition mismatch: found {covered}, expected {y.dim}; "
-            "regular support may lie outside the rational points searched")
+            f"decomposition mismatch: found ({covered.d1},{covered.d2}), "
+            f"expected ({y.dim.d1},{y.dim.d2}); regular support may lie "
+            "outside the rational points searched")
     return object_sum(parts)
 
 

@@ -11,10 +11,10 @@ list of silting modules.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from .exactlin import Mat, echelon, rank, reduce_row, sylvester_rows, vstack
+from .frozen import frozen
 from .kronecker import (DimVector, ExplicitRep, KroneckerObject, LocalizedRing,
                         Point, Preinjective, Preprojective, Pruefer, Regular,
                         decompose, explicit_rep, normalize_point, object_sum,
@@ -165,7 +165,7 @@ def cocone_of_attachment(sigma1: TwoTermComplex, sigma2: TwoTermComplex,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class ComplexSummand:
     """An indecomposable two-term complex up to homotopy: either the
     presentation of an indecomposable module (h0 set) or a shifted
@@ -237,7 +237,7 @@ class GlueError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class GlueRow:
     """One admissible recollement row: localization at a compact
     preprojective / preinjective, or at a simple regular (symbolic)."""
@@ -301,7 +301,7 @@ def _token_summands(token: str) -> tuple:
     return ((ComplexSummand(parse_object(token), None), 1),)
 
 
-@dataclass(frozen=True)
+@frozen
 class GlueOutcomeKronecker:
     summands: tuple          # ((ComplexSummand, mult), ...) normalized
     module_sum: tuple        # ObjectSum of the degree-zero cohomologies
@@ -415,7 +415,7 @@ def _glue_regular_row(row: GlueRow, left, right) -> GlueOutcomeKronecker:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class SiltingEntry:
     modules: Optional[tuple]   # ObjectSum, None for symbolic families
     complex_desc: str

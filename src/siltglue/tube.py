@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from .frozen import frozen
 
-@dataclass(frozen=True)
+
+@frozen
 class Arc:
     start: int
     end: Optional[int]  # None marks a right-infinite arc
@@ -36,7 +37,7 @@ class Arc:
         return math.inf if self.end is None else self.end - self.start - 1
 
 
-@dataclass(frozen=True)
+@frozen
 class TubeCtx:
     n: int
 
@@ -53,7 +54,8 @@ def arc_sort_key(a: Arc):
 def normalize(a: Arc, ctx: TubeCtx) -> Arc:
     """Canonical representative with 0 <= start < n."""
     if not a.is_infinite() and a.end < a.start + 2:
-        raise ValueError(f"finite arc needs end >= start + 2, got {a}")
+        raise ValueError(
+            f"finite arc needs end >= start + 2, got {render_arc(a)}")
     shift = (a.start % ctx.n) - a.start
     if shift == 0:
         return a

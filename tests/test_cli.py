@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -106,11 +107,59 @@ def test_regular_part_off_the_rational_points_is_a_named_domain_error(capsys):
                              "--left", "[P1^2 -> P2^2 | (0,1) (1,0); "
                              "(2,0) (0,1)]", "--right", "P2")
     assert code == 1 and out == "" and "decomposition mismatch" in err
+    assert "found (0,0), expected (2,2);" in err
 
 
 def test_domain_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "tau", "[0,1]", "--tube", "3")
     assert code == 1 and "error" in err
+
+
+def test_error_text_names_the_arc_as_written(capsys):
+    code, out, err = run_cli(capsys, "tau", "[0,1]", "--tube", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: finite arc needs end >= start + 2, got [0,1]\n"
+
+
+def _env(unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+def test_a_reader_closing_the_pipe_ends_the_listing_quietly(unbuffered):
+    # 6435 lines, more than a pipe holds: the writer meets the closed pipe
+    # in the middle of the listing
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "siltglue.cli", "enumerate-rigid", "--rank",
+         "8", "--max-len", "7", "--pruefer"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env(unbuffered))
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=10) == 141 and err == b""
+    assert first == b"{[0,2], [0,3], [0,4], [0,5], [0,6], [0,7], [0,8], [0,inf)}\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+def test_a_pipe_closed_before_the_answer_is_not_a_domain_error(unbuffered):
+    # buffered, the one-line answer meets the closed pipe only when main
+    # flushes it; unbuffered, when it is printed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "siltglue.cli", "tau", "Q1"],
+            stdout=write_end, stderr=subprocess.PIPE, env=_env(unbuffered),
+            timeout=10)
+    finally:
+        os.close(write_end)
+    assert out.returncode == 141 and out.stderr == b""
 
 
 def test_usage_error_exit_code():
@@ -308,27 +357,33 @@ def test_large_index_answers_in_start_up_time(argv, want):
 
 def _modules_after(*argv):
     """The siltglue modules a fresh interpreter holds after importing the
-    CLI and running it on argv (no verb: import only)."""
+    CLI and running it on argv (no verb: import only), and which of
+    dataclasses and inspect it holds."""
     code = ("import io, json, sys, contextlib, siltglue.cli\n"
             "argv = sys.argv[1:]\n"
             "if argv:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert siltglue.cli.main(argv) == 0\n"
-            "print(json.dumps(sorted(m for m in sys.modules\n"
-            "                        if m.split('.')[0] == 'siltglue')))\n")
+            "print(json.dumps([sorted(m for m in sys.modules\n"
+            "                         if m.split('.')[0] == 'siltglue'),\n"
+            "                  [m for m in ('dataclasses', 'inspect')\n"
+            "                   if m in sys.modules]]))\n")
     out = subprocess.run([sys.executable, "-c", code, *argv],
                          capture_output=True, text=True, check=True)
-    return set(json.loads(out.stdout))
+    ours, heavy = json.loads(out.stdout)
+    return set(ours), heavy
 
 
 CLI_ONLY = {"siltglue", "siltglue.cli"}
-KRONECKER = CLI_ONLY | {"siltglue.exactlin", "siltglue.kronecker"}
+KRONECKER = CLI_ONLY | {"siltglue.exactlin", "siltglue.frozen",
+                        "siltglue.kronecker"}
 
 
 @pytest.mark.parametrize("argv, want", [
     pytest.param([], CLI_ONLY, id="no-verb"),
     pytest.param(["tau", "[1,3]", "--tube", "3"],
-                 CLI_ONLY | {"siltglue.tube"}, id="tau-tube"),
+                 CLI_ONLY | {"siltglue.frozen", "siltglue.tube"},
+                 id="tau-tube"),
     pytest.param(["tau", "Q1"], KRONECKER, id="tau-kronecker"),
     pytest.param(["ext", "Q1", "P1"], KRONECKER, id="ext-kronecker"),
     pytest.param(["glue-kronecker", "--row", "P4", "--left", "P3",
@@ -337,13 +392,15 @@ KRONECKER = CLI_ONLY | {"siltglue.exactlin", "siltglue.kronecker"}
                  id="glue-kronecker"),
 ])
 def test_each_verb_imports_only_its_modules(argv, want):
-    assert _modules_after(*argv) == want
+    ours, heavy = _modules_after(*argv)
+    assert ours == want and heavy == []
 
 
 def test_spec_file_verb_imports_only_the_tube_half(tmp_path):
     spec = tmp_path / "datum.txt"
     spec.write_text(SPEC_TEXT, encoding="utf-8")
-    assert _modules_after("choose-seed", "--spec", str(spec), "--point",
-                          "x") == CLI_ONLY | {"siltglue.tube",
-                                              "siltglue.expansion",
-                                              "siltglue.glue"}
+    ours, heavy = _modules_after("choose-seed", "--spec", str(spec),
+                                 "--point", "x")
+    assert ours == CLI_ONLY | {"siltglue.frozen", "siltglue.tube",
+                               "siltglue.expansion", "siltglue.glue"}
+    assert heavy == []

@@ -258,6 +258,19 @@ def test_spec_file_round_trip():
     assert text.splitlines()[0] == "curve points=[x:3, y:1] V={x,y}"
 
 
+def test_with_tube_normalizes_only_the_new_tube():
+    spec = TiltingSpec.make(
+        {"x": TubeData(3, frozenset({Arc(3, 5), Arc(4, None)})),
+         "y": TubeData(1, frozenset({Arc(2, None)})),
+         "z": TubeData(2, frozenset({Arc(-2, 0)}))}, {"y"})
+    for point in ("z", "w"):
+        td = TubeData(2, frozenset({Arc(5, 7), Arc(-1, None)}))
+        out = spec.with_tube(point, td)
+        assert out == TiltingSpec.make({**dict(spec.tubes), point: td}, {"y"})
+        assert out.tube(point).arcs == {Arc(1, 3), Arc(1, None)}
+        assert all(out.tube(p) is spec.tube(p) for p in ("x", "y"))
+
+
 def test_spec_parse_errors():
     with pytest.raises(ValueError, match="header"):
         parse_spec("nope")
