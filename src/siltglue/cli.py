@@ -82,26 +82,14 @@ def cmd_glue_tube(args) -> int:
     point = args.point or glue._resolve_point(spec, None)
     rank = spec.tube(point).rank + 1
     espec = expansion.ExpansionSpec(rank, tube.parse_arc(args.lam))
-    if args.side == "left":
-        out = glue.glue_left(espec, spec, point)
-        new = _left_new_summand(espec, out, point)
-        print(f"outcome new-summand {tube.render_arc(new)}")
+    glue_side = glue.glue_left if args.side == "left" else glue.glue_right
+    outcome, new, out = glue_side(espec, spec, point)
+    if new is not None:
+        print(f"outcome {outcome.value} {tube.render_arc(new)}")
     else:
-        outcome, new, out = glue.glue_right(espec, spec, point)
-        if new is not None:
-            print(f"outcome {outcome.value} {tube.render_arc(new)}")
-        else:
-            print(f"outcome {outcome.value}")
+        print(f"outcome {outcome.value}")
     sys.stdout.write(glue.serialize_spec(out))
     return 0
-
-
-def _left_new_summand(espec, glued, point):
-    lam = espec.lambda_arc
-    for a in glued.tube(point).sorted_arcs():
-        if a.start % espec.n == lam.start % espec.n:
-            return a
-    raise RuntimeError("glued datum lost the distinguished summand")
 
 
 def cmd_choose_seed(args) -> int:
@@ -162,20 +150,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="siltglue")
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def with_side_flags(sp):
-        sp.add_argument("a")
-        sp.add_argument("b", nargs="?")
+    def with_side_flags(verb, fn, *operands):
+        sp = sub.add_parser(verb)
+        for name in operands:
+            sp.add_argument(name)
         g = sp.add_mutually_exclusive_group()
         g.add_argument("--tube", type=int)
         g.add_argument("--kronecker", action="store_true")
-        return sp
+        sp.set_defaults(fn=fn)
 
-    sp = with_side_flags(sub.add_parser("ext"))
-    sp.set_defaults(fn=cmd_ext_hom)
-    sp = with_side_flags(sub.add_parser("hom"))
-    sp.set_defaults(fn=cmd_ext_hom)
-    sp = with_side_flags(sub.add_parser("tau"))
-    sp.set_defaults(fn=cmd_tau)
+    with_side_flags("ext", cmd_ext_hom, "a", "b")
+    with_side_flags("hom", cmd_ext_hom, "a", "b")
+    with_side_flags("tau", cmd_tau, "a")
 
     sp = sub.add_parser("glue-kronecker")
     sp.add_argument("--row", required=True)
@@ -227,8 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "b", "unset") is None and args.verb in ("ext", "hom"):
-        parser.error(f"{args.verb} needs two objects")
     env = os.environ.get("SILTGLUE_MAXLEN")
     if env and hasattr(args, "max_len"):
         try:

@@ -68,7 +68,7 @@ class TiltingSpec:
         for pid, td in self.tubes:
             if pid == point:
                 return td
-        raise KeyError(f"no tube at point {point!r}")
+        raise ValueError(f"no tube at point {point!r}")
 
     def with_tube(self, point: str, td: TubeData) -> "TiltingSpec":
         out = dict(self.tubes)
@@ -294,15 +294,6 @@ def _resolve_point(spec: TiltingSpec, point: Optional[str]) -> str:
     raise ValueError("several tubes; the expansion point must be named")
 
 
-def _orthogonal(cand: Arc, coll, ctx: TubeCtx) -> bool:
-    if ext_dim_arcs(cand, cand, ctx) != 0:
-        return False
-    for b in coll:
-        if ext_dim_arcs(cand, b, ctx) or ext_dim_arcs(b, cand, ctx):
-            return False
-    return True
-
-
 def _free_lengths(s: int, spans, n: int) -> list:
     """The lengths l in 1..n-1 for which the arc [s, s+1+l] has no
     extension either way with any arc of spans, as ascending runs
@@ -353,33 +344,51 @@ def _the_summand(found: list, count: int, in_v: bool, where: str) -> Arc:
     return found[0]
 
 
+def _push(espec: ExpansionSpec, spec: TiltingSpec, point: Optional[str]):
+    """The resolved point, the datum pushed forward at it, the pushed tube,
+    and whether the point is divisible."""
+    point = _resolve_point(spec, point)
+    pushed_spec = _push_spec(espec, spec, point)
+    return point, pushed_spec, pushed_spec.tube(point), point in spec.divisible
+
+
+def _adjoin(pushed_spec: TiltingSpec, point: str, td: TubeData, new: Arc,
+            ctx: TubeCtx) -> Tuple[GlueOutcome, Arc, TiltingSpec]:
+    """The gluing result that adjoins the summand new to the pushed tube."""
+    new = normalize(new, ctx)
+    out = pushed_spec.with_tube(point, TubeData(ctx.n, td.arcs | {new}))
+    return (GlueOutcome.NEW_SUMMAND, new, out)
+
+
 def glue_left(espec: ExpansionSpec, spec: TiltingSpec,
-              point: Optional[str] = None) -> TiltingSpec:
+              point: Optional[str] = None) -> Tuple[GlueOutcome, Arc,
+                                                    TiltingSpec]:
     """Left-universal gluing: push the reduced datum forward and adjoin the
     unique summand with socle the chosen simple that is extension
     orthogonal to the pushed collection.
 
-    On a divisible point the whole tube competes (and the new summand may
-    be a Pruefer arc); elsewhere only finite arcs qualify, and the
-    shortest one is taken.  A missing or ambiguous candidate is a hard
-    failure, since it contradicts the uniqueness this procedure is built
-    on.  The qualifying lengths come from _free_lengths, so the cost does
-    not depend on the rank.
+    Returns (GlueOutcome.NEW_SUMMAND, new summand, resulting datum).  On a
+    divisible point the whole tube competes (and the new summand may be a
+    Pruefer arc); elsewhere only finite arcs qualify, and the shortest one
+    is taken.  A missing or ambiguous candidate is a hard failure, since it
+    contradicts the uniqueness this procedure is built on.  The qualifying
+    lengths come from _free_lengths, so the cost does not depend on the
+    rank.
     """
-    point = _resolve_point(spec, point)
-    pushed_spec = _push_spec(espec, spec, point)
-    ctx = espec.big
-    td = pushed_spec.tube(point)
-    s = espec.lambda_arc.start
-    in_v = point in spec.divisible
+    point, pushed_spec, td, in_v = _push(espec, spec, point)
+    s, n = espec.lambda_arc.start, espec.n
     lengths, count = _tally(
-        _free_lengths(s, [(b.start, b.end) for b in td.arcs], ctx.n))
+        _free_lengths(s, [(b.start, b.end) for b in td.arcs], n))
     found = [Arc(s, s + 1 + l) for l in lengths]
-    if in_v and _orthogonal(Arc(s, None), td.arcs, ctx):
+    # nothing has an extension into a Pruefer arc, so [s, inf) qualifies
+    # unless a finite arc takes one from it: the second rule of
+    # _free_lengths, which bars every length from m on
+    if in_v and not any((b.end - s - 1) % n + 1 <= b.length()
+                        for b in td.arcs if not b.is_infinite()):
         found.append(Arc(s, None))
         count += 1
-    new = normalize(_the_summand(found, count, in_v, "socle"), ctx)
-    return pushed_spec.with_tube(point, TubeData(ctx.n, td.arcs | {new}))
+    return _adjoin(pushed_spec, point, td,
+                   _the_summand(found, count, in_v, "socle"), espec.big)
 
 
 def glue_right(espec: ExpansionSpec, spec: TiltingSpec,
@@ -396,35 +405,25 @@ def glue_right(espec: ExpansionSpec, spec: TiltingSpec,
     does not, the outcome is undetermined and the input is returned
     untouched.
     """
-    point = _resolve_point(spec, point)
-    pushed_spec = _push_spec(espec, spec, point)
-    ctx = espec.big
-    td = pushed_spec.tube(point)
-    in_v = point in spec.divisible
-
-    def adjoin_top_candidate() -> Tuple[GlueOutcome, Arc, TiltingSpec]:
-        # the reflection [i, j] -> [-j, -i] reverses Ext, so the arcs
-        # [e-1-l, e] with top at e-1 are the reflections of the arcs
-        # [-e, -e+1+l] with socle at 1-e, against the reflected collection
-        e = espec.rho_arc.start + 2
-        lengths, count = _tally(_free_lengths(
-            -e, [(None if b.is_infinite() else -b.end, -b.start)
-                 for b in td.arcs], ctx.n))
-        found = [Arc(e - 1 - l, e) for l in lengths]
-        new = normalize(_the_summand(found, count, in_v, "top"), ctx)
-        out = pushed_spec.with_tube(point, TubeData(ctx.n, td.arcs | {new}))
-        return (GlueOutcome.NEW_SUMMAND, new, out)
-
-    if in_v:
-        return adjoin_top_candidate()
-    case = _right_case(espec, td.finite_arcs())
-    if case["rho_in_wing"]:
-        return adjoin_top_candidate()
-    if case["tau_rho_perp"]:
-        return (GlueOutcome.TORSION_UNCHANGED, None, pushed_spec)
-    if case["tau_rho_in_wing"]:
-        return (GlueOutcome.UNDETERMINED, None, spec)
-    raise GlueCaseError("right gluing configuration matched no case")
+    point, pushed_spec, td, in_v = _push(espec, spec, point)
+    if not in_v:
+        case = _right_case(espec, td.finite_arcs())
+        if not case["rho_in_wing"]:
+            if case["tau_rho_perp"]:
+                return (GlueOutcome.TORSION_UNCHANGED, None, pushed_spec)
+            if case["tau_rho_in_wing"]:
+                return (GlueOutcome.UNDETERMINED, None, spec)
+            raise GlueCaseError("right gluing configuration matched no case")
+    # the reflection [i, j] -> [-j, -i] reverses Ext, so the arcs
+    # [e-1-l, e] with top at e-1 are the reflections of the arcs
+    # [-e, -e+1+l] with socle at 1-e, against the reflected collection
+    e = espec.rho_arc.start + 2
+    lengths, count = _tally(_free_lengths(
+        -e, [(None if b.is_infinite() else -b.end, -b.start)
+             for b in td.arcs], espec.n))
+    found = [Arc(e - 1 - l, e) for l in lengths]
+    return _adjoin(pushed_spec, point, td,
+                   _the_summand(found, count, in_v, "top"), espec.big)
 
 
 def right_case_predicates(espec: ExpansionSpec, spec: TiltingSpec,
@@ -433,9 +432,8 @@ def right_case_predicates(espec: ExpansionSpec, spec: TiltingSpec,
     point, on the pushed branch: membership of the distinguished simple in
     the wing, orthogonality of its translate, membership of the translate.
     Used to check that the case split is a partition."""
-    point = _resolve_point(spec, point)
-    return _right_case(
-        espec, _push_spec(espec, spec, point).tube(point).finite_arcs())
+    _, _, td, _ = _push(espec, spec, point)
+    return _right_case(espec, td.finite_arcs())
 
 
 def _right_case(espec: ExpansionSpec, branch: list) -> dict:
@@ -527,13 +525,11 @@ def reduce_spec(spec: TiltingSpec, point: str, espec: ExpansionSpec,
 def round_trip(spec: TiltingSpec, point: str) -> bool:
     """Reduce at the point with the chosen seed, glue back, compare."""
     seed = choose_seed(spec, point)
-    if seed.side == "left":
-        glued = glue_left(seed.espec, seed.reduced, point)
-    else:
-        outcome, _, glued = glue_right(seed.espec, seed.reduced, point)
-        if outcome is GlueOutcome.UNDETERMINED:
-            raise GlueCaseError(
-                "seed choice steered into the undetermined configuration")
+    glue_back = glue_left if seed.side == "left" else glue_right
+    outcome, _, glued = glue_back(seed.espec, seed.reduced, point)
+    if outcome is GlueOutcome.UNDETERMINED:
+        raise GlueCaseError(
+            "seed choice steered into the undetermined configuration")
     return glued == spec
 
 

@@ -178,7 +178,7 @@ def render_object(x: KroneckerObject) -> str:
     raise TypeError(f"unknown object {x!r}")
 
 
-_POINT_RE = r"\(?(-?\d+):(-?\d+)\)?"
+_POINT_RE = r"\(?(-?\d+)\s*:\s*(-?\d+)\)?"
 
 
 def parse_point(text: str) -> Point:
@@ -202,12 +202,12 @@ def parse_object(token: str) -> KroneckerObject:
     m = re.fullmatch(r"Q(\d+)", t)
     if m:
         return Preinjective(int(m.group(1)))
-    m = re.fullmatch(r"R\(\s*(-?\d+)\s*:\s*(-?\d+)\s*,\s*(\d+)\s*\)", t)
+    m = re.fullmatch(r"R\(([^(),]*),\s*(\d+)\s*\)", t)
     if m:
-        return Regular((int(m.group(1)), int(m.group(2))), int(m.group(3)))
-    m = re.fullmatch(r"Pruefer\(\s*(-?\d+)\s*:\s*(-?\d+)\s*\)", t)
+        return Regular(parse_point(m.group(1)), int(m.group(2)))
+    m = re.fullmatch(r"Pruefer\(([^()]*)\)", t)
     if m:
-        return Pruefer((int(m.group(1)), int(m.group(2))))
+        return Pruefer(parse_point(m.group(1)))
     raise ValueError(f"cannot parse object {token!r}")
 
 

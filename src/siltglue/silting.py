@@ -17,7 +17,7 @@ from .exactlin import Mat, echelon, rank, reduce_row, sylvester_rows, vstack
 from .frozen import frozen
 from .kronecker import (DimVector, ExplicitRep, KroneckerObject, LocalizedRing,
                         Point, Preinjective, Preprojective, Pruefer, Regular,
-                        decompose, explicit_rep, normalize_point, object_sum,
+                        decompose, explicit_rep, object_sum,
                         parse_object, parse_point, render_object,
                         render_object_sum, symbolic_ext_dim)
 from .complexes import (ProjMorphism, ProjSum, TwoTermComplex, _delta_terms,
@@ -254,9 +254,9 @@ def parse_row(text: str) -> GlueRow:
         if int(m.group(2)) < 1:
             raise ValueError(f"row index starts at 1: {text!r}")
         return GlueRow(m.group(1), int(m.group(2)))
-    m = re.fullmatch(r"S\(\s*(-?\d+)\s*:\s*(-?\d+)\s*\)", t)
+    m = re.fullmatch(r"S\(([^()]*)\)", t)
     if m:
-        return GlueRow("S", 0, normalize_point(int(m.group(1)), int(m.group(2))))
+        return GlueRow("S", 0, parse_point(m.group(1)))
     raise ValueError(f"unknown localization row {text!r}")
 
 
@@ -379,15 +379,13 @@ def _glue_regular_row(row: GlueRow, left, right) -> GlueOutcomeKronecker:
     parametrized by finite point sets; the extension space against the
     Pruefer side vanishes, so gluing only rebalances the summand list."""
     if isinstance(left, str):
-        m = re.fullmatch(r"TP\(\s*((?:-?\d+:-?\d+)(?:\s*,\s*-?\d+:-?\d+)*)?\s*\)",
-                         left.strip())
+        m = re.fullmatch(r"TP\(([^()]*)\)", left.strip())
         if not m:
             raise GlueError(
                 "the subcategory side of a regular row is TP(points...): a "
                 "tilting module of the localized ring")
-        pts = frozenset(parse_point(p) for p in m.group(1).split(",")) \
-            if m.group(1) else frozenset()
-        left = pts
+        left = frozenset(parse_point(p) for p in m.group(1).split(",")) \
+            if m.group(1).strip() else frozenset()
     if isinstance(right, str):
         obj = parse_object(right)
         if not isinstance(obj, Pruefer):

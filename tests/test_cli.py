@@ -168,6 +168,16 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["tau", "Q1", "Q2"], ["tau", "[0,2]", "[0,3]", "--tube", "3"],
+    ["ext", "P1"], ["hom", "[0,2]", "--tube", "3"], ["ext", "P1", "P2", "P3"],
+])
+def test_each_verb_takes_its_own_operand_count(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
+
+
 def test_enumerate_rigid(capsys):
     code, out, _ = run_cli(capsys, "enumerate-rigid", "--rank", "2",
                            "--max-len", "2", "--pruefer")
@@ -289,6 +299,22 @@ def test_spec_verbs_reject_an_invalid_datum_with_its_first_reason(
     assert (code, out) == (1, "")
     assert err == ("error: not a tilting datum: point x: Pruefer socles [1] "
                    "do not match the complement rule [0..99999]\n")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["choose-seed"], id="choose-seed"),
+    pytest.param(["glue-tube", "--side", "left", "--lambda", "[0,2]"],
+                 id="glue-tube"),
+    pytest.param(["reduce", "--lambda", "[0,2]", "--adjoint", "left"],
+                 id="reduce"),
+])
+def test_spec_verbs_name_an_unknown_point(tmp_path, capsys, argv):
+    spec = tmp_path / "datum.txt"
+    spec.write_text("curve points=[x:3, y:1] V={y}\npoint x\n[0,2]\n"
+                    "point y\n[0,inf)\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, argv[0], "--spec", str(spec), "--point",
+                             "z", *argv[1:])
+    assert (code, out, err) == (1, "", "error: no tube at point 'z'\n")
 
 
 def test_outputs_byte_stable(capsys):

@@ -176,7 +176,8 @@ def reference_glue_left(espec, spec, point=None):
     if in_v:
         cands.append(Arc(lam.start, None))
     new = _reference_pick(cands, td.sorted_arcs(), ctx, in_v, "socle")
-    return pushed_spec.with_tube(point, TubeData(ctx.n, td.arcs | {new}))
+    return (GlueOutcome.NEW_SUMMAND, new,
+            pushed_spec.with_tube(point, TubeData(ctx.n, td.arcs | {new})))
 
 
 def reference_right_case(espec, branch) -> dict:
@@ -375,7 +376,7 @@ def test_empty_divisible_set_invalid():
 def test_glue_left_all_pruefers():
     spec = single(1, [Arc(0, None)])
     espec = ExpansionSpec(2, Arc(0, 2))
-    out = glue_left(espec, spec, "x")
+    _, _, out = glue_left(espec, spec, "x")
     td = out.tube("x")
     assert td.rank == 2
     assert set(td.sorted_arcs()) == {Arc(0, None), Arc(1, None)}
@@ -386,7 +387,7 @@ def test_glue_left_empty_branch_nondivisible_gives_the_simple():
         {"x": TubeData(2, frozenset()),
          "y": TubeData(1, frozenset({Arc(0, None)}))}, {"y"})
     espec = ExpansionSpec(3, Arc(1, 3))
-    out = glue_left(espec, spec, "x")
+    _, _, out = glue_left(espec, spec, "x")
     assert set(out.tube("x").sorted_arcs()) == {espec.lambda_arc}
 
 
@@ -395,9 +396,23 @@ def test_glue_left_output_is_valid():
         for spec in enumerate_single_tube_specs(rank - 1):
             for lstart in range(rank):
                 espec = ExpansionSpec(rank, Arc(lstart, lstart + 2))
-                out = glue_left(espec, spec, "x")
+                _, _, out = glue_left(espec, spec, "x")
                 ok, reasons = verify_tilting_spec(out)
                 assert ok, (serialize_spec(spec), lstart, reasons)
+
+
+def test_glue_left_returns_the_summand_it_adjoins():
+    for rank in range(1, 6):
+        for spec in enumerate_single_tube_specs(rank):
+            for lstart in range(rank + 1):
+                espec = ExpansionSpec(rank + 1, Arc(lstart, lstart + 2))
+                outcome, new, out = glue_left(espec, spec, "x")
+                pushed = glue._push_spec(espec, spec, "x").tube("x").arcs
+                assert outcome is GlueOutcome.NEW_SUMMAND
+                assert new == normalize(new, espec.big)
+                assert new.start == lstart % (rank + 1)
+                assert new not in pushed
+                assert out.tube("x").arcs == pushed | {new}
 
 
 # -- gluing, right ------------------------------------------------------------
@@ -631,8 +646,8 @@ def test_glue_matches_the_candidate_scan_along_seeded_gluing_chains():
             lstart = rng.randrange(rank + 1)
             left, right = _same_as_reference(
                 ExpansionSpec(rank + 1, Arc(lstart, lstart + 2)), spec)
-            glued = [out for out in (left, right[2]
-                                     if isinstance(right, tuple) else right)
+            glued = [out for out in (result[2] if isinstance(result, tuple)
+                                     else result for result in (left, right))
                      if isinstance(out, TiltingSpec)
                      and out.tube("x").rank == rank + 1
                      and verify_tilting_spec(out)[0]]

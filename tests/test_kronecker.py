@@ -23,7 +23,7 @@ from siltglue.kronecker import (DimVector, ExplicitRep, Generic,
                                 ext_dim, ext_dim_objects, hom_basis, hom_dim,
                                 hom_dim_objects, is_tilting_module,
                                 normalize_point, object_sum, parse_object,
-                                parse_object_sum, quotient_by_idempotent_trace,
+                                parse_object_sum, parse_point, quotient_by_idempotent_trace,
                                 quotient_rep,
                                 regular_support_points, render_object,
                                 render_object_sum, rep_direct_sum,
@@ -407,6 +407,42 @@ def test_grammar_round_trip():
     assert parse_object_sum("0") == ()
     with pytest.raises(ValueError):
         parse_object("X7")
+
+
+def parses_to(parse, token, want):
+    """parse(token) == want, or a ValueError when want is None."""
+    if want is None:
+        with pytest.raises(ValueError):
+            parse(token)
+    else:
+        assert parse(token) == want
+
+
+# one point grammar: every token kind reads its point through parse_point,
+# with optional spaces around the colon
+
+@pytest.mark.parametrize("token, want", [
+    ("1:0", (1, 0)), ("(1:0)", (1, 0)), (" 1 : 0 ", (1, 0)),
+    ("-2: 4", (1, -2)), ("0 :-5", (0, 1)), ("1:", None), ("x:0", None),
+    ("1:0:0", None), ("0:0", None)])
+def test_point_grammar(token, want):
+    parses_to(parse_point, token, want)
+
+
+@pytest.mark.parametrize("token, want", [
+    ("R(1:0,2)", Regular((1, 0), 2)), ("R( 1 : 0 , 2 )", Regular((1, 0), 2)),
+    ("R(2:-4,3)", Regular((1, -2), 3)), ("R(1:0)", None),
+    ("R((1:0),2)", None), ("R(x:0,2)", None), ("R(1:0,0)", None)])
+def test_regular_token_grammar(token, want):
+    parses_to(parse_object, token, want)
+
+
+@pytest.mark.parametrize("token, want", [
+    ("Pruefer(1:0)", Pruefer((1, 0))), ("Pruefer( 1 :0 )", Pruefer((1, 0))),
+    ("Pruefer(0:-3)", Pruefer((0, 1))), ("Pruefer()", None),
+    ("Pruefer((1:0))", None), ("Pruefer(1:0,2)", None)])
+def test_pruefer_token_grammar(token, want):
+    parses_to(parse_object, token, want)
 
 
 def test_hom_basis_members_intertwine():

@@ -22,7 +22,7 @@ from siltglue.silting import (GlueError, GlueOutcomeKronecker,
                               presentation_of_object)
 
 from test_exactlin import reference_kernel_basis, reference_rref
-from test_kronecker import wall_budget
+from test_kronecker import parses_to, wall_budget
 
 P = Preprojective
 Q = Preinjective
@@ -238,6 +238,28 @@ def test_glue_regular_row_symbolic():
         glue_kronecker("S(1:0)", "TP(1:0)", "Pruefer(1:0)")
     with pytest.raises(GlueError):
         glue_kronecker("S(1:0)", "TP()", "Pruefer(0:1)")
+
+
+@pytest.mark.parametrize("token, want", [
+    ("S(1:0)", (1, 0)), ("S( 1 : 0 )", (1, 0)), ("S(-2:4)", (1, -2)),
+    ("S(1)", None), ("S((1:0))", None), ("S(x:0)", None)])
+def test_regular_row_token_grammar(token, want):
+    parses_to(lambda t: parse_row(t).point, token, want)
+
+
+@pytest.mark.parametrize("token, want", [
+    ("TP()", ()), ("TP( )", ()), ("TP(0:1)", ((0, 1),)),
+    ("TP( 0 : 1 )", ((0, 1),)), ("TP(1 : 0, 2:1)", ((1, 0), (2, 1))),
+    ("TP(2:-4,0:3)", ((1, -2), (0, 1))), ("TP(1:0,)", None),
+    ("TP((1:0))", None), ("TP(1:0;2:1)", None)])
+def test_regular_row_subcategory_token_grammar(token, want):
+    def glued(left):
+        return glue_kronecker("S(7:1)", left, "Pruefer(7:1)")
+    if want is None:
+        with pytest.raises((ValueError, GlueError)):
+            glued(token)
+    else:
+        assert glued(token) == glued(frozenset(want))
 
 
 def test_parse_row():
