@@ -29,9 +29,9 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-from .exactlin import (Mat, QONE, QZERO, block, cokernel_coordinates, echelon,
-                       hstack, kernel_basis, quotient_pencil, reduce_row,
-                       sparse_rank, sylvester_rows, vstack)
+from .exactlin import (Mat, QONE, QZERO, block, cokernel_coordinates, diag,
+                       echelon, kernel_basis, quotient_pencil, reduce_row,
+                       sparse_rank, sylvester_rows)
 from .frozen import frozen
 from .kronecker import DimVector, ExplicitRep
 
@@ -63,8 +63,8 @@ class ProjSum:
         a, b = self.p1, self.p2
         zero, one = Mat.zeros(b, b), Mat.identity(b)
         return ExplicitRep(DimVector(b, a + 2 * b),
-                           hstack([Mat.zeros(b, a), one, zero]),
-                           hstack([Mat.zeros(b, a), zero, one]))
+                           block([[Mat.zeros(b, a), one, zero]]),
+                           block([[Mat.zeros(b, a), zero, one]]))
 
 
 @frozen
@@ -206,13 +206,8 @@ def zero_complex() -> TwoTermComplex:
 def direct_sum(cs: Sequence[TwoTermComplex]) -> TwoTermComplex:
     m1 = ProjSum(sum(c.deg_m1.p1 for c in cs), sum(c.deg_m1.p2 for c in cs))
     d0 = ProjSum(sum(c.deg_0.p1 for c in cs), sum(c.deg_0.p2 for c in cs))
-
-    def diag(part: str) -> Mat:
-        return block([[getattr(c.diff, part) if i == j else None
-                       for j in range(len(cs))] for i, c in enumerate(cs)])
-
-    diff = ProjMorphism(m1, d0, diag("s11"), diag("s22"), diag("arr_a"),
-                        diag("arr_b"))
+    diff = ProjMorphism(m1, d0, *(diag([getattr(c.diff, part) for c in cs])
+                                  for part in ("s11", "s22", "arr_a", "arr_b")))
     return TwoTermComplex(m1, d0, diff)
 
 
@@ -387,8 +382,8 @@ def universal_extension(left: TwoTermComplex, right: TwoTermComplex) -> TwoTermC
     stacked = power(left, k)
     attach = ProjMorphism(
         stacked.deg_m1, right.deg_0,
-        vstack([r.s11 for r in reps]), vstack([r.s22 for r in reps]),
-        vstack([r.arr_a for r in reps]), vstack([r.arr_b for r in reps]))
+        *(block([[getattr(r, part)] for r in reps])
+          for part in ("s11", "s22", "arr_a", "arr_b")))
     return cocone(stacked, right, attach)
 
 
@@ -412,7 +407,7 @@ def minimize(c: TwoTermComplex) -> TwoTermComplex:
     """
     k, p1, p2 = c.diff, c.deg_0.p1, c.deg_0.p2
     kept, rest = {}, []
-    for row in hstack([k.s11, k.arr_a, k.arr_b]).sparse_rows():
+    for row in block([[k.s11, k.arr_a, k.arr_b]]).sparse_rows():
         if min(row, default=p1) < p1:
             row = reduce_row(kept, row, insert=False)
             if min(row, default=p1) < p1:

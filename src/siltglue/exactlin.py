@@ -155,48 +155,49 @@ class Mat:
         return Mat(self.cols, self.rows, tuple(out))
 
 
-def hstack(mats: Sequence[Mat]) -> Mat:
-    if not mats:
-        raise ValueError("hstack of nothing")
-    rows = mats[0].rows
-    if any(m.rows != rows for m in mats):
-        raise ValueError("row mismatch in hstack")
-    out = []
-    for i in range(rows):
-        for m in mats:
-            out.extend(m.row(i))
-    return Mat(rows, sum(m.cols for m in mats), tuple(out))
-
-
-def vstack(mats: Sequence[Mat]) -> Mat:
-    if not mats:
-        raise ValueError("vstack of nothing")
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise ValueError("column mismatch in vstack")
-    out = []
-    for m in mats:
-        out.extend(m.entries)
-    return Mat(sum(m.rows for m in mats), cols, tuple(out))
-
-
 def block(grid: Sequence[Sequence[Optional[Mat]]]) -> Mat:
-    """Assemble a block matrix from a grid of compatible blocks.
+    """Assemble a block matrix from a grid of blocks.
 
-    None stands for a zero block; its shape is read off the other blocks of
-    its block row and block column, so each of those needs one real block.
+    None stands for a zero block and costs nothing; its shape is read off
+    the other blocks of its block row and block column, so each of those
+    needs one real block.  Each real block's rows are copied into one
+    preallocated entry list.  A ragged grid, or a block whose height or
+    width disagrees with its block row or column, raises ValueError.
     """
     if not grid:
         return Mat(0, 0, ())
+    k = len(grid[0])
+    if any(len(row) != k for row in grid):
+        raise ValueError("ragged block grid")
     heights = [next((m.rows for m in row if m is not None), None)
                for row in grid]
     widths = [next((row[j].cols for row in grid if row[j] is not None), None)
-              for j in range(len(grid[0]))]
+              for j in range(k)]
     if None in heights or None in widths:
         raise ValueError("a block row or column holds only None blocks")
-    return vstack([hstack([Mat.zeros(h, w) if m is None else m
-                           for m, w in zip(row, widths)])
-                   for row, h in zip(grid, heights)])
+    cols = sum(widths)
+    ent = [QZERO] * (sum(heights) * cols)
+    top = 0
+    for row, h in zip(grid, heights):
+        left = 0
+        for m, w in zip(row, widths):
+            if m is not None:
+                if m.rows != h:
+                    raise ValueError("block height differs in a block row")
+                if m.cols != w:
+                    raise ValueError("block width differs in a block column")
+                for i in range(h):
+                    at = (top + i) * cols + left
+                    ent[at:at + w] = m.entries[i * w:(i + 1) * w]
+            left += w
+        top += h
+    return Mat(top, cols, tuple(ent))
+
+
+def diag(mats: Sequence[Mat]) -> Mat:
+    """The block-diagonal matrix of mats; 0 x 0 for none."""
+    return block([[m if i == j else None for j in range(len(mats))]
+                  for i, m in enumerate(mats)])
 
 
 def sylvester_rows(neqs: int, terms) -> list:
@@ -295,7 +296,7 @@ def solve(m: Mat, b: Sequence) -> Optional[tuple]:
     bv = [frac(x) for x in b]
     if len(bv) != m.rows:
         raise ValueError(f"rhs length {len(bv)} != rows {m.rows}")
-    aug = hstack([m, Mat(m.rows, 1, tuple(bv))])
+    aug = block([[m, Mat(m.rows, 1, tuple(bv))]])
     red, pivots = rref(aug)
     if m.cols in pivots:
         return None

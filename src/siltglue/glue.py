@@ -294,32 +294,35 @@ def _resolve_point(spec: TiltingSpec, point: Optional[str]) -> str:
     raise ValueError("several tubes; the expansion point must be named")
 
 
-def _free_lengths(s: int, spans, n: int) -> list:
-    """The lengths l in 1..n-1 for which the arc [s, s+1+l] has no
-    extension either way with any arc of spans, as ascending runs
-    (first, last).  Each span is an arc's (start, end), None for an
-    infinite end, or for the infinite start of a reflected Pruefer arc.
+def _free_lengths(s: int, spans, n: int, top: int) -> list:
+    """The lengths l in 1..top, top at most n, for which the arc
+    [s, s+1+l] has no extension either way with any arc of spans, as
+    ascending runs (first, last); length n stands for the Pruefer arc
+    [s, inf).  Each span is an arc's (start, end), None for an infinite
+    end, or for the infinite start of a reflected Pruefer arc.
 
     Ext(b, c) > 0 when a lift of c starts below b and ends inside it; the
     highest lift starting below b starts j = (b.start - s - 1) % n + 1
-    below it, and bars the lengths j..j+len(b)-1 (all from j on for an
-    infinite b).  Ext(c, b) > 0 when a lift of b starts below s and ends
-    inside c; the lowest lift ending above s ends at s + m, with
+    below it, and bars the finite lengths j..j+len(b)-1 (all from j on for
+    an infinite b), since nothing has an extension into a Pruefer arc.
+    Ext(c, b) > 0 when a lift of b starts below s and ends inside c; the
+    lowest lift ending above s ends at s + m, with
     m = (b.end - s - 1) % n + 1, starts below s when m <= len(b), and then
-    bars every length from m on.  Any other lift bars only lengths of n or
-    more, and each candidate, of length below n, is rigid.
+    bars every length from m on.  No other lift bars a further length of
+    1..top, and each candidate is rigid.
     """
     bars = []
     for start, end in spans:
         length = None if start is None or end is None else end - start - 1
         if start is not None:
             j = (start - s - 1) % n + 1
-            bars.append((j, n - 1 if length is None else j + length - 1))
+            bars.append((j, n - 1 if length is None
+                         else min(j + length - 1, n - 1)))
         if end is not None:
             m = (end - s - 1) % n + 1
             if length is None or m <= length:
-                bars.append((m, n - 1))
-    return _gaps(sorted(bars), 1, n - 1)
+                bars.append((m, top))
+    return _gaps(sorted(bars), 1, top)
 
 
 def _tally(runs: list) -> tuple:
@@ -377,16 +380,9 @@ def glue_left(espec: ExpansionSpec, spec: TiltingSpec,
     """
     point, pushed_spec, td, in_v = _push(espec, spec, point)
     s, n = espec.lambda_arc.start, espec.n
-    lengths, count = _tally(
-        _free_lengths(s, [(b.start, b.end) for b in td.arcs], n))
-    found = [Arc(s, s + 1 + l) for l in lengths]
-    # nothing has an extension into a Pruefer arc, so [s, inf) qualifies
-    # unless a finite arc takes one from it: the second rule of
-    # _free_lengths, which bars every length from m on
-    if in_v and not any((b.end - s - 1) % n + 1 <= b.length()
-                        for b in td.arcs if not b.is_infinite()):
-        found.append(Arc(s, None))
-        count += 1
+    lengths, count = _tally(_free_lengths(
+        s, [(b.start, b.end) for b in td.arcs], n, n if in_v else n - 1))
+    found = [Arc(s, s + 1 + l if l < n else None) for l in lengths]
     return _adjoin(pushed_spec, point, td,
                    _the_summand(found, count, in_v, "socle"), espec.big)
 
@@ -420,7 +416,7 @@ def glue_right(espec: ExpansionSpec, spec: TiltingSpec,
     e = espec.rho_arc.start + 2
     lengths, count = _tally(_free_lengths(
         -e, [(None if b.is_infinite() else -b.end, -b.start)
-             for b in td.arcs], espec.n))
+             for b in td.arcs], espec.n, espec.n - 1))
     found = [Arc(e - 1 - l, e) for l in lengths]
     return _adjoin(pushed_spec, point, td,
                    _the_summand(found, count, in_v, "top"), espec.big)

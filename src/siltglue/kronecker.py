@@ -24,8 +24,9 @@ from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .exactlin import (Mat, QONE, QZERO, block, cokernel_coordinates, det,
-                       echelon, kernel_basis, quotient_pencil, reduce_row,
-                       sparse_rank, sparse_transpose, sylvester_rows)
+                       diag, echelon, kernel_basis, quotient_pencil,
+                       reduce_row, sparse_rank, sparse_transpose,
+                       sylvester_rows)
 from .frozen import frozen
 
 # ---------------------------------------------------------------------------
@@ -178,14 +179,14 @@ def render_object(x: KroneckerObject) -> str:
     raise TypeError(f"unknown object {x!r}")
 
 
-_POINT_RE = r"\(?(-?\d+)\s*:\s*(-?\d+)\)?"
+_POINT_RE = r"(\()?(-?\d+)\s*:\s*(-?\d+)(?(1)\))"
 
 
 def parse_point(text: str) -> Point:
     m = re.fullmatch(_POINT_RE, text.strip())
     if not m:
         raise ValueError(f"cannot parse point {text!r}")
-    return normalize_point(int(m.group(1)), int(m.group(2)))
+    return normalize_point(int(m.group(2)), int(m.group(3)))
 
 
 def parse_object(token: str) -> KroneckerObject:
@@ -306,21 +307,10 @@ class ExplicitRep:
 
 
 def rep_direct_sum(reps: Sequence[ExplicitRep]) -> ExplicitRep:
-    def diag(arrow: str) -> Mat:
-        return block([[getattr(r, arrow) if i == j else None
-                       for j in range(len(reps))] for i, r in enumerate(reps)])
-
     return ExplicitRep(DimVector(sum(r.dim.d1 for r in reps),
                                  sum(r.dim.d2 for r in reps)),
-                       diag("m_alpha"), diag("m_beta"))
-
-
-def _shift_matrix(n: int) -> Mat:
-    """Nilpotent Jordan block: ones on the superdiagonal."""
-    ent = [[QZERO] * n for _ in range(n)]
-    for i in range(n - 1):
-        ent[i][i + 1] = QONE
-    return Mat.from_rows(ent, cols=n)
+                       diag([r.m_alpha for r in reps]),
+                       diag([r.m_beta for r in reps]))
 
 
 @lru_cache(maxsize=1024)
@@ -328,28 +318,19 @@ def explicit_rep(x: KroneckerObject) -> ExplicitRep:
     """A representative of the isomorphism class of a finite-dimensional
     indecomposable."""
     if isinstance(x, Preprojective):
-        i = x.index
-        ma = [[QZERO] * i for _ in range(i - 1)]
-        mb = [[QZERO] * i for _ in range(i - 1)]
-        for r in range(i - 1):
-            ma[r][r] = QONE
-            mb[r][r + 1] = QONE
-        return ExplicitRep(DimVector(i - 1, i),
-                           Mat.from_rows(ma, cols=i), Mat.from_rows(mb, cols=i))
+        one, zero = Mat.identity(x.index - 1), Mat.zeros(x.index - 1, 1)
+        return ExplicitRep(dim_vector(x), block([[one, zero]]),
+                           block([[zero, one]]))
     if isinstance(x, Preinjective):
-        i = x.index
-        ma = [[QZERO] * (i - 1) for _ in range(i)]
-        mb = [[QZERO] * (i - 1) for _ in range(i)]
-        for c in range(i - 1):
-            ma[c][c] = QONE
-            mb[c + 1][c] = QONE
-        return ExplicitRep(DimVector(i, i - 1),
-                           Mat.from_rows(ma, cols=i - 1),
-                           Mat.from_rows(mb, cols=i - 1))
+        one, zero = Mat.identity(x.index - 1), Mat.zeros(1, x.index - 1)
+        return ExplicitRep(dim_vector(x), block([[one], [zero]]),
+                           block([[zero], [one]]))
     if isinstance(x, Regular):
         a, b = x.point
         n = x.length
-        nilp = _shift_matrix(n)
+        # the nilpotent Jordan block: ones on the superdiagonal
+        nilp = block([[Mat.zeros(n - 1, 1), Mat.identity(n - 1)],
+                      [Mat.zeros(1, 1), None]])
         if b != 0:
             mb = Mat.identity(n)
             ma = Mat.identity(n).scale(Fraction(a, b)).add(nilp)
@@ -520,19 +501,24 @@ def _int_arrows(y: ExplicitRep) -> tuple:
 
 
 def regular_support_points(y: ExplicitRep) -> list:
-    """The points of the projective line that carry a regular summand of y.
+    """The points of the projective line that carry a regular summand of y:
+    the _support of its regular block."""
+    return _support(*_regular_block(y)[2:])
 
-    Deflation (_regular_block) splits off the preinjectives and the
-    preprojectives and leaves a square regular pencil A_r, B_r of size rho,
-    the regular dimension.  Its determinant det(A_r - t*B_r) vanishes
-    exactly at the finite points (t:1) of the support, and has degree below
-    rho exactly when B_r is singular, that is when (1:0) carries a summand.
-    The rational roots come from _poly_det and _rational_roots, so the list
-    is the rational part of the support, with no sampling and no spurious
-    point; an irrational support point is left out, and decompose() then
-    reports a mismatch.  The cost is polynomial in the bit size of y.
+
+def _support(ra: list, rb: list) -> list:
+    """The rational support of a regular block as _regular_block returns
+    it, a square pencil A_r, B_r of sparse integer rows of size rho, the
+    regular dimension; [] for the empty block.
+
+    The determinant det(A_r - t*B_r) vanishes exactly at the finite points
+    (t:1) of the support, and has degree below rho exactly when B_r is
+    singular, that is when (1:0) carries a summand.  The rational roots
+    come from _poly_det and _rational_roots, so the list is the rational
+    part of the support, with no sampling and no spurious point; an
+    irrational support point is left out, and decompose() then reports a
+    mismatch.  The cost is polynomial in the bit size of the block.
     """
-    _, _, ra, rb = _regular_block(y)
     rho = len(ra)
     poly = _poly_det([[[r.get(j, 0), -z.get(j, 0)] for j in range(rho)]
                       for r, z in zip(ra, rb)])
@@ -793,22 +779,18 @@ def decompose(y: ExplicitRep) -> ObjectSum:
 
     Deflation of the arrow pencil (_regular_block) counts the preinjectives
     and the preprojectives and leaves the regular block, of size rho.  On
-    that block alone, at each point (a:b) of its regular_support_points, the
-    kernel chain of (b*A_r - a*B_r, B_r, or A_r if b = 0) counts the
-    regulars at (a:b) by length.  Raises if a count is negative or the
-    dimension count does not come out exact, as for an irrational
-    support."""
+    that block alone, at each point (a:b) of its _support, the kernel chain
+    of (b*A_r - a*B_r, B_r, or A_r if b = 0) counts the regulars at (a:b)
+    by length.  Raises if a count is negative or the dimension count does
+    not come out exact, as for an irrational support."""
     ps, qs, ra, rb = _regular_block(y)
     if min(qs + ps, default=0) < 0:
         raise ArithmeticError("negative preprojective/preinjective count")
     parts = ([(Preprojective(i), m) for i, m in enumerate(ps, 1)]
              + [(Preinjective(i), m) for i, m in enumerate(qs, 1)])
     covered = sum((dim_vector(x).scaled(m) for x, m in parts), DimVector(0, 0))
-    rho = len(ra)
-    reg = ExplicitRep(DimVector(rho, rho), Mat.from_sparse(ra, rho),
-                      Mat.from_sparse(rb, rho))
-    for a, b in regular_support_points(reg) if rho else ():
-        counts = _chain(_pencil(ra, rb, a, b), rb if b else ra, rho)[0]
+    for a, b in _support(ra, rb):
+        counts = _chain(_pencil(ra, rb, a, b), rb if b else ra, len(ra))[0]
         for l, m in enumerate(counts, 1):
             if m < 0:
                 raise ArithmeticError("negative regular multiplicity")

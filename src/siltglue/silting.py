@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .exactlin import Mat, echelon, rank, reduce_row, sylvester_rows, vstack
+from .exactlin import Mat, block, echelon, rank, reduce_row, sylvester_rows
 from .frozen import frozen
 from .kronecker import (DimVector, ExplicitRep, KroneckerObject, LocalizedRing,
                         Point, Preinjective, Preprojective, Pruefer, Regular,
@@ -44,8 +44,8 @@ def canonical_resolution(x: ExplicitRep) -> TwoTermComplex:
     dst = ProjSum(d2, d1)
     one, zero = Mat.identity(d1), Mat.zeros(d1, d1)
     diff = ProjMorphism(
-        src, dst, vstack([x.m_alpha, x.m_beta]).scale(-1), Mat.zeros(0, d1),
-        vstack([one, zero]), vstack([zero, one]))
+        src, dst, block([[x.m_alpha], [x.m_beta]]).scale(-1), Mat.zeros(0, d1),
+        block([[one], [zero]]), block([[zero], [one]]))
     return TwoTermComplex(src, dst, diff)
 
 

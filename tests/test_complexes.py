@@ -5,7 +5,7 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siltglue.exactlin import Mat, hstack, rank
+from siltglue.exactlin import Mat, block, rank
 from siltglue.complexes import (ProjMorphism, ProjSum, TwoTermComplex,
                                 derived_hom_dim, direct_sum,
                                 hom_complex_to_module, minimize, power,
@@ -242,8 +242,8 @@ def test_minimize_matches_the_pivot_by_pivot_reference(pieces, seed):
     got, want = minimize(c), reference_minimize(c)
     assert (got.deg_m1, got.deg_0) == (want.deg_m1, want.deg_0)
     assert got.diff.s11.is_zero() and got.diff.s22.is_zero()
-    assert rows_are_multiples(hstack([got.diff.arr_a, got.diff.arr_b]),
-                              hstack([want.diff.arr_a, want.diff.arr_b]))
+    assert rows_are_multiples(block([[got.diff.arr_a, got.diff.arr_b]]),
+                              block([[want.diff.arr_a, want.diff.arr_b]]))
     named = Counter()
     for x in pieces:
         named.update(dict(identify_summands(_piece(x))))

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siltglue.exactlin import (Mat, block, det, echelon, hstack,
-                               kernel_basis, rank, reduce_row, rref, solve,
-                               sparse_rank, sylvester_rows)
+from siltglue.exactlin import (Mat, block, det, diag, echelon, kernel_basis,
+                               rank, reduce_row, rref, solve, sparse_rank,
+                               sylvester_rows)
 from siltglue.kronecker import _poly_det
 
 
@@ -64,6 +64,23 @@ def test_block_infers_zero_blocks():
     assert block([]) == nothing
     with pytest.raises(ValueError):
         block([[a, None], [None, None]])
+
+
+@pytest.mark.parametrize("grid", [
+    [[Mat.identity(1), None], [Mat.identity(1)]],           # ragged
+    [[Mat.identity(1), Mat.zeros(2, 1)]],                   # height in a row
+    [[Mat.identity(1)], [Mat.zeros(1, 2)]]])                # width in a column
+def test_block_rejects_a_misfit(grid):
+    with pytest.raises(ValueError):
+        block(grid)
+
+
+def test_diag():
+    m = Mat.from_rows([[1, 2], [3, 4], [5, 6]])
+    assert diag([]) == Mat(0, 0, ())
+    assert diag([m]) == m
+    assert diag([m, Mat.identity(1)]) == Mat.from_rows(
+        [[1, 2, 0], [3, 4, 0], [5, 6, 0], [0, 0, 1]])
 
 
 def test_solve_identity():
@@ -340,7 +357,7 @@ def test_kernel_solve_and_projection_are_the_reference_constructions(m, data):
     else:
         b = tuple(data.draw(st.lists(dense_fractions, min_size=m.rows,
                                      max_size=m.rows)))
-    red, pivots = reference_rref(hstack([m, Mat(m.rows, 1, b)]))
+    red, pivots = reference_rref(block([[m, Mat(m.rows, 1, b)]]))
     want = None
     if m.cols not in pivots:
         want = [Fraction(0)] * m.cols

@@ -655,6 +655,32 @@ def test_glue_matches_the_candidate_scan_along_seeded_gluing_chains():
             spec = rng.choice(glued)
 
 
+def test_free_lengths_match_an_extension_scan():
+    # every set of one or two arcs at every socle: the gluing scans above
+    # cannot see that a finite arc's bar stops short of the Pruefer slot,
+    # length n, since a pushed arc never has socle lambda
+    cases = 0
+    for n in range(2, 6):
+        ctx = TubeCtx(n)
+        arcs = ([Arc(i, i + 1 + l) for i in range(n) for l in range(1, n)]
+                + [Arc(i, None) for i in range(n)])
+        for coll in itertools.chain(itertools.combinations(arcs, 1),
+                                    itertools.combinations(arcs, 2)):
+            def free(c):
+                return all(ext_dim_arcs(b, c, ctx) == 0
+                           == ext_dim_arcs(c, b, ctx) for b in coll)
+
+            for s in range(n):
+                want = [l for l in range(1, n + 1)
+                        if free(Arc(s, s + 1 + l if l < n else None))]
+                runs = glue._free_lengths(
+                    s, [(b.start, b.end) for b in coll], n, n)
+                assert [l for first, last in runs
+                        for l in range(first, last + 1)] == want, (s, coll)
+                cases += 1
+    assert cases == 2324
+
+
 def test_verify_matches_the_residue_set_reference():
     for rank in range(1, 6):
         for spec in enumerate_single_tube_specs(rank):

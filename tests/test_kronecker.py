@@ -10,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from siltglue.exactlin import (Mat, echelon, hstack, rank, sparse_rank,
-                               sparse_transpose, vstack)
+from siltglue.exactlin import (Mat, block, echelon, rank, sparse_rank,
+                               sparse_transpose)
+from siltglue import kronecker
 from siltglue.kronecker import (DimVector, ExplicitRep, Generic,
                                 KroneckerObject, Lukas, ObjectSum,
                                 Preinjective, Preprojective, Pruefer, Regular,
@@ -107,8 +108,7 @@ def test_regular_simple_fingerprint():
     assert hom_dim(s, s) == 1
     assert ext_dim(s, s) == 1
     # no common kernel vector, so no split vertex-2 summand
-    from siltglue.exactlin import hstack, rank
-    assert rank(hstack([s.m_alpha, s.m_beta])) == 1
+    assert rank(block([[s.m_alpha, s.m_beta]])) == 1
 
 
 def test_uniserial_endomorphism_dimension():
@@ -220,8 +220,8 @@ def subrep_cases(draw):
     d1, d2 = draw(st.integers(0, 4)), draw(st.integers(0, 4))
     y = ExplicitRep(DimVector(d1, d2), mat(d1, d2), mat(d1, d2))
     span1 = mat(draw(st.integers(0, 3)), d1)
-    span2 = vstack([span1.mul(y.m_alpha), span1.mul(y.m_beta),
-                    mat(draw(st.integers(0, 2)), d2)])
+    span2 = block([[span1.mul(y.m_alpha)], [span1.mul(y.m_beta)],
+                   [mat(draw(st.integers(0, 2)), d2)]])
     return y, span1, span2
 
 
@@ -230,8 +230,8 @@ def subrep_cases(draw):
 def test_quotient_rep_matches_the_dense_projection(case):
     got, want = quotient_rep(*case), reference_quotient_rep(*case)
     assert got.dim == want.dim
-    assert rows_are_multiples(hstack([got.m_alpha, got.m_beta]),
-                              hstack([want.m_alpha, want.m_beta]))
+    assert rows_are_multiples(block([[got.m_alpha, got.m_beta]]),
+                              block([[want.m_alpha, want.m_beta]]))
 
 
 def test_idempotent_trace_quotients():
@@ -424,7 +424,8 @@ def parses_to(parse, token, want):
 @pytest.mark.parametrize("token, want", [
     ("1:0", (1, 0)), ("(1:0)", (1, 0)), (" 1 : 0 ", (1, 0)),
     ("-2: 4", (1, -2)), ("0 :-5", (0, 1)), ("1:", None), ("x:0", None),
-    ("1:0:0", None), ("0:0", None)])
+    ("1:0:0", None), ("0:0", None), ("(1:0", None), ("1:0)", None),
+    ("( 1:0 )", None)])
 def test_point_grammar(token, want):
     parses_to(parse_point, token, want)
 
@@ -652,6 +653,26 @@ def test_support_points_drop_where_the_reference_drops(summands, seed):
 
     assert (drops(regular_support_points(y))
             == drops(reference_support_points(y)))
+
+
+def test_decompose_deflates_once(monkeypatch):
+    calls = []
+
+    def counted(y):
+        calls.append(y)
+        return regular_block(y)
+
+    def refused(y):
+        raise AssertionError("decompose reads its support off its own block")
+
+    parts = [P(2), R((1, 0), 2), R((3, -2), 1), Q(3)]
+    y = rep_direct_sum([explicit_rep(o) for o in parts])
+    regular_block = kronecker._regular_block
+    monkeypatch.setattr(kronecker, "_regular_block", counted)
+    monkeypatch.setattr(kronecker, "regular_support_points", refused)
+    monkeypatch.setattr(kronecker, "ExplicitRep", None)  # no block repacked
+    assert decompose.__wrapped__(y) == object_sum((o, 1) for o in parts)
+    assert calls == [y]
 
 
 def test_tall_point_decomposes_within_budget():

@@ -9,7 +9,7 @@ from siltglue.complexes import (ProjMorphism, ProjSum, TwoTermComplex,
                                 morphism_from_flat, morphism_space_dim, power,
                                 shifted_projective, stalk_complex,
                                 universal_extension)
-from siltglue.exactlin import Mat, vstack
+from siltglue.exactlin import Mat, block
 from siltglue.kronecker import (DimVector, ExplicitRep, Preinjective,
                                 Preprojective, Regular, explicit_rep,
                                 object_sum, render_object_sum)
@@ -128,8 +128,8 @@ def reference_phi_surjective(s1, s2, alpha) -> bool:
     vectors = [f.then(alpha).flat() for f, _ in chain_endos(s2)]
     vectors += [alpha.then(g).flat() for _, g in chain_endos(s1)]
     homotopies, nh = delta_map(s2, s1)
-    stacked = vstack([Mat.from_rows(vectors, cols=n),
-                      Mat.from_sparse(homotopies, nh).transpose()])
+    stacked = block([[Mat.from_rows(vectors, cols=n)],
+                     [Mat.from_sparse(homotopies, nh).transpose()]])
     return len(reference_rref(stacked)[1]) == n
 
 
