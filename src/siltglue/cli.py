@@ -211,14 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    env = os.environ.get("SILTGLUE_MAXLEN")
-    if env and hasattr(args, "max_len"):
-        try:
-            args.max_len = int(env)
-        except ValueError:
-            parser.error(f"SILTGLUE_MAXLEN must be an integer, got {env!r}")
+    args = build_parser().parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()

@@ -403,8 +403,11 @@ def minimize(c: TwoTermComplex) -> TwoTermComplex:
     against the kept rows that lead in s11; with an s11 entry left it is
     kept and cancels a P1 from both terms, with none it survives.  The
     P2 -> P1 block is zero, so each s22 pivot cancels a P2 and touches only
-    the arrow block, where quotient_pencil clears its column.
+    the arrow block, where quotient_pencil clears its column.  A complex
+    with a zero term has a zero differential and is already minimal.
     """
+    if c.deg_m1.is_zero() or c.deg_0.is_zero():
+        return c
     k, p1, p2 = c.diff, c.deg_0.p1, c.deg_0.p2
     kept, rest = {}, []
     for row in block([[k.s11, k.arr_a, k.arr_b]]).sparse_rows():
@@ -447,15 +450,6 @@ def _parse_proj_sum(text: str) -> ProjSum:
         else:
             p2 += mult
     return ProjSum(p1, p2)
-
-
-def _render_proj_sum(s: ProjSum) -> str:
-    bits = []
-    if s.p1:
-        bits.append("P1" if s.p1 == 1 else f"P1^{s.p1}")
-    if s.p2:
-        bits.append("P2" if s.p2 == 1 else f"P2^{s.p2}")
-    return "+".join(bits) if bits else "0"
 
 
 def parse_complex_literal(text: str) -> TwoTermComplex:
@@ -525,21 +519,3 @@ def parse_complex_literal(text: str) -> TwoTermComplex:
         Mat.from_rows(arr_a, cols=dst.p2),
         Mat.from_rows(arr_b, cols=dst.p2))
     return TwoTermComplex(src, dst, diff)
-
-
-def render_complex_literal(c: TwoTermComplex) -> str:
-    src, dst, d = c.deg_m1, c.deg_0, c.diff
-    head = f"{_render_proj_sum(src)} -> {_render_proj_sum(dst)}"
-    if src.is_zero() or dst.is_zero():
-        return f"[{head}]"
-    rows = []
-    for i in range(src.p1):
-        cells = [str(d.s11.at(i, j)) for j in range(dst.p1)]
-        cells += [f"({d.arr_a.at(i, j)},{d.arr_b.at(i, j)})"
-                  for j in range(dst.p2)]
-        rows.append(" ".join(cells))
-    for i in range(src.p2):
-        cells = ["0"] * dst.p1
-        cells += [str(d.s22.at(i, j)) for j in range(dst.p2)]
-        rows.append(" ".join(cells))
-    return f"[{head} | {'; '.join(rows)}]"

@@ -36,8 +36,16 @@ class GlueCaseError(RuntimeError):
 
 @frozen
 class TubeData:
+    """A tube's rank and its arcs, each stored as the representative with
+    0 <= start < rank."""
+
     rank: int
     arcs: frozenset
+
+    def __post_init__(self):
+        ctx = TubeCtx(self.rank)
+        object.__setattr__(self, "arcs",
+                           frozenset(normalize(a, ctx) for a in self.arcs))
 
     def sorted_arcs(self) -> list:
         return sorted(self.arcs, key=arc_sort_key)
@@ -48,11 +56,6 @@ class TubeData:
     def infinite_arcs(self) -> list:
         return [a for a in self.sorted_arcs() if a.is_infinite()]
 
-    def canonical(self) -> "TubeData":
-        ctx = TubeCtx(self.rank)
-        return TubeData(self.rank,
-                        frozenset(normalize(a, ctx) for a in self.arcs))
-
 
 @frozen
 class TiltingSpec:
@@ -61,8 +64,7 @@ class TiltingSpec:
 
     @staticmethod
     def make(tubes: Dict[str, TubeData], divisible) -> "TiltingSpec":
-        canon = sorted((pid, td.canonical()) for pid, td in tubes.items())
-        return TiltingSpec(tuple(canon), frozenset(divisible))
+        return TiltingSpec(tuple(sorted(tubes.items())), frozenset(divisible))
 
     def tube(self, point: str) -> TubeData:
         for pid, td in self.tubes:
@@ -72,7 +74,7 @@ class TiltingSpec:
 
     def with_tube(self, point: str, td: TubeData) -> "TiltingSpec":
         out = dict(self.tubes)
-        out[point] = td.canonical()  # the other tubes are canonical
+        out[point] = td
         return TiltingSpec(tuple(sorted(out.items())), self.divisible)
 
 
@@ -94,14 +96,17 @@ def parse_spec(text: str) -> TiltingSpec:
     m = re.fullmatch(r"curve\s+points=\[([^\]]*)\]\s+V=\{([^}]*)\}", lines[0])
     if not m:
         raise ValueError("header must be 'curve points=[id:rank, ...] V={...}'")
-    tubes: Dict[str, TubeData] = {}
     ranks = {}
     for part in m.group(1).split(","):
-        part = part.strip()
-        if not part:
+        if not part.strip():
             continue
-        pid, rk = part.split(":")
-        ranks[pid.strip()] = int(rk)
+        e = re.fullmatch(r"\s*(\S+?)\s*:\s*(-?\d+)\s*", part)
+        if not e:
+            raise ValueError(
+                f"header entry must be 'id:rank', got {part.strip()!r}")
+        if e.group(1) in ranks:
+            raise ValueError(f"point {e.group(1)!r} listed twice in the header")
+        ranks[e.group(1)] = int(e.group(2))
     divisible = frozenset(p.strip() for p in m.group(2).split(",") if p.strip())
     cur: Optional[str] = None
     arcs: Dict[str, set] = {pid: set() for pid in ranks}
@@ -115,12 +120,11 @@ def parse_spec(text: str) -> TiltingSpec:
         if cur is None:
             raise ValueError("arc line before any 'point' header")
         arcs[cur].add(parse_arc(ln))
-    for pid, rk in ranks.items():
-        tubes[pid] = TubeData(rk, frozenset(arcs[pid]))
     unknown = divisible - set(ranks)
     if unknown:
         raise ValueError(f"V contains unknown points {sorted(unknown)}")
-    return TiltingSpec.make(tubes, divisible)
+    return TiltingSpec.make({pid: TubeData(rk, frozenset(arcs[pid]))
+                             for pid, rk in ranks.items()}, divisible)
 
 
 # ---------------------------------------------------------------------------
@@ -216,24 +220,20 @@ def verify_tilting_spec(spec: TiltingSpec) -> Tuple[bool, list]:
     if not spec.divisible:
         reasons.append("the set of divisible points is empty")
     for pid, td in spec.tubes:
-        ctx = TubeCtx(td.rank)
-        n = ctx.n
+        n = td.rank
         arcs = td.sorted_arcs()
         finite = [a for a in arcs if not a.is_infinite()]
         pruefer = [a for a in arcs if a.is_infinite()]
-        ends = []
-        for a in arcs:
-            ca = normalize(a, ctx)
-            ends.append((a, ca.start, ca.end))
         # every ordered pair: an arc of length >= n extends itself.  The
-        # lift of b by kn crosses a from the left when i - j2 < kn < hi, the
-        # lift range of tube._crossing_lifts
-        for a, i, j in ends:
-            for b, i2, j2 in ends:
-                if j2 is None:
+        # lift of b by kn crosses a from the left when
+        # a.start - b.end < kn < hi, the lift range of tube._crossing_lifts
+        for a in arcs:
+            for b in arcs:
+                if b.end is None:
                     continue
-                hi = i - i2 if j is None else min(i - i2, j - j2)
-                if (hi - 1) // n > (i - j2) // n:
+                hi = (a.start - b.start if a.end is None
+                      else min(a.start - b.start, a.end - b.end))
+                if (hi - 1) // n > (a.start - b.end) // n:
                     reasons.append(
                         f"point {pid}: extensions between {render_arc(a)} "
                         f"and {render_arc(b)}")
@@ -453,7 +453,7 @@ def _push_spec(espec: ExpansionSpec, spec: TiltingSpec, point: str) -> TiltingSp
     if td.rank != espec.n - 1:
         raise ValueError(
             f"tube at {point!r} has rank {td.rank}, expected {espec.n - 1}")
-    pushed = frozenset(push_forward(espec, a) for a in td.sorted_arcs())
+    pushed = frozenset(push_forward(espec, a) for a in td.arcs)
     return spec.with_tube(point, TubeData(espec.n, pushed))
 
 
@@ -483,7 +483,7 @@ def choose_seed(spec: TiltingSpec, point: str) -> Seed:
         raise ValueError("no expansion exists for a tube of rank 1")
     ctx = TubeCtx(td.rank)
     arcs = td.sorted_arcs()
-    branch = td.finite_arcs()
+    branch = [a for a in arcs if not a.is_infinite()]
     if not arcs:
         side, lam = "right", Arc(0, 2)
     elif branch:
@@ -513,7 +513,7 @@ def reduce_spec(spec: TiltingSpec, point: str, espec: ExpansionSpec,
     (side "left") or right adjoint of the expansion, one rank down."""
     td = spec.tube(point)
     reducer = reduce_left if side == "left" else reduce_right
-    reduced = (reducer(espec, a) for a in td.sorted_arcs())
+    reduced = (reducer(espec, a) for a in td.arcs)
     return spec.with_tube(point, TubeData(
         td.rank - 1, frozenset(r for r in reduced if r is not None)))
 

@@ -782,7 +782,11 @@ def decompose(y: ExplicitRep) -> ObjectSum:
     that block alone, at each point (a:b) of its _support, the kernel chain
     of (b*A_r - a*B_r, B_r, or A_r if b = 0) counts the regulars at (a:b)
     by length.  Raises if a count is negative or the dimension count does
-    not come out exact, as for an irrational support."""
+    not come out exact, as for an irrational support.  With a zero vertex
+    no arrow acts, and the module is semisimple."""
+    d1, d2 = y.dim.d1, y.dim.d2
+    if not d1 or not d2:
+        return object_sum([(Preinjective(1), d1), (Preprojective(1), d2)])
     ps, qs, ra, rb = _regular_block(y)
     if min(qs + ps, default=0) < 0:
         raise ArithmeticError("negative preprojective/preinjective count")

@@ -209,22 +209,6 @@ def test_emit_quiver(capsys):
     assert out.startswith("digraph tube {")
 
 
-def test_maxlen_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("SILTGLUE_MAXLEN", "1")
-    code, out, _ = run_cli(capsys, "enumerate-rigid", "--rank", "2",
-                           "--max-len", "5", "--pruefer")
-    assert code == 0 and len(out.splitlines()) == 3
-
-
-def test_maxlen_env_not_an_integer_is_a_named_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("SILTGLUE_MAXLEN", "abc")
-    with pytest.raises(SystemExit) as exc:
-        main(["enumerate-rigid", "--rank", "3"])
-    err = capsys.readouterr().err
-    assert exc.value.code == 2
-    assert "SILTGLUE_MAXLEN" in err and "'abc'" in err
-
-
 def test_spec_file_pipeline(tmp_path, capsys):
     spec = tmp_path / "datum.txt"
     spec.write_text(SPEC_TEXT, encoding="utf-8")
@@ -315,6 +299,24 @@ def test_spec_verbs_name_an_unknown_point(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, argv[0], "--spec", str(spec), "--point",
                              "z", *argv[1:])
     assert (code, out, err) == (1, "", "error: no tube at point 'z'\n")
+
+
+@pytest.mark.parametrize("header, reason", [
+    pytest.param("[x:2, x:3]", "point 'x' listed twice in the header",
+                 id="duplicate"),
+    pytest.param("[x]", "header entry must be 'id:rank', got 'x'",
+                 id="no-rank"),
+    pytest.param("[x:abc]", "header entry must be 'id:rank', got 'x:abc'",
+                 id="non-integer"),
+])
+def test_choose_seed_names_a_bad_header_entry(tmp_path, capsys, header,
+                                              reason):
+    spec = tmp_path / "datum.txt"
+    spec.write_text(f"curve points={header} V={{x}}\npoint x\n[0,inf)\n",
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "choose-seed", "--spec", str(spec),
+                             "--point", "x")
+    assert (code, out, err) == (1, "", f"error: {reason}\n")
 
 
 def test_outputs_byte_stable(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import Counter
 
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from siltglue.silting import (ComplexSummand, canonical_resolution,
                               presentation_of_object)
 
 from test_exactlin import rows_are_multiples
-from test_kronecker import unimodular
+from test_kronecker import unimodular, wall_budget
 
 P = Preprojective
 Q = Preinjective
@@ -270,6 +271,26 @@ def test_identify_summands_regular():
     assert summand.h0 == R((2, 1), 1)
 
 
+def test_zero_term_stalks_are_identified_in_time_independent_of_size():
+    from siltglue.complexes import parse_complex_literal
+    n = 10 ** 9
+    want = {"P1^N -> 0": ComplexSummand(None, 1),
+            "P2^N -> 0": ComplexSummand(None, 2),
+            "0 -> P1^N": ComplexSummand(P(1), None),
+            "0 -> P2^N": ComplexSummand(P(2), None)}
+    for text, summand in want.items():
+        for k in (1, 3):
+            c = parse_complex_literal(f"[{text.replace('N', str(k))}]")
+            assert minimize(c) == reference_minimize(c) == c
+            assert identify_summands(c) == ((summand, k),)
+    t0 = time.process_time()
+    with wall_budget(10):
+        for text, summand in want.items():
+            c = parse_complex_literal(f"[{text.replace('N', str(n))}]")
+            assert identify_summands(c) == ((summand, n),)
+    assert time.process_time() - t0 < 1.0
+
+
 def reference_regular_summand(obj):
     """The route the closed form in identify_summands replaced: the
     complex P1^l -> P2^l along the arrow matrices of a regular R(x, l),
@@ -315,9 +336,35 @@ def test_power_and_zero():
     assert derived_hom_dim(doubled, stalk_complex(ProjSum(1, 0)), 1) == 4
 
 
+def _render_proj_sum(s: ProjSum) -> str:
+    bits = []
+    if s.p1:
+        bits.append("P1" if s.p1 == 1 else f"P1^{s.p1}")
+    if s.p2:
+        bits.append("P2" if s.p2 == 1 else f"P2^{s.p2}")
+    return "+".join(bits) if bits else "0"
+
+
+def render_complex_literal(c: TwoTermComplex) -> str:
+    src, dst, d = c.deg_m1, c.deg_0, c.diff
+    head = f"{_render_proj_sum(src)} -> {_render_proj_sum(dst)}"
+    if src.is_zero() or dst.is_zero():
+        return f"[{head}]"
+    rows = []
+    for i in range(src.p1):
+        cells = [str(d.s11.at(i, j)) for j in range(dst.p1)]
+        cells += [f"({d.arr_a.at(i, j)},{d.arr_b.at(i, j)})"
+                  for j in range(dst.p2)]
+        rows.append(" ".join(cells))
+    for i in range(src.p2):
+        cells = ["0"] * dst.p1
+        cells += [str(d.s22.at(i, j)) for j in range(dst.p2)]
+        rows.append(" ".join(cells))
+    return f"[{head} | {'; '.join(rows)}]"
+
+
 def test_complex_literal_round_trip():
-    from siltglue.complexes import (parse_complex_literal,
-                                    render_complex_literal)
+    from siltglue.complexes import parse_complex_literal
     samples = [
         presentation_of_object(Q(1)),
         presentation_of_object(P(3)),

@@ -272,6 +272,33 @@ def test_with_tube_normalizes_only_the_new_tube():
         assert all(out.tube(p) is spec.tube(p) for p in ("x", "y"))
 
 
+def test_tube_data_normalizes_its_arcs_when_built():
+    td = TubeData(2, frozenset({Arc(5, 7), Arc(-1, None)}))
+    assert td.arcs == {Arc(1, 3), Arc(1, None)}
+    assert td == TubeData(2, frozenset({Arc(1, 3), Arc(1, None)}))
+    assert repr(td) == f"TubeData(rank=2, arcs={td.arcs!r})"
+    with pytest.raises(ValueError,
+                       match=r"^finite arc needs end >= start \+ 2, got \[0,1\]$"):
+        TubeData(2, frozenset({Arc(0, 1)}))
+    with pytest.raises(ValueError, match="^tube rank must be at least 1$"):
+        TubeData(0, frozenset())
+
+
+def test_built_data_are_not_normalized_again(monkeypatch):
+    spec = TiltingSpec.make(
+        {"x": TubeData(3, frozenset({Arc(3, 5), Arc(4, None)})),
+         "y": TubeData(1, frozenset({Arc(2, None)}))}, {"y"})
+    td = TubeData(2, frozenset({Arc(5, 7), Arc(-1, None)}))
+    calls = []
+    real = glue.normalize
+    monkeypatch.setattr(glue, "normalize",
+                        lambda a, ctx: calls.append(a) or real(a, ctx))
+    verify_tilting_spec(spec)
+    TiltingSpec.make(dict(spec.tubes), spec.divisible)
+    spec.with_tube("z", td)
+    assert calls == []
+
+
 def test_spec_parse_errors():
     with pytest.raises(ValueError, match="header"):
         parse_spec("nope")
@@ -279,6 +306,18 @@ def test_spec_parse_errors():
         parse_spec("curve points=[x:2] V={x}\npoint z\n[0,2]")
     with pytest.raises(ValueError, match="unknown points"):
         parse_spec("curve points=[x:2] V={q}")
+    for entry in ("x", "x:abc", "x:2:3 y", ":2"):
+        with pytest.raises(ValueError) as exc:
+            parse_spec(f"curve points=[{entry}] V={{}}")
+        assert str(exc.value) == f"header entry must be 'id:rank', got {entry!r}"
+    with pytest.raises(ValueError) as exc:
+        parse_spec("curve points=[x:2, y:1, x:3] V={x}")
+    assert str(exc.value) == "point 'x' listed twice in the header"
+    with pytest.raises(ValueError) as exc:
+        parse_spec("curve points=[x:-1] V={x}")
+    assert str(exc.value) == "tube rank must be at least 1"
+    assert parse_spec("curve points=[ x : 2 ,y:1, ] V={x}").tubes == (
+        ("x", TubeData(2, frozenset())), ("y", TubeData(1, frozenset())))
 
 
 def test_spec_diff():

@@ -675,6 +675,20 @@ def test_decompose_deflates_once(monkeypatch):
     assert calls == [y]
 
 
+def test_modules_with_a_zero_vertex_decompose_as_semisimple():
+    # the shortcut against the cache and against the deflation route, which
+    # a regular summand on the other vertex forces
+    r = explicit_rep(R((1, 0), 1))
+    for d1, d2 in [(k, 0) for k in range(1, 6)] + [(0, k) for k in range(1, 6)]:
+        y = ExplicitRep(DimVector(d1, d2), Mat.zeros(d1, d2),
+                        Mat.zeros(d1, d2))
+        got = decompose(y)
+        assert got == decompose.__wrapped__(y) == object_sum(
+            [(Q(1), d1), (P(1), d2)])
+        assert decompose(rep_direct_sum([y, r])) == object_sum(
+            list(got) + [(R((1, 0), 1), 1)])
+
+
 def test_tall_point_decomposes_within_budget():
     point = (2**31 - 1, 1)
     with wall_budget(10):
