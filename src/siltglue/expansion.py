@@ -86,7 +86,6 @@ def _last(spec: ExpansionSpec, t: int) -> int:
 
 def push_forward(spec: ExpansionSpec, a: Arc) -> Arc:
     """Image of a reduced-tube arc under the exact inclusion."""
-    a = normalize(a, spec.reduced)
     socle = a.start + 1
     big_socle = _first(spec, socle)
     if a.is_infinite():
@@ -115,7 +114,6 @@ def _reduce(spec: ExpansionSpec, a: Arc, killed_residue: int) -> Optional[Arc]:
     first surviving factor is the first factor or the next one, and the
     last is the last factor or the one before; they cross only when a is
     the killed simple, so the cost does not depend on the length of a."""
-    a = normalize(a, spec.big)
     n, killed = spec.n, killed_residue % spec.n
     s = a.start + 1
     if s % n == killed:

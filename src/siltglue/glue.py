@@ -53,9 +53,6 @@ class TubeData:
     def finite_arcs(self) -> list:
         return [a for a in self.sorted_arcs() if not a.is_infinite()]
 
-    def infinite_arcs(self) -> list:
-        return [a for a in self.sorted_arcs() if a.is_infinite()]
-
 
 @frozen
 class TiltingSpec:

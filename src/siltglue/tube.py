@@ -28,6 +28,11 @@ class Arc:
     start: int
     end: Optional[int]  # None marks a right-infinite arc
 
+    def __post_init__(self):
+        if self.end is not None and self.end < self.start + 2:
+            raise ValueError(
+                f"finite arc needs end >= start + 2, got {render_arc(self)}")
+
     def is_infinite(self) -> bool:
         return self.end is None
 
@@ -52,10 +57,9 @@ def arc_sort_key(a: Arc):
 
 
 def normalize(a: Arc, ctx: TubeCtx) -> Arc:
-    """Canonical representative with 0 <= start < n."""
-    if not a.is_infinite() and a.end < a.start + 2:
-        raise ValueError(
-            f"finite arc needs end >= start + 2, got {render_arc(a)}")
+    """Canonical representative with 0 <= start < n.  The functions here
+    accept any lift of an arc; the canonical one is taken only where an arc
+    is stored, compared or returned."""
     shift = (a.start % ctx.n) - a.start
     if shift == 0:
         return a
@@ -104,26 +108,22 @@ def _neg_crossings(a: Arc, b: Arc, n: int) -> int:
 
 def crossings(a: Arc, b: Arc, ctx: TubeCtx) -> tuple:
     """(positive, negative) minimal crossing numbers of the two arcs."""
-    a = normalize(a, ctx)
-    b = normalize(b, ctx)
     return _neg_crossings(b, a, ctx.n), _neg_crossings(a, b, ctx.n)
 
 
 def ext_dim_arcs(a: Arc, b: Arc, ctx: TubeCtx) -> int:
     """dim Ext^1 from the object of a to the object of b: the number of
     negative crossings."""
-    return _neg_crossings(normalize(a, ctx), normalize(b, ctx), ctx.n)
+    return _neg_crossings(a, b, ctx.n)
 
 
 def tau_arc(a: Arc, ctx: TubeCtx) -> Arc:
     """Auslander-Reiten translate: both endpoints down by one."""
-    a = normalize(a, ctx)
     return normalize(Arc(a.start - 1, None if a.is_infinite() else a.end - 1),
                      ctx)
 
 
 def tau_arc_inverse(a: Arc, ctx: TubeCtx) -> Arc:
-    a = normalize(a, ctx)
     return normalize(Arc(a.start + 1, None if a.is_infinite() else a.end + 1),
                      ctx)
 
@@ -143,22 +143,18 @@ def hom_simple_to(simple: Arc, b: Arc, ctx: TubeCtx) -> int:
     """dim Hom from a simple: 1 when b has the same socle, else 0 (the
     image of a nonzero map from a simple is the socle).  Valid for finite
     and infinite b."""
-    simple = normalize(simple, ctx)
     if simple.length() != 1:
         raise ValueError("first argument must be a simple arc")
-    b = normalize(b, ctx)
     return 1 if b.start % ctx.n == simple.start % ctx.n else 0
 
 
 def hom_to_simple(a: Arc, simple: Arc, ctx: TubeCtx) -> int:
     """dim Hom into a simple: 1 when a is finite with the same top, else 0
     (Pruefer objects admit no nonzero map to a finite object)."""
-    simple = normalize(simple, ctx)
     if simple.length() != 1:
         raise ValueError("second argument must be a simple arc")
     if a.is_infinite():
         return 0
-    a = normalize(a, ctx)
     return 1 if (a.end - 2) % ctx.n == simple.start % ctx.n else 0
 
 
@@ -181,21 +177,20 @@ def subobject_arcs(a: Arc, ctx: TubeCtx, max_len: Optional[int] = None) -> list:
     """Nonzero subobjects: arcs sharing the start, up to and including a.
     An infinite arc has infinitely many, so a length bound is required."""
     a = normalize(a, ctx)
+    # every subobject shares the canonical start of a
     if a.is_infinite():
         if max_len is None:
             raise ValueError("subobjects of a Pruefer arc need a length bound")
-        ends = [a.start + 1 + l for l in range(1, max_len + 1)]
-        return [normalize(Arc(a.start, e), ctx) for e in ends] + [a]
-    return [normalize(Arc(a.start, e), ctx) for e in range(a.start + 2, a.end + 1)]
+        return [Arc(a.start, a.start + 1 + l)
+                for l in range(1, max_len + 1)] + [a]
+    return [Arc(a.start, e) for e in range(a.start + 2, a.end + 1)]
 
 
 def quotient_arcs(a: Arc, ctx: TubeCtx) -> list:
     """Nonzero quotients: finite arcs share the end; a Pruefer arc has the
     n Pruefer classes as quotients."""
-    a = normalize(a, ctx)
     if a.is_infinite():
-        return sorted({normalize(Arc(a.start + t, None), ctx)
-                       for t in range(ctx.n)}, key=arc_sort_key)
+        return [Arc(s, None) for s in range(ctx.n)]
     return [normalize(Arc(s, a.end), ctx) for s in range(a.start, a.end - 1)]
 
 
@@ -206,8 +201,6 @@ def extension_middle(a: Arc, b: Arc, ctx: TubeCtx) -> list:
     The crossing lift [i', j'] of b gives the middle [i', end(a)] + [start(a), j'],
     where the second arc degenerates away when j' sits directly above
     start(a)."""
-    a = normalize(a, ctx)
-    b = normalize(b, ctx)
     if ext_dim_arcs(a, b, ctx) != 1:
         raise ValueError("extension class not unique")
     kmin, kmax = _crossing_lifts(a, b, ctx.n)
@@ -227,7 +220,7 @@ def extension_middle(a: Arc, b: Arc, ctx: TubeCtx) -> list:
 
 def is_rigid(arcs: Iterable[Arc], ctx: TubeCtx) -> bool:
     """No extensions in either direction between any pair, self included."""
-    arcs = [normalize(a, ctx) for a in arcs]
+    arcs = list(arcs)
     for a in arcs:
         for b in arcs:
             if ext_dim_arcs(a, b, ctx) != 0:
@@ -241,16 +234,16 @@ def is_maximal_rigid(arcs: Iterable[Arc], ctx: TubeCtx) -> bool:
 
 
 def rigid_candidates(ctx: TubeCtx, max_len: int, include_infinite: bool) -> list:
-    """All arcs without self-extensions, up to the length bound."""
+    """All arcs without self-extensions, up to the length bound, in
+    arc_sort_key order: at each start the finite arcs of length below n
+    (an arc of length n or more extends itself), then the Pruefer arc."""
     out = []
     for s in range(ctx.n):
-        for l in range(1, max_len + 1):
-            a = Arc(s, s + 1 + l)
-            if ext_dim_arcs(a, a, ctx) == 0:
-                out.append(a)
-    if include_infinite:
-        out.extend(Arc(s, None) for s in range(ctx.n))
-    return sorted(out, key=arc_sort_key)
+        out += [Arc(s, s + 1 + l)
+                for l in range(1, min(max_len, ctx.n - 1) + 1)]
+        if include_infinite:
+            out.append(Arc(s, None))
+    return out
 
 
 def enumerate_maximal_rigid(ctx: TubeCtx, max_len: int,
@@ -305,12 +298,12 @@ def translation_quiver(ctx: TubeCtx, max_len: int) -> tuple:
     length exceeds one; the translate shifts both endpoints down."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    verts = [normalize(Arc(s, s + 1 + l), ctx)
+    verts = [Arc(s, s + 1 + l)
              for s in range(ctx.n) for l in range(1, max_len + 1)]
     vset = set(verts)
     arrows = []
     for a in verts:
-        longer = normalize(Arc(a.start, a.end + 1), ctx)
+        longer = Arc(a.start, a.end + 1)
         if longer in vset:
             arrows.append((a, longer))
         if a.end > a.start + 2:

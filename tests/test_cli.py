@@ -116,9 +116,13 @@ def test_domain_error_exit_code(capsys):
 
 
 def test_error_text_names_the_arc_as_written(capsys):
-    code, out, err = run_cli(capsys, "tau", "[0,1]", "--tube", "3")
-    assert (code, out) == (1, "")
-    assert err == "error: finite arc needs end >= start + 2, got [0,1]\n"
+    # an arc is checked as it is parsed, so it is named before the Hom rule
+    # for Pruefer arcs
+    for argv in (["tau", "[0,1]"], ["ext", "[0,1]", "[0,2]"],
+                 ["hom", "[0,1]", "[0,inf)"]):
+        code, out, err = run_cli(capsys, *argv, "--tube", "3")
+        assert (code, out) == (1, "")
+        assert err == "error: finite arc needs end >= start + 2, got [0,1]\n"
 
 
 def _env(unbuffered):
@@ -366,6 +370,16 @@ def test_rank_nine_maximal_rigid_listing_in_a_subprocess():
         capture_output=True, text=True, timeout=10)
     assert out.returncode == 0
     assert len(out.stdout.splitlines()) == math.comb(17, 9)
+
+
+def test_a_huge_length_bound_lists_rigid_collections_in_start_up_time():
+    # an arc of length n or more extends itself, so no longer arc is scanned
+    out = subprocess.run(
+        [sys.executable, "-m", "siltglue.cli", "enumerate-rigid", "--rank", "3",
+         "--max-len", "10000000"],
+        capture_output=True, text=True, timeout=10)
+    assert out.returncode == 0
+    assert len(out.stdout.splitlines()) == 6
 
 
 @pytest.mark.parametrize("argv, want", [

@@ -6,6 +6,7 @@ from siltglue.tube import (Arc, TubeCtx, ext_dim_arcs, hom_dim_arcs, normalize,
                            render_arc, subobject_arcs, tau_arc)
 
 from test_kronecker import wall_budget
+from test_tube import canonical_arcs, lift
 
 
 def spec34():
@@ -174,3 +175,21 @@ def test_pruefer_reduction_collides_across_the_pair():
     p_lam = Arc(lam_socle, None)
     p_next = Arc(lam_socle + 1, None)
     assert reduce_left(s, p_lam) == reduce_left(s, p_next)
+
+
+def test_push_and_reduce_do_not_depend_on_the_lift():
+    seen = 0
+    for n in range(2, 7):
+        for lstart in range(n):
+            s = ExpansionSpec(n, Arc(lstart, lstart + 2))
+            for k in range(-2, 3):
+                for a in canonical_arcs(n - 1, 2 * n - 1):
+                    seen += 1
+                    assert (push_forward(s, lift(a, k, n - 1))
+                            == push_forward(s, a))
+                for a in canonical_arcs(n, 2 * n - 1):
+                    seen += 2
+                    la = lift(a, k, n)
+                    assert reduce_left(s, la) == reduce_left(s, a)
+                    assert reduce_right(s, la) == reduce_right(s, a)
+    assert seen > 10000

@@ -73,6 +73,10 @@ def _reference_is_segment(residues: frozenset, n: int) -> bool:
     return False
 
 
+def infinite_arcs(td: TubeData) -> list:
+    return [a for a in td.sorted_arcs() if a.is_infinite()]
+
+
 def reference_verify_tilting_spec(spec: TiltingSpec) -> tuple:
     """verify_tilting_spec on residue sets and crossing counts."""
     reasons = []
@@ -115,7 +119,7 @@ def reference_verify_tilting_spec(spec: TiltingSpec) -> tuple:
                     reasons.append(f"point {pid}: adjacent wings form a segment")
         if pid in spec.divisible:
             want = {s for s in range(n) if (s - 1) % n not in bases}
-            have = {(a.start + 1) % n for a in td.infinite_arcs()}
+            have = {(a.start + 1) % n for a in infinite_arcs(td)}
             if want != have:
                 reasons.append(
                     f"point {pid}: Pruefer socles {_render_residues(have)} do "
@@ -124,7 +128,7 @@ def reference_verify_tilting_spec(spec: TiltingSpec) -> tuple:
                 reasons.append(
                     f"point {pid}: divisible tube carries {len(arcs)} arcs, "
                     f"expected {n}")
-        elif td.infinite_arcs():
+        elif infinite_arcs(td):
             reasons.append(
                 f"point {pid}: Pruefer arcs outside the divisible set")
     return (not reasons, reasons)
@@ -306,6 +310,14 @@ def test_spec_parse_errors():
         parse_spec("curve points=[x:2] V={x}\npoint z\n[0,2]")
     with pytest.raises(ValueError, match="unknown points"):
         parse_spec("curve points=[x:2] V={q}")
+    # an arc is checked as it is parsed, so a bad arc is named before an
+    # unknown point in V, and an unknown point before a bad rank
+    with pytest.raises(ValueError) as exc:
+        parse_spec("curve points=[x:2] V={q}\npoint x\n[0,1]")
+    assert str(exc.value) == "finite arc needs end >= start + 2, got [0,1]"
+    with pytest.raises(ValueError) as exc:
+        parse_spec("curve points=[x:0] V={q}\npoint x\n[0,2]")
+    assert str(exc.value) == "V contains unknown points ['q']"
     for entry in ("x", "x:abc", "x:2:3 y", ":2"):
         with pytest.raises(ValueError) as exc:
             parse_spec(f"curve points=[{entry}] V={{}}")

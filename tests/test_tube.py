@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from siltglue.tube import (Arc, TubeCtx, arc_sort_key, crossings,
                            enumerate_maximal_rigid, ext_dim_arcs,
-                           extension_middle, hom_dim_arcs, is_maximal_rigid,
-                           is_rigid, normalize, parse_arc, quotient_arcs,
-                           render_arc, rigid_candidates, socle,
-                           subobject_arcs, tau_arc, tau_arc_inverse, top,
-                           translation_quiver, translation_quiver_dot)
+                           extension_middle, hom_dim_arcs, hom_simple_to,
+                           hom_to_simple, is_maximal_rigid, is_rigid,
+                           normalize, parse_arc, quotient_arcs, render_arc,
+                           rigid_candidates, socle, subobject_arcs, tau_arc,
+                           tau_arc_inverse, top, translation_quiver,
+                           translation_quiver_dot)
 
 N3 = TubeCtx(3)
 
@@ -47,6 +48,14 @@ def test_normalize():
     assert normalize(Arc(-1, None), N3) == Arc(2, None)
     with pytest.raises(ValueError):
         normalize(Arc(0, 1), N3)
+
+
+def test_invalid_arcs_raise_when_built():
+    for start, end in ((0, 1), (3, 4)):
+        with pytest.raises(ValueError) as exc:
+            Arc(start, end)
+        assert str(exc.value) == (
+            f"finite arc needs end >= start + 2, got [{start},{end}]")
 
 
 def test_arc_grammar():
@@ -278,21 +287,16 @@ def test_translation_quiver_dot_shape():
 # -- property tests ------------------------------------------------------------
 
 
-arcs_finite = st.builds(Arc,
+arcs_finite = st.builds(lambda s, l: Arc(s, s + 2 + l),
                         st.integers(min_value=-6, max_value=6),
                         st.integers(min_value=0, max_value=12))
 ranks = st.integers(min_value=1, max_value=5)
-
-
-def _fix(a: Arc) -> Arc:
-    return Arc(a.start, a.start + 2 + (a.end or 0))
 
 
 @given(ranks, arcs_finite, arcs_finite)
 @settings(max_examples=150, deadline=None)
 def test_crossing_symmetry(n, a, b):
     ctx = TubeCtx(n)
-    a, b = _fix(a), _fix(b)
     pos_ab, neg_ab = crossings(a, b, ctx)
     pos_ba, neg_ba = crossings(b, a, ctx)
     assert pos_ab == neg_ba
@@ -303,7 +307,6 @@ def test_crossing_symmetry(n, a, b):
 @settings(max_examples=150, deadline=None)
 def test_serre_duality_loop(n, a, b):
     ctx = TubeCtx(n)
-    a, b = _fix(a), _fix(b)
     assert ext_dim_arcs(a, b, ctx) == hom_dim_arcs(b, tau_arc(a, ctx), ctx)
 
 
@@ -311,7 +314,6 @@ def test_serre_duality_loop(n, a, b):
 @settings(max_examples=100, deadline=None)
 def test_tau_invariance_of_crossings(n, a):
     ctx = TubeCtx(n)
-    a = _fix(a)
     b = Arc(a.start + 1, a.end + 2)
     assert ext_dim_arcs(a, b, ctx) == ext_dim_arcs(tau_arc(a, ctx),
                                                    tau_arc(b, ctx), ctx)
@@ -427,3 +429,75 @@ def test_bron_kerbosch_matches_the_backtracking(n):
             assert (enumerate_maximal_rigid(ctx, max_len, pruefer)
                     == reference_enumerate_maximal_rigid(ctx, max_len,
                                                          pruefer))
+
+
+def reference_rigid_candidates(ctx: TubeCtx, max_len: int,
+                               include_infinite: bool) -> list:
+    """Every finite arc up to the length bound, scanned for
+    self-extensions."""
+    out = []
+    for s in range(ctx.n):
+        for l in range(1, max_len + 1):
+            a = Arc(s, s + 1 + l)
+            if ext_dim_arcs(a, a, ctx) == 0:
+                out.append(a)
+    if include_infinite:
+        out.extend(Arc(s, None) for s in range(ctx.n))
+    return sorted(out, key=arc_sort_key)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_rigid_candidates_match_the_scan(n):
+    ctx = TubeCtx(n)
+    for max_len in range(2 * n + 2):
+        for pruefer in (False, True):
+            assert (rigid_candidates(ctx, max_len, pruefer)
+                    == reference_rigid_candidates(ctx, max_len, pruefer))
+
+
+# -- lift invariance -----------------------------------------------------------
+
+
+def lift(a: Arc, k: int, n: int) -> Arc:
+    """The lift of a shifted by k turns of the annulus."""
+    return Arc(a.start + k * n, None if a.end is None else a.end + k * n)
+
+
+def canonical_arcs(n: int, max_len: int) -> list:
+    return [Arc(s, s + 1 + l) for s in range(n)
+            for l in range(1, max_len + 1)] + [Arc(s, None) for s in range(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_tube_functions_do_not_depend_on_the_lift(n):
+    ctx = TubeCtx(n)
+    arcs = canonical_arcs(n, n + 1)
+    shifts = range(-2, 3)
+    for a in arcs:
+        unary = (tau_arc(a, ctx), tau_arc_inverse(a, ctx),
+                 quotient_arcs(a, ctx), subobject_arcs(a, ctx, n + 1))
+        for k in shifts:
+            la = lift(a, k, n)
+            assert (tau_arc(la, ctx), tau_arc_inverse(la, ctx),
+                    quotient_arcs(la, ctx),
+                    subobject_arcs(la, ctx, n + 1)) == unary
+        for b in arcs:
+            numbers = (ext_dim_arcs(a, b, ctx), crossings(a, b, ctx))
+            finite = not a.is_infinite() and not b.is_infinite()
+            if finite:
+                numbers += (hom_dim_arcs(a, b, ctx),)
+            if a.length() == 1:
+                numbers += (hom_simple_to(a, b, ctx), hom_to_simple(b, a, ctx))
+            middle = (extension_middle(a, b, ctx) if numbers[0] == 1
+                      else None)
+            for k, j in itertools.product(shifts, repeat=2):
+                la, lb = lift(a, k, n), lift(b, j, n)
+                got = (ext_dim_arcs(la, lb, ctx), crossings(la, lb, ctx))
+                if finite:
+                    got += (hom_dim_arcs(la, lb, ctx),)
+                if a.length() == 1:
+                    got += (hom_simple_to(la, lb, ctx),
+                            hom_to_simple(lb, la, ctx))
+                assert got == numbers, (a, b, k, j)
+                if middle is not None:
+                    assert extension_middle(la, lb, ctx) == middle
