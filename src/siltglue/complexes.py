@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .exactlin import (Mat, QONE, QZERO, block, cokernel_coordinates, diag,
@@ -280,6 +281,7 @@ def partial_map(c: TwoTermComplex, d: TwoTermComplex) -> list:
         + _post_terms(c.deg_0, d.diff, nm1, 0, 1))
 
 
+@lru_cache(maxsize=256)
 def derived_hom_dim(c: TwoTermComplex, d: TwoTermComplex, shift: int = 0) -> int:
     """dim Hom(c, d[shift]) in the homotopy category; zero for |shift| >= 2."""
     if abs(shift) >= 2:
@@ -371,6 +373,7 @@ def cocone(from_cplx: TwoTermComplex, to_cplx: TwoTermComplex,
         two_block("arr_b")))
 
 
+@lru_cache(maxsize=256)
 def universal_extension(left: TwoTermComplex, right: TwoTermComplex) -> TwoTermComplex:
     """Cocone of the left-universal degree-one map left^I -> right[1],
     where I runs over a basis of the degree-one Hom space.  This is the
@@ -392,6 +395,7 @@ def universal_extension(left: TwoTermComplex, right: TwoTermComplex) -> TwoTermC
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
 def minimize(c: TwoTermComplex) -> TwoTermComplex:
     """Homotopy-minimal model: cancel every invertible scalar component of
     the differential.  Afterwards both scalar blocks vanish, so the only

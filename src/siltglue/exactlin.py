@@ -145,7 +145,8 @@ class Mat:
 
     def scale(self, c) -> "Mat":
         c = frac(c)
-        return Mat(self.rows, self.cols, tuple(c * a for a in self.entries))
+        return Mat(self.rows, self.cols,
+                   tuple(c * a if a else a for a in self.entries))
 
     def transpose(self) -> "Mat":
         out = [QZERO] * (self.rows * self.cols)
@@ -231,12 +232,18 @@ def sylvester_rows(neqs: int, terms) -> list:
 
 
 def _nonzeros(m) -> tuple:
-    """(rows, cols, [(i, j, value)]) of a Mat, or of the identity for an
-    int."""
+    """(rows, cols, the (i, j, value) triples) of a Mat, or of the
+    identity for an int."""
     if isinstance(m, int):
         return m, m, [(i, i, QONE) for i in range(m)]
-    return m.rows, m.cols, [(t // m.cols, t % m.cols, v)
-                            for t, v in enumerate(m.entries) if v]
+    # the same Mats enter many systems: scan the entries once and keep the
+    # triples on the instance, as __hash__ keeps its hash
+    nz = m.__dict__.get("_nonzeros")
+    if nz is None:
+        nz = tuple((t // m.cols, t % m.cols, v)
+                   for t, v in enumerate(m.entries) if v)
+        object.__setattr__(m, "_nonzeros", nz)
+    return m.rows, m.cols, nz
 
 
 # -- elimination -------------------------------------------------------------

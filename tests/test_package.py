@@ -88,6 +88,8 @@ def test_every_cache_is_bounded():
             if hasattr(obj, "cache_parameters"):
                 caches[f"{info.name}.{name}"] = obj.cache_parameters()
     assert {"cyclic_oracle._uniserial", "cyclic_oracle._hom_ext_oracle",
-            "kronecker.hom_dim"} <= set(caches)
+            "kronecker.hom_dim", "complexes.minimize",
+            "complexes.derived_hom_dim",
+            "complexes.universal_extension"} <= set(caches)
     for name, params in caches.items():
         assert params["maxsize"] is not None, name

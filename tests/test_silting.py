@@ -1,11 +1,14 @@
+import importlib
 import pathlib
+import pkgutil
 import time
 
 import pytest
 
+import siltglue
 from siltglue.complexes import (ProjMorphism, ProjSum, TwoTermComplex,
                                 chain_map_basis_shift1, delta_map,
-                                derived_hom_dim, direct_sum,
+                                derived_hom_dim, direct_sum, minimize,
                                 morphism_from_flat, morphism_space_dim, power,
                                 shifted_projective, stalk_complex,
                                 universal_extension)
@@ -350,6 +353,43 @@ def test_base_row_gluing_matches_the_unreduced_route():
     for row, left, right in pairs:
         assert glue_kronecker(row, left, right) == \
             reference_glue(row, left, right), (row, left, right)
+
+
+def _package_caches():
+    for info in pkgutil.iter_modules(siltglue.__path__):
+        module = importlib.import_module(f"siltglue.{info.name}")
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                yield obj
+
+
+def test_warm_gluings_equal_cold_ones():
+    cases = [(row, left, right)
+             for row in [f"P{i}" for i in range(1, 13)]
+             + [f"Q{i}" for i in range(1, 13)]
+             for lefts, rights in [_complex_token_table(parse_row(row))]
+             for left in lefts for right in rights]
+    for case in cases:
+        glue_kronecker(*case)
+    warm = {case: glue_kronecker(*case).render() for case in cases}
+    for case in cases:
+        for cache in _package_caches():
+            cache.cache_clear()
+        assert glue_kronecker(*case).render() == warm[case], case
+    for i in range(2, 13):
+        assert warm[f"P{i}", f"P{i-1}", f"P{i}"] == f"P{i-1} + P{i}"
+    for i in range(1, 13):
+        assert warm[f"Q{i}", f"Q{i+1}", f"Q{i}"] == f"Q{i} + Q{i+1}"
+
+
+def test_a_repeated_gluing_only_hits_the_complexes_caches():
+    caches = (minimize, derived_hom_dim, universal_extension)
+    glue_kronecker("P5", "P4", "P5")
+    before = [f.cache_info() for f in caches]
+    glue_kronecker("P5", "P4", "P5")
+    for f, old in zip(caches, before):
+        new = f.cache_info()
+        assert new.misses == old.misses and new.hits > old.hits, f
 
 
 def _contractible():

@@ -46,8 +46,9 @@ def test_normalize():
     assert normalize(Arc(3, 5), N3) == Arc(0, 2)
     assert normalize(Arc(0, 2), N3) == Arc(0, 2)
     assert normalize(Arc(-1, None), N3) == Arc(2, None)
-    with pytest.raises(ValueError):
-        normalize(Arc(0, 1), N3)
+    canonical = Arc(1, 4)
+    assert normalize(canonical, N3) is canonical
+    assert normalize(Arc(-5, -2), N3) == Arc(1, 4)
 
 
 def test_invalid_arcs_raise_when_built():
