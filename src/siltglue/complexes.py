@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .exactlin import (Mat, QONE, QZERO, block, cokernel_coordinates, diag,
@@ -51,9 +50,6 @@ class ProjSum:
     def __post_init__(self):
         if self.p1 < 0 or self.p2 < 0:
             raise ValueError("multiplicities must be nonnegative")
-
-    def dim(self) -> DimVector:
-        return DimVector(self.p2, self.p1 + 2 * self.p2)
 
     def is_zero(self) -> bool:
         return self.p1 == 0 and self.p2 == 0
@@ -281,7 +277,6 @@ def partial_map(c: TwoTermComplex, d: TwoTermComplex) -> list:
         + _post_terms(c.deg_0, d.diff, nm1, 0, 1))
 
 
-@lru_cache(maxsize=256)
 def derived_hom_dim(c: TwoTermComplex, d: TwoTermComplex, shift: int = 0) -> int:
     """dim Hom(c, d[shift]) in the homotopy category; zero for |shift| >= 2."""
     if abs(shift) >= 2:
@@ -373,7 +368,6 @@ def cocone(from_cplx: TwoTermComplex, to_cplx: TwoTermComplex,
         two_block("arr_b")))
 
 
-@lru_cache(maxsize=256)
 def universal_extension(left: TwoTermComplex, right: TwoTermComplex) -> TwoTermComplex:
     """Cocone of the left-universal degree-one map left^I -> right[1],
     where I runs over a basis of the degree-one Hom space.  This is the
@@ -395,7 +389,6 @@ def universal_extension(left: TwoTermComplex, right: TwoTermComplex) -> TwoTermC
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
 def minimize(c: TwoTermComplex) -> TwoTermComplex:
     """Homotopy-minimal model: cancel every invertible scalar component of
     the differential.  Afterwards both scalar blocks vanish, so the only

@@ -130,10 +130,8 @@ def parse_spec(text: str) -> TiltingSpec:
 
 
 def _residues(a: Arc, n: int) -> tuple:
-    """The composition-factor residues of an arc as a cyclic interval
+    """The composition-factor residues of a finite arc as a cyclic interval
     (start, length) mod n; a length of n or more is the whole circle."""
-    if a.is_infinite():
-        return (0, n)
     return ((a.start + 1) % n, a.end - a.start - 1)
 
 

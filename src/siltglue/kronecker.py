@@ -773,7 +773,6 @@ def _regular_block(y: ExplicitRep) -> tuple:
     return ps, qs, _transpose(a, n), _transpose(b, n)
 
 
-@lru_cache(maxsize=1024)
 def decompose(y: ExplicitRep) -> ObjectSum:
     """Decompose a representation into indecomposables with multiplicities.
 

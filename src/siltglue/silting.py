@@ -11,6 +11,7 @@ list of silting modules.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Optional
 
 from .exactlin import Mat, block, echelon, rank, reduce_row, sylvester_rows
@@ -29,6 +30,12 @@ from .complexes import (ProjMorphism, ProjSum, TwoTermComplex, _delta_terms,
 # ---------------------------------------------------------------------------
 # presentations
 # ---------------------------------------------------------------------------
+
+# Memoization: every compact row glues on a base row (glue_kronecker), so a
+# sweep over rows asks for the same few presentations and base gluings again.
+# Those two are cached, keyed on objects that repeat: the ExplicitRep from
+# explicit_rep's cache and the complexes the first cache returns.  The rank
+# and (A1) checks run on every call; the complexes layer holds no cache.
 
 
 def canonical_resolution(x: ExplicitRep) -> TwoTermComplex:
@@ -49,10 +56,15 @@ def canonical_resolution(x: ExplicitRep) -> TwoTermComplex:
     return TwoTermComplex(src, dst, diff)
 
 
+@lru_cache(maxsize=256)
+def _minimal_presentation(x: ExplicitRep) -> TwoTermComplex:
+    return minimize(canonical_resolution(x))
+
+
 def presentation_of(x: ExplicitRep) -> TwoTermComplex:
     """Minimal projective presentation of a module, as a two-term complex
     quasi-isomorphic to the stalk of x."""
-    out = minimize(canonical_resolution(x))
+    out = _minimal_presentation(x)
     f1, f2 = out.diff.rep_morphism()
     if rank(f1) != f1.rows or rank(f2) != f2.rows:
         raise ArithmeticError("presentation differential is not injective")
@@ -278,9 +290,18 @@ def _complex_token_table(row: GlueRow) -> tuple:
     raise ValueError("the regular row is handled symbolically")
 
 
+def _module_token(token: str) -> str:
+    """The module named by pres(X), as the summand tokens print it, or the
+    stripped token itself."""
+    t = token.strip()
+    m = re.fullmatch(r"pres\(([^\[\]]*)\)", t)
+    return m.group(1).strip() if m else t
+
+
 def complex_from_token(token: str) -> TwoTermComplex:
-    """Complex named by a token: a module name (its presentation), a
-    shifted projective P1[1] / P2[1], a bracketed complex literal, or 0."""
+    """Complex named by a token: a module name X or pres(X) (its
+    presentation), a shifted projective P1[1] / P2[1], a bracketed complex
+    literal, or 0."""
     t = token.strip()
     if t == "0":
         return zero_complex()
@@ -289,7 +310,7 @@ def complex_from_token(token: str) -> TwoTermComplex:
     m = re.fullmatch(r"P([12])\[1\]", t)
     if m:
         return shifted_projective(int(m.group(1)))
-    return presentation_of_object(parse_object(t))
+    return presentation_of_object(parse_object(_module_token(t)))
 
 
 def _token_summands(token: str) -> tuple:
@@ -332,12 +353,13 @@ def glue_kronecker(row, left, right) -> GlueOutcomeKronecker:
     def resolve(arg, allowed, side) -> int:
         """Position in allowed of the token arg names or is equivalent to."""
         if isinstance(arg, str) and not arg.strip().startswith("["):
-            if arg.strip() not in allowed:
+            name = _module_token(arg)
+            if name not in allowed:
                 raise GlueError(
                     f"object {arg!r} is not a silting complex of the {side} "
                     f"for row {row.kind}{row.index}; admissible: "
                     f"{', '.join(allowed)}")
-            return allowed.index(arg.strip())
+            return allowed.index(name)
         summands = identify_summands(
             complex_from_token(arg) if isinstance(arg, str) else arg)
         for pos, tok in enumerate(allowed):
@@ -361,8 +383,7 @@ def glue_kronecker(row, left, right) -> GlueOutcomeKronecker:
     if derived_hom_dim(right, left, 0) or derived_hom_dim(right, left, 1):
         raise GlueError("(A1) fails: the localized side maps to the "
                         "subcategory side in degrees 0 or 1")
-    extension = universal_extension(left, right)
-    summands = [s for s, _ in identify_summands(direct_sum([extension, left]))]
+    summands = [s for s, _ in _glue_base(left, right)]
     if i > base:  # the base rows P4, P5, Q1, Q2 glue to module presentations
         summands = [ComplexSummand(type(s.h0)(s.h0.index + i - base), None)
                     for s in summands]
@@ -371,6 +392,14 @@ def glue_kronecker(row, left, right) -> GlueOutcomeKronecker:
     modsum = object_sum((s.h0, 1) for s, _ in dedup if s.h0 is not None)
     tokens = tuple(sorted(s.token() for s, _ in dedup))
     return GlueOutcomeKronecker(dedup, modsum, tokens)
+
+
+@lru_cache(maxsize=16)
+def _glue_base(left: TwoTermComplex, right: TwoTermComplex) -> tuple:
+    """The summands of a base-row gluing: the universal extension of right
+    by left-copies, plus left."""
+    return identify_summands(direct_sum([universal_extension(left, right),
+                                         left]))
 
 
 def _glue_regular_row(row: GlueRow, left, right) -> GlueOutcomeKronecker:

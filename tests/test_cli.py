@@ -289,6 +289,9 @@ def test_spec_verbs_reject_an_invalid_datum_with_its_first_reason(
                    "do not match the complement rule [0..99999]\n")
 
 
+TWO_TUBES = "curve points=[x:3, y:1] V={y}\npoint x\n[0,2]\npoint y\n[0,inf)\n"
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["choose-seed"], id="choose-seed"),
     pytest.param(["glue-tube", "--side", "left", "--lambda", "[0,2]"],
@@ -298,11 +301,30 @@ def test_spec_verbs_reject_an_invalid_datum_with_its_first_reason(
 ])
 def test_spec_verbs_name_an_unknown_point(tmp_path, capsys, argv):
     spec = tmp_path / "datum.txt"
-    spec.write_text("curve points=[x:3, y:1] V={y}\npoint x\n[0,2]\n"
-                    "point y\n[0,inf)\n", encoding="utf-8")
+    spec.write_text(TWO_TUBES, encoding="utf-8")
     code, out, err = run_cli(capsys, argv[0], "--spec", str(spec), "--point",
                              "z", *argv[1:])
     assert (code, out, err) == (1, "", "error: no tube at point 'z'\n")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["glue-tube", "--side", "right", "--lambda", "[1,3]"],
+                 id="glue-tube"),
+    pytest.param(["reduce", "--lambda", "[1,3]", "--adjoint", "right"],
+                 id="reduce"),
+])
+def test_spec_verbs_resolve_the_point_of_a_single_tube(tmp_path, capsys,
+                                                       argv):
+    spec = tmp_path / "datum.txt"
+    spec.write_text(SPEC_TEXT, encoding="utf-8")
+    named = run_cli(capsys, argv[0], "--spec", str(spec), "--point", "x",
+                    *argv[1:])
+    assert named[0] == 0
+    assert run_cli(capsys, argv[0], "--spec", str(spec), *argv[1:]) == named
+    spec.write_text(TWO_TUBES, encoding="utf-8")
+    code, out, err = run_cli(capsys, argv[0], "--spec", str(spec), *argv[1:])
+    assert (code, out, err) == (
+        1, "", "error: several tubes; the expansion point must be named\n")
 
 
 @pytest.mark.parametrize("header, reason", [

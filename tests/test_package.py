@@ -81,15 +81,18 @@ def test_importing_the_package_loads_no_submodule():
 
 
 def test_every_cache_is_bounded():
+    # each cache once, under the module that defines it
     caches = {}
     for info in pkgutil.iter_modules(siltglue.__path__):
         module = importlib.import_module(f"siltglue.{info.name}")
-        for name, obj in vars(module).items():
+        for obj in vars(module).values():
             if hasattr(obj, "cache_parameters"):
-                caches[f"{info.name}.{name}"] = obj.cache_parameters()
-    assert {"cyclic_oracle._uniserial", "cyclic_oracle._hom_ext_oracle",
-            "kronecker.hom_dim", "complexes.minimize",
-            "complexes.derived_hom_dim",
-            "complexes.universal_extension"} <= set(caches)
+                name = f"{obj.__module__}.{obj.__qualname__}"
+                caches[name.removeprefix("siltglue.")] = obj.cache_parameters()
+    assert set(caches) == {"cyclic_oracle._uniserial",
+                           "cyclic_oracle._hom_ext_oracle",
+                           "kronecker.explicit_rep", "kronecker.hom_dim",
+                           "silting._minimal_presentation",
+                           "silting._glue_base"}
     for name, params in caches.items():
         assert params["maxsize"] is not None, name

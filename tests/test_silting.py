@@ -6,9 +6,10 @@ import time
 import pytest
 
 import siltglue
+from siltglue import exactlin, silting
 from siltglue.complexes import (ProjMorphism, ProjSum, TwoTermComplex,
                                 chain_map_basis_shift1, delta_map,
-                                derived_hom_dim, direct_sum, minimize,
+                                derived_hom_dim, direct_sum,
                                 morphism_from_flat, morphism_space_dim, power,
                                 shifted_projective, stalk_complex,
                                 universal_extension)
@@ -382,14 +383,65 @@ def test_warm_gluings_equal_cold_ones():
         assert warm[f"Q{i}", f"Q{i+1}", f"Q{i}"] == f"Q{i} + Q{i+1}"
 
 
-def test_a_repeated_gluing_only_hits_the_complexes_caches():
-    caches = (minimize, derived_hom_dim, universal_extension)
+def test_a_repeated_gluing_runs_its_checks_but_not_the_base_gluing(
+        monkeypatch):
+    # row P7 glues on base row P5, so after one P5 gluing both hit the
+    # base-gluing cache; the (A1) check and the rank checks still run
     glue_kronecker("P5", "P4", "P5")
-    before = [f.cache_info() for f in caches]
-    glue_kronecker("P5", "P4", "P5")
-    for f, old in zip(caches, before):
-        new = f.cache_info()
-        assert new.misses == old.misses and new.hits > old.hits, f
+    calls = {}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("universal_extension", "identify_summands",
+                 "derived_hom_dim"):
+        counted(silting, name)
+    counted(exactlin, "rref")
+    assert glue_kronecker("P5", "P4", "P5").render() == "P4 + P5"
+    assert glue_kronecker("P7", "P6", "P7").render() == "P6 + P7"
+    assert "universal_extension" not in calls
+    assert "identify_summands" not in calls
+    assert calls["derived_hom_dim"] == 4 and calls["rref"] > 0
+
+
+BASE_ROWS = ("P1", "P2", "P3", "P4", "P5", "Q1", "Q2")
+
+
+def _printed(token: str) -> str:
+    """The summand token a gluing prints for a table token."""
+    (summand, _), = identify_summands(complex_from_token(token))
+    return summand.token()
+
+
+def test_every_printed_token_reads_back_as_input():
+    printed = set()
+    for row in BASE_ROWS:
+        lefts, rights = _complex_token_table(parse_row(row))
+        for left in lefts:
+            for right in rights:
+                printed.update(glue_kronecker(row, left, right).complex_tokens)
+    assert len(printed) == 10 and {"pres(P3)", "pres(Q1)"} <= printed
+    for token in printed:
+        assert _printed(token) == token
+    # each table token, given as printed, glues as the table token does
+    for row, left, right in _admissible_pairs():
+        assert glue_kronecker(row, _printed(left), _printed(right)) == \
+            glue_kronecker(row, left, right), (row, left, right)
+    assert glue_kronecker("P4", "pres(P3)", "P4").render() == "P3 + P4"
+    assert glue_kronecker("P1", "pres(Q1)", "P1").render() == "Q1 + Q2"
+
+
+def test_pres_of_a_shifted_projective_is_not_a_token():
+    with pytest.raises(GlueError, match="'pres\\(P2\\[1\\]\\)' is not a silting"):
+        glue_kronecker("P3", "pres(P2[1])", "P3")
+    with pytest.raises(ValueError, match="cannot parse object"):
+        complex_from_token("pres(P2[1])")
 
 
 def _contractible():
