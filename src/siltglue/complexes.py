@@ -317,27 +317,23 @@ def chain_endo_basis(c: TwoTermComplex) -> list:
 # ---------------------------------------------------------------------------
 
 
-def hom_complex_to_module(c: TwoTermComplex, x: ExplicitRep, shift: int) -> int:
-    """dim Hom(c, X[shift]) in the derived category for a module stalk X,
-    shift 0 or 1.  Shift 1 is the cokernel, shift 0 the kernel, of the
-    pullback along the differential on module morphisms.
+def hom_complex_to_module(c: TwoTermComplex, x: ExplicitRep) -> tuple:
+    """(dim Hom(c, X), dim Hom(c, X[1])) in the derived category for a
+    module stalk X: the kernel and the cokernel of the pullback along the
+    differential on module morphisms, read from one rank.
 
     By Yoneda, Hom(P1, X) = X_2 and Hom(P2, X) = X_1, so a map from
     P1^p + P2^q is a pair (G1, G2) of p x d2 and q x d1 matrices, and the
     pullback along the differential is
     (G1, G2) -> (s11 G1 + arr_a G2 X_alpha + arr_b G2 X_beta, s22 G2):
     one Sylvester system on the layout [G1 | G2], ranked sparsely."""
-    if shift not in (0, 1):
-        raise ValueError("module-stalk homs are computed at shifts 0 and 1")
     d1, d2, k = x.dim.d1, x.dim.d2, c.diff
     n_g1, n_h1 = c.deg_0.p1 * d2, c.deg_m1.p1 * d2
     rows = sylvester_rows(n_h1 + c.deg_m1.p2 * d1, [
         (0, 0, 1, k.s11, d2), (0, n_g1, 1, k.arr_a, x.m_alpha),
         (0, n_g1, 1, k.arr_b, x.m_beta), (n_h1, n_g1, 1, k.s22, d1)])
     r = sparse_rank(rows)
-    if shift == 0:
-        return n_g1 + c.deg_0.p2 * d1 - r
-    return len(rows) - r
+    return n_g1 + c.deg_0.p2 * d1 - r, len(rows) - r
 
 
 # ---------------------------------------------------------------------------

@@ -83,14 +83,13 @@ def presentation_of_object(x: KroneckerObject) -> TwoTermComplex:
 def in_d_class(sigma: TwoTermComplex, x: ExplicitRep) -> bool:
     """True when every map from the base of the presentation lifts, i.e.
     the degree-one derived Hom against the stalk of x vanishes."""
-    return hom_complex_to_module(sigma, x, 1) == 0
+    return hom_complex_to_module(sigma, x)[1] == 0
 
 
 def in_y_class(sigma: TwoTermComplex, x: ExplicitRep) -> bool:
     """True when the Hom condition is bijective: derived Hom against the
     stalk of x vanishes in degrees zero and one."""
-    return (hom_complex_to_module(sigma, x, 0) == 0
-            and hom_complex_to_module(sigma, x, 1) == 0)
+    return hom_complex_to_module(sigma, x) == (0, 0)
 
 
 def in_positive_perp(sigma: TwoTermComplex, cohomologies: dict) -> bool:
@@ -115,17 +114,18 @@ class PreconditionError(ValueError):
     pass
 
 
-def _check_pair_conditions(sigma1: TwoTermComplex, sigma2: TwoTermComplex):
-    if derived_hom_dim(sigma1, sigma1, 1) != 0:
-        raise PreconditionError("sigma1 has self-extensions in degree 1")
-    if derived_hom_dim(sigma2, sigma2, 1) != 0:
-        raise PreconditionError("sigma2 has self-extensions in degree 1")
-    for k in (0, 1):
-        if derived_hom_dim(sigma1, sigma2, k) != 0:
-            raise PreconditionError(
-                f"(A1) fails: Hom(sigma1, sigma2[{k}]) is nonzero")
-    # (A2) asks for vanishing in degrees >= 2, which holds automatically
-    # for two-term complexes.
+def _a1_failure(c: TwoTermComplex, d: TwoTermComplex) -> Optional[int]:
+    """(A1) for c localized, d in the subcategory ((A2) holds for two-term
+    complexes): the first k in (0, 1) with Hom(c, d[k]) nonzero, or None.
+    Two ranks, as Hom(c, d) = Hom(c, d[-1]) + Hom(c, d[1]) - chi for chi
+    the Euler characteristic of the Hom complex."""
+    hom = morphism_space_dim
+    chi = (hom(c.deg_0, d.deg_m1) - hom(c.deg_m1, d.deg_m1)
+           - hom(c.deg_0, d.deg_0) + hom(c.deg_m1, d.deg_0))
+    ext = derived_hom_dim(c, d, 1)
+    if derived_hom_dim(c, d, -1) + ext - chi:
+        return 0
+    return 1 if ext else None
 
 
 def phi_surjective(sigma1: TwoTermComplex, sigma2: TwoTermComplex,
@@ -142,9 +142,8 @@ def phi_surjective(sigma1: TwoTermComplex, sigma2: TwoTermComplex,
     delta(sigma2, sigma1)], the image of phi plus the homotopies is
     L(ker D), of dimension rk [D; L] - rk D.  So phi is onto, of an
     n-dimensional space, iff each of the n rows of L adds a pivot to an
-    echelon basis of the rows of D.
-    """
-    _check_pair_conditions(sigma1, sigma2)
+    echelon basis of the rows of D, whose pivots before column g rank
+    delta(sigma2, sigma2) and the rest delta(sigma1, sigma1)."""
     if alpha.src != sigma2.deg_m1 or alpha.dst != sigma1.deg_0:
         raise ValueError("alpha must be a degree-one map sigma2 -> sigma1[1]")
     hom = morphism_space_dim
@@ -163,6 +162,14 @@ def phi_surjective(sigma1: TwoTermComplex, sigma2: TwoTermComplex,
         + _delta_terms(sigma2, sigma2, n, 0)
         + _delta_terms(sigma1, sigma1, n + d2, g))
     pivrows = echelon(rows[n:])
+    rank2 = sum(1 for col in pivrows if col < g)
+    if len(pivrows) - rank2 != d1:
+        raise PreconditionError("sigma1 has self-extensions in degree 1")
+    if rank2 != d2:
+        raise PreconditionError("sigma2 has self-extensions in degree 1")
+    if (k := _a1_failure(sigma1, sigma2)) is not None:
+        raise PreconditionError(
+            f"(A1) fails: Hom(sigma1, sigma2[{k}]) is nonzero")
     return all(reduce_row(pivrows, row) for row in rows[:n])
 
 
@@ -380,7 +387,7 @@ def glue_kronecker(row, left, right) -> GlueOutcomeKronecker:
     base_lefts, base_rights = _complex_token_table(GlueRow(row.kind, base))
     left = complex_from_token(base_lefts[at_left])
     right = complex_from_token(base_rights[at_right])
-    if derived_hom_dim(right, left, 0) or derived_hom_dim(right, left, 1):
+    if _a1_failure(right, left) is not None:
         raise GlueError("(A1) fails: the localized side maps to the "
                         "subcategory side in degrees 0 or 1")
     summands = [s for s, _ in _glue_base(left, right)]

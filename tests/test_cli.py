@@ -113,6 +113,8 @@ def test_regular_part_off_the_rational_points_is_a_named_domain_error(capsys):
 def test_domain_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "tau", "[0,1]", "--tube", "3")
     assert code == 1 and "error" in err
+    assert run_cli(capsys, "emit-quiver", "--rank", "3", "--max-len", "0") \
+        == (1, "", "error: max_len must be at least 1\n")
 
 
 def test_error_text_names_the_arc_as_written(capsys):

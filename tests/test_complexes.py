@@ -122,8 +122,8 @@ def test_hom_complex_to_module_routes():
     for a, b in itertools.product(CATALOG, CATALOG):
         c = presentation_of_object(a)
         xb = explicit_rep(b)
-        assert hom_complex_to_module(c, xb, 0) == hom_dim_objects(a, b)
-        assert hom_complex_to_module(c, xb, 1) == ext_dim_objects(a, b)
+        assert hom_complex_to_module(c, xb) == (hom_dim_objects(a, b),
+                                                ext_dim_objects(a, b))
 
 
 def test_minimize_cancels_contractible_summands():
@@ -410,7 +410,7 @@ def test_presentation_route_matches_intertwiner_route_dim8():
         for b in objs:
             xb = explicit_rep(b)
             for k, intertwiner in ((0, hom_dim), (1, ext_dim)):
-                got = hom_complex_to_module(pres[a], xb, k)
+                got = hom_complex_to_module(pres[a], xb)[k]
                 assert got == intertwiner(xa, xb), (a, b, k)
                 assert got == derived_hom_dim(pres[a], pres[b], k), (a, b, k)
 
@@ -432,5 +432,5 @@ def test_module_stalk_route_on_non_minimal_complexes():
         pres = presentation_of(xb)
         for c in sources:
             for k in (0, 1):
-                assert (hom_complex_to_module(c, xb, k)
+                assert (hom_complex_to_module(c, xb)[k]
                         == derived_hom_dim(c, pres, k)), (c, b, k)

@@ -306,6 +306,12 @@ def test_built_data_are_not_normalized_again(monkeypatch):
 def test_spec_parse_errors():
     with pytest.raises(ValueError, match="header"):
         parse_spec("nope")
+    with pytest.raises(ValueError) as exc:
+        parse_spec(" \n\n")
+    assert str(exc.value) == "empty tilting datum"
+    with pytest.raises(ValueError) as exc:
+        parse_spec("curve points=[x:2] V={x}\n[0,2]\npoint x")
+    assert str(exc.value) == "arc line before any 'point' header"
     with pytest.raises(ValueError, match="unknown point"):
         parse_spec("curve points=[x:2] V={x}\npoint z\n[0,2]")
     with pytest.raises(ValueError, match="unknown points"):

@@ -25,6 +25,7 @@ from siltglue.silting import (GlueError, GlueOutcomeKronecker,
                               parse_row, phi_surjective,
                               presentation_of_object)
 
+from test_complexes import PIECES, scrambled
 from test_exactlin import reference_kernel_basis, reference_rref
 from test_kronecker import parses_to, wall_budget
 
@@ -54,6 +55,9 @@ def test_in_y_class_examples():
     assert in_y_class(pres_s, explicit_rep(R((0, 1), 1)))
     assert not in_y_class(pres_s, explicit_rep(R((1, 0), 1)))
     assert in_y_class(stalk_complex(ProjSum(1, 0)), zero_rep())
+    # Hom(Q1, P1) = 0 and Ext(Q1, P1) = 2; Hom(P1, P1) = 1 and Ext(P1, P1) = 0
+    assert not in_y_class(presentation_of_object(Q(1)), explicit_rep(P(1)))
+    assert not in_y_class(presentation_of_object(P(1)), explicit_rep(P(1)))
 
 
 def test_in_positive_perp():
@@ -144,9 +148,9 @@ def _large_zero_attachment() -> tuple:
     return s1, s2, ProjMorphism.zero(s2.deg_m1, s1.deg_0)
 
 
-def test_phi_sparse_rank_matches_the_dense_rank():
-    # the fixtures and attaching maps of acceptance criterion 8
-    fixtures = [
+def _criterion_8_fixtures() -> list:
+    """The (sigma1, sigma2) pairs of acceptance criterion 8."""
+    return [
         (stalk_complex(ProjSum(1, 0)), power(presentation_of_object(Q(1)), 2)),
         (stalk_complex(ProjSum(0, 1)), power(shifted_projective(1), 2)),
         (presentation_of_object(P(3)), power(shifted_projective(2), 2)),
@@ -155,8 +159,12 @@ def test_phi_sparse_rank_matches_the_dense_rank():
         (presentation_of_object(Q(1)),
          power(presentation_of_object(Q(2)), 2)),
     ]
+
+
+def test_phi_sparse_rank_matches_the_dense_rank():
+    # the fixtures and attaching maps of acceptance criterion 8
     pairs = [_large_zero_attachment()]
-    for s1, s2 in fixtures:
+    for s1, s2 in _criterion_8_fixtures():
         basis = chain_map_basis_shift1(s2, s1)
         samples = [ProjMorphism.zero(s2.deg_m1, s1.deg_0)]
         for k in range(1, len(basis) + 1):
@@ -184,11 +192,87 @@ def test_phi_on_a_large_pair_within_budget():
 
 
 def test_phi_precondition_errors_name_the_condition():
-    # with sigma1 = pres(Q1) the pairing Hom(sigma1, sigma2[1]) is nonzero
-    s1 = presentation_of_object(Q(1))
-    s2 = stalk_complex(ProjSum(1, 0))
-    with pytest.raises(PreconditionError, match="A1"):
+    # the simple regular R((1:0),1) extends itself; Hom(pres Q1, P1[1]) and
+    # Hom(pres P3, pres P4) are nonzero
+    p1_stalk = stalk_complex(ProjSum(1, 0))
+    simple = presentation_of_object(R((1, 0), 1))
+    cases = [
+        (simple, p1_stalk, "sigma1 has self-extensions in degree 1"),
+        (p1_stalk, simple, "sigma2 has self-extensions in degree 1"),
+        (presentation_of_object(Q(1)), p1_stalk,
+         "(A1) fails: Hom(sigma1, sigma2[1]) is nonzero"),
+        (presentation_of_object(P(3)), presentation_of_object(P(4)),
+         "(A1) fails: Hom(sigma1, sigma2[0]) is nonzero"),
+    ]
+    for s1, s2, text in cases:
+        with pytest.raises(PreconditionError) as exc:
+            phi_surjective(s1, s2, ProjMorphism.zero(s2.deg_m1, s1.deg_0))
+        assert str(exc.value) == text
+
+
+def _euler_characteristic(c, d) -> int:
+    """dim Hom(c_0, d_-1) - dim Hom(c_-1, d_-1) - dim Hom(c_0, d_0)
+    + dim Hom(c_-1, d_0)."""
+    hom = morphism_space_dim
+    return (hom(c.deg_0, d.deg_m1) - hom(c.deg_m1, d.deg_m1)
+            - hom(c.deg_0, d.deg_0) + hom(c.deg_m1, d.deg_0))
+
+
+def test_a1_check_reads_degree_zero_from_the_euler_characteristic():
+    complexes = [presentation_of_object(x) for x in
+                 [P(i) for i in range(1, 7)] + [Q(i) for i in range(1, 7)]
+                 + [R((1, 0), 1), R((1, 0), 2), R((2, 3), 1)]]
+    complexes += [shifted_projective(1), shifted_projective(2),
+                  stalk_complex(ProjSum(1, 0)), stalk_complex(ProjSum(0, 1))]
+    complexes += [scrambled(PIECES[k:k + 3], k)
+                  for k in range(0, len(PIECES), 3)]
+    seen = set()
+    for c in complexes:
+        for d in complexes:
+            dims = [derived_hom_dim(c, d, k) for k in (-1, 0, 1)]
+            assert dims[0] - dims[1] + dims[2] == _euler_characteristic(c, d)
+            first = next((k for k in (0, 1) if dims[k + 1]), None)
+            assert silting._a1_failure(c, d) == first, (c, d)
+            seen.add(first)
+    assert seen == {0, 1, None}
+    # the base pairs of rows P1, P2 and P3, reversed
+    for c, d in [(presentation_of_object(Q(1)), stalk_complex(ProjSum(1, 0))),
+                 (shifted_projective(1), stalk_complex(ProjSum(0, 1))),
+                 (shifted_projective(2), presentation_of_object(P(3)))]:
+        assert (derived_hom_dim(c, d, 0), derived_hom_dim(c, d, 1)) == (0, 2)
+        assert silting._a1_failure(c, d) == 1
+
+
+def _count_calls(monkeypatch, calls, module, name):
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_each_check_ranks_each_hom_system_once(monkeypatch):
+    glue_kronecker("P5", "P4", "P5")
+    fixtures = _criterion_8_fixtures()
+    simple = presentation_of_object(R((1, 0), 1))
+    other = explicit_rep(R((0, 1), 1))
+    calls, sparse_rank = {}, exactlin.sparse_rank
+    for info in pkgutil.iter_modules(siltglue.__path__):
+        module = importlib.import_module(f"siltglue.{info.name}")
+        if getattr(module, "sparse_rank", None) is sparse_rank:
+            _count_calls(monkeypatch, calls, module, "sparse_rank")
+    _count_calls(monkeypatch, calls, silting, "echelon")
+    assert glue_kronecker("P5", "P4", "P5").render() == "P4 + P5"
+    assert calls == {"sparse_rank": 2}
+    for s1, s2 in fixtures:
+        calls.clear()
         phi_surjective(s1, s2, ProjMorphism.zero(s2.deg_m1, s1.deg_0))
+        assert calls == {"sparse_rank": 2, "echelon": 1}
+    calls.clear()
+    assert in_y_class(simple, other)
+    assert calls == {"sparse_rank": 1}
 
 
 # -- the gluing table ---------------------------------------------------------
