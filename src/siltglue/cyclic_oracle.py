@@ -25,6 +25,9 @@ from .tube import Arc, TubeCtx, normalize
 # n(2n+1) of length up to 2n+1) and one (hom, ext) per ordered pair
 _REP_CACHE = 1024
 _PAIR_CACHE = 4096
+# the most ordered pairs one sweep checks: rank 7 to length 15 is 11,025
+# pairs, about 0.6 s on a 2-vCPU host, and the cost grows with the count
+_MAX_PAIRS = 12000
 
 
 @frozen
@@ -153,7 +156,13 @@ def sweep_arcs(ctx: TubeCtx, max_len: int, hom_arcs, ext_arcs) -> tuple:
     they are passed in so that the oracle keeps depending on nothing from
     the arc side.  Returns the pair count and the mismatches, as
     (kind, a, b) with kind "ext" or "hom", in the order they were checked.
+    A sweep of more than _MAX_PAIRS pairs raises ValueError before any
+    arc is built.
     """
+    if (ctx.n * max(max_len, 0)) ** 2 > _MAX_PAIRS:
+        raise ValueError(
+            f"oracle sweep of rank {ctx.n} to length {max_len} checks more "
+            f"than {_MAX_PAIRS} pairs")
     arcs = [Arc(s, s + 1 + l)
             for s in range(ctx.n) for l in range(1, max_len + 1)]
     mismatches = []

@@ -210,22 +210,34 @@ def sylvester_rows(neqs: int, terms) -> list:
     of shape A.rows x B.cols, is added row-major to the outputs from row out
     on.  Returns one dict col -> Fraction per output, neqs in all.  In
     row-major order vec(A X B) = (A kron B^T) vec X, so only the nonzeros of
-    A and B are visited.
+    A and B are visited, and an identity factor is a loop over its size.
     """
     rows = [{} for _ in range(neqs)]
     for out, var, sign, a, b in terms:
-        _, _, anz = _nonzeros(a)
+        if isinstance(b, int):
+            # A X_v: a nonzero of A at (i, k) adds row k of X_v to row i
+            for i, k, av in _nonzeros(a)[2]:
+                p = -av if sign < 0 else av
+                obase, vbase = out + i * b, var + k * b
+                for l in range(b):
+                    row, key = rows[obase + l], vbase + l
+                    row[key] = row[key] + p if key in row else p
+            continue
         brows, bcols, bnz = _nonzeros(b)
-        if sign < 0:  # once per nonzero of a factor that is not an identity
-            if isinstance(a, int):
-                bnz = [(l, j, -v) for l, j, v in bnz]
-            else:
-                anz = [(i, k, -v) for i, k, v in anz]
-        for i, k, av in anz:
+        if sign < 0:
+            bnz = [(l, j, -v) for l, j, v in bnz]
+        if isinstance(a, int):
+            # X_v B: row i of the product is row i of X_v times B
+            for i in range(a):
+                obase, vbase = out + i * bcols, var + i * brows
+                for l, j, bv in bnz:
+                    row, key = rows[obase + j], vbase + l
+                    row[key] = row[key] + bv if key in row else bv
+            continue
+        for i, k, av in _nonzeros(a)[2]:
             obase, vbase = out + i * bcols, var + k * brows
             for l, j, bv in bnz:
-                # identity entries are the QONE object: skip their products
-                p = av if bv is QONE else bv if av is QONE else av * bv
+                p = av * bv
                 row, key = rows[obase + j], vbase + l
                 row[key] = row[key] + p if key in row else p
     return rows
@@ -335,7 +347,8 @@ def reduce_row(pivrows: dict, row: dict, insert: bool = True) -> dict:
     """Reduce a sparse row against an echelon basis, integer rows keyed by
     leading column as echelon returns them; the insertion step of echelon.
 
-    Stored zeros are dropped, the row is scaled to integers, and each
+    Stored zeros are dropped, a row with Fraction entries is scaled by the
+    lcm of their denominators (int entries are taken as they are), and each
     elimination is a*row - b*pivot_row with the content removed.
     With insert, reduction stops at the first column without a pivot row and
     the remainder is added to pivrows under that column; otherwise every
@@ -343,11 +356,13 @@ def reduce_row(pivrows: dict, row: dict, insert: bool = True) -> dict:
     remainder, an integer row that is a nonzero multiple of the row minus a
     combination of pivot rows, or {} if the row lies in their span.
     """
-    nd = [(c, v.as_integer_ratio()) for c, v in row.items() if v]
-    if not nd:
-        return {}
-    den = math.lcm(*[d for _, (_, d) in nd])
-    cur = {c: n * (den // d) for c, (n, d) in nd}
+    cur = {c: v for c, v in row.items() if v}
+    dens = [v.denominator for v in cur.values() if type(v) is not int]
+    if dens:
+        # an int is its own numerator over 1
+        den = math.lcm(*dens)
+        cur = {c: v.numerator * (den // v.denominator)
+               for c, v in cur.items()}
     while cur:
         # a pivot row led by c is zero before c: clearing the smallest
         # column first never refills a column already cleared

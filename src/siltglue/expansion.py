@@ -88,7 +88,7 @@ def push_forward(spec: ExpansionSpec, a: Arc) -> Arc:
     """Image of a reduced-tube arc under the exact inclusion."""
     socle = a.start + 1
     big_socle = _first(spec, socle)
-    if a.is_infinite():
+    if a.end is None:
         return normalize(Arc(big_socle - 1, None), spec.big)
     big_top = _last(spec, a.end - 1)
     return normalize(Arc(big_socle - 1, big_top + 1), spec.big)
@@ -118,7 +118,7 @@ def _reduce(spec: ExpansionSpec, a: Arc, killed_residue: int) -> Optional[Arc]:
     s = a.start + 1
     if s % n == killed:
         s += 1
-    if a.is_infinite():
+    if a.end is None:
         return normalize(Arc(_inv(spec, s, killed_residue) - 1, None),
                          spec.reduced)
     e = a.end - 1

@@ -44,14 +44,17 @@ class TubeData:
 
     def __post_init__(self):
         ctx = TubeCtx(self.rank)
-        object.__setattr__(self, "arcs",
-                           frozenset(normalize(a, ctx) for a in self.arcs))
+        # pushed, reduced and enumerated arcs come canonical: keep them
+        if type(self.arcs) is not frozenset or not all(
+                0 <= a.start < ctx.n for a in self.arcs):
+            object.__setattr__(self, "arcs", frozenset(
+                normalize(a, ctx) for a in self.arcs))
 
     def sorted_arcs(self) -> list:
         return sorted(self.arcs, key=arc_sort_key)
 
     def finite_arcs(self) -> list:
-        return [a for a in self.sorted_arcs() if not a.is_infinite()]
+        return [a for a in self.sorted_arcs() if a.end is not None]
 
 
 @frozen
@@ -189,7 +192,8 @@ def _components(finite: list, n: int) -> list:
     """Partition of a rigid finite collection into nesting components,
     each returned as (root, members, residues of the root); the root spans
     its component."""
-    arcs = sorted(finite, key=lambda a: (-(a.length()), arc_sort_key(a)))
+    # longest first, then in arc_sort_key order
+    arcs = sorted(finite, key=lambda a: (a.start - a.end, a.start, a.end))
     comps = []
     for a in arcs:
         fa = _residues(a, n)
@@ -217,18 +221,20 @@ def verify_tilting_spec(spec: TiltingSpec) -> Tuple[bool, list]:
     for pid, td in spec.tubes:
         n = td.rank
         arcs = td.sorted_arcs()
-        finite = [a for a in arcs if not a.is_infinite()]
-        pruefer = [a for a in arcs if a.is_infinite()]
-        # every ordered pair: an arc of length >= n extends itself.  The
-        # lift of b by kn crosses a from the left when
-        # a.start - b.end < kn < hi, the lift range of tube._crossing_lifts
+        finite = [a for a in arcs if a.end is not None]
+        pruefer = [a for a in arcs if a.end is None]
+        spans = [(b, b.start, b.end) for b in finite]
+        # every ordered pair with a finite second arc (nothing extends a
+        # Pruefer arc): an arc of length >= n extends itself.  The lift of
+        # b by kn crosses a from the left when a.start - b.end < kn < hi,
+        # the lift range of tube._crossing_lifts
         for a in arcs:
-            for b in arcs:
-                if b.end is None:
-                    continue
-                hi = (a.start - b.start if a.end is None
-                      else min(a.start - b.start, a.end - b.end))
-                if (hi - 1) // n > (a.start - b.end) // n:
+            s, e = a.start, a.end
+            for b, bs, be in spans:
+                hi = s - bs
+                if e is not None and e - be < hi:
+                    hi = e - be
+                if (hi - 1) // n > (s - be) // n:
                     reasons.append(
                         f"point {pid}: extensions between {render_arc(a)} "
                         f"and {render_arc(b)}")
@@ -253,8 +259,8 @@ def verify_tilting_spec(spec: TiltingSpec) -> Tuple[bool, list]:
                         f"point {pid}: adjacent wings form a segment")
         if pid in spec.divisible:
             # a Pruefer socle s is wanted when s - 1 misses the wing bases
-            want = _gaps(_runs([((a.start + 2) % n, a.length())
-                                for a in finite], n), 0, n - 1)
+            want = _gaps(_runs([((bs + 2) % n, be - bs - 1)
+                                for _, bs, be in spans], n), 0, n - 1)
             have = _runs([((a.start + 1) % n, 1) for a in pruefer], n)
             if want != have:
                 reasons.append(
@@ -410,7 +416,7 @@ def glue_right(espec: ExpansionSpec, spec: TiltingSpec,
     # [-e, -e+1+l] with socle at 1-e, against the reflected collection
     e = espec.rho_arc.start + 2
     lengths, count = _tally(_free_lengths(
-        -e, [(None if b.is_infinite() else -b.end, -b.start)
+        -e, [(None if b.end is None else -b.end, -b.start)
              for b in td.arcs], espec.n, espec.n - 1))
     found = [Arc(e - 1 - l, e) for l in lengths]
     return _adjoin(pushed_spec, point, td,
@@ -478,7 +484,7 @@ def choose_seed(spec: TiltingSpec, point: str) -> Seed:
         raise ValueError("no expansion exists for a tube of rank 1")
     ctx = TubeCtx(td.rank)
     arcs = td.sorted_arcs()
-    branch = [a for a in arcs if not a.is_infinite()]
+    branch = [a for a in arcs if a.end is not None]
     if not arcs:
         side, lam = "right", Arc(0, 2)
     elif branch:
@@ -487,7 +493,7 @@ def choose_seed(spec: TiltingSpec, point: str) -> Seed:
             raise GlueCaseError("branch part without a simple summand")
         s1 = simples[0]
         others = [a for a in arcs if a != s1]
-        maps_onto = any(not b.is_infinite() and hom_to_simple(b, s1, ctx) == 1
+        maps_onto = any(b.end is not None and hom_to_simple(b, s1, ctx) == 1
                         for b in others)
         maps_from = any(hom_simple_to(s1, b, ctx) == 1 for b in others)
         if maps_onto and maps_from:
@@ -541,7 +547,7 @@ def enumerate_single_tube_specs(rank: int, point: str = "x") -> list:
     out = []
     for coll in enumerate_maximal_rigid(ctx, max_len=max(rank - 1, 1),
                                         include_infinite=True):
-        if not any(a.is_infinite() for a in coll):
+        if all(a.end is not None for a in coll):
             continue
         spec = TiltingSpec.make({point: TubeData(rank, frozenset(coll))},
                                 {point})

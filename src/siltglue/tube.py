@@ -52,8 +52,7 @@ class TubeCtx:
 
 
 def arc_sort_key(a: Arc):
-    return (a.start, 1 if a.is_infinite() else 0,
-            0 if a.is_infinite() else a.end)
+    return (a.start, 1, 0) if a.end is None else (a.start, 0, a.end)
 
 
 def normalize(a: Arc, ctx: TubeCtx) -> Arc:
@@ -63,7 +62,7 @@ def normalize(a: Arc, ctx: TubeCtx) -> Arc:
     shift = (a.start % ctx.n) - a.start
     if shift == 0:
         return a
-    return Arc(a.start + shift, None if a.is_infinite() else a.end + shift)
+    return Arc(a.start + shift, None if a.end is None else a.end + shift)
 
 
 def parse_arc(text: str) -> Arc:
@@ -91,15 +90,15 @@ def _crossing_lifts(a: Arc, b: Arc, n: int) -> tuple:
     finite b: the integers strictly between lo/n and hi/n, on ints."""
     lo = a.start - b.end
     hi = a.start - b.start
-    if not a.is_infinite():
-        hi = min(hi, a.end - b.end)
+    if a.end is not None and a.end - b.end < hi:
+        hi = a.end - b.end
     return lo // n + 1, -(-hi // n) - 1
 
 
 def _neg_crossings(a: Arc, b: Arc, n: int) -> int:
     """Number of lifts of b whose endpoints strictly interleave a's lift
     from the left: i' + kn < i < j' + kn < j."""
-    if b.is_infinite():
+    if b.end is None:
         # the third inequality needs a finite j' inside a's span
         return 0
     kmin, kmax = _crossing_lifts(a, b, n)
@@ -119,12 +118,12 @@ def ext_dim_arcs(a: Arc, b: Arc, ctx: TubeCtx) -> int:
 
 def tau_arc(a: Arc, ctx: TubeCtx) -> Arc:
     """Auslander-Reiten translate: both endpoints down by one."""
-    return normalize(Arc(a.start - 1, None if a.is_infinite() else a.end - 1),
+    return normalize(Arc(a.start - 1, None if a.end is None else a.end - 1),
                      ctx)
 
 
 def tau_arc_inverse(a: Arc, ctx: TubeCtx) -> Arc:
-    return normalize(Arc(a.start + 1, None if a.is_infinite() else a.end + 1),
+    return normalize(Arc(a.start + 1, None if a.end is None else a.end + 1),
                      ctx)
 
 
@@ -132,7 +131,7 @@ def hom_dim_arcs(a: Arc, b: Arc, ctx: TubeCtx) -> int:
     """dim Hom between the objects of two finite arcs, through Serre
     duality: Hom(a, b) is dual to Ext^1 from the inverse translate of b
     to a (the tube has no projectives, so the translate is invertible)."""
-    if a.is_infinite() or b.is_infinite():
+    if a.end is None or b.end is None:
         raise ValueError(
             "Hom dimensions are defined here for finite arcs only; socle "
             "and top comparisons cover the Pruefer cases")

@@ -115,6 +115,9 @@ def test_domain_error_exit_code(capsys):
     assert code == 1 and "error" in err
     assert run_cli(capsys, "emit-quiver", "--rank", "3", "--max-len", "0") \
         == (1, "", "error: max_len must be at least 1\n")
+    assert run_cli(capsys, "oracle-check", "--rank", "7", "--max-len", "16") \
+        == (1, "", "error: oracle sweep of rank 7 to length 16 checks more "
+            "than 12000 pairs\n")
 
 
 def test_error_text_names_the_arc_as_written(capsys):
@@ -375,6 +378,17 @@ def test_tall_point_literal_ends_in_a_named_domain_error():
         capture_output=True, text=True, timeout=10)
     assert out.returncode == 1 and out.stdout == ""
     assert "not equivalent to a silting complex" in out.stderr
+
+
+@pytest.mark.parametrize("rank, max_len", [("2000", "2"), ("3", "100000")])
+def test_an_oracle_sweep_past_its_pair_bound_is_refused_at_once(rank, max_len):
+    # both ran past 10 s before the sweep was capped
+    out = subprocess.run(
+        [sys.executable, "-m", "siltglue.cli", "oracle-check", "--rank", rank,
+         "--max-len", max_len], capture_output=True, text=True, timeout=5)
+    assert (out.returncode, out.stdout) == (1, "")
+    assert out.stderr == (f"error: oracle sweep of rank {rank} to length "
+                          f"{max_len} checks more than 12000 pairs\n")
 
 
 def test_large_row_literal_glues_in_a_subprocess():

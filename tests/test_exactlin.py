@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -176,12 +177,14 @@ def matrices_of(draw, r, c):
 @st.composite
 def sylvester_cases(draw):
     """Random terms (out, var, sign, A, B) on one vector of unknowns, with
-    the unknown blocks X_v and the output blocks laid out back to back."""
+    the unknown blocks X_v and the output blocks laid out back to back.
+    Some terms give A, B or both as an int, the identity's size."""
     dim = st.integers(min_value=0, max_value=3)
     terms, blocks, outs = [], [], []
     nvar = neqs = 0
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         p, q, r, s = draw(dim), draw(dim), draw(dim), draw(dim)
+        ident = draw(st.sampled_from(("", "", "a", "b", "ab")))
         if draw(st.booleans()) and blocks:
             var, q, r = draw(st.sampled_from(blocks))
         else:
@@ -191,11 +194,13 @@ def sylvester_cases(draw):
         if draw(st.booleans()) and outs:
             out, p, s = draw(st.sampled_from(outs))
         else:
+            # a new output block takes the shape an identity factor needs
+            p, s = (q if "a" in ident else p), (r if "b" in ident else s)
             out = neqs
             outs.append((out, p, s))
             neqs += p * s
-        a = draw(matrices_of(p, q))
-        b = draw(matrices_of(r, s))
+        a = q if "a" in ident and p == q else draw(matrices_of(p, q))
+        b = r if "b" in ident and r == s else draw(matrices_of(r, s))
         terms.append((out, var, draw(st.sampled_from((1, -1))), a, b))
     x = draw(st.lists(small_fractions, min_size=nvar, max_size=nvar))
     return neqs, terms, x
@@ -205,14 +210,19 @@ def sylvester_cases(draw):
 @settings(max_examples=80, deadline=None)
 def test_sylvester_rows_apply_the_sum_of_products(case):
     neqs, terms, x = case
+    # the same terms with every int factor given as the identity Mat
+    mats = [(out, var, sign, *(Mat.identity(m) if isinstance(m, int) else m
+                               for m in (a, b)))
+            for out, var, sign, a, b in terms]
     want = [Fraction(0)] * neqs
-    for out, var, sign, a, b in terms:
+    for out, var, sign, a, b in mats:
         xv = Mat(a.cols, b.rows, tuple(x[var:var + a.cols * b.rows]))
         for t, v in enumerate(a.mul(xv).mul(b).scale(sign).entries):
             want[out + t] += v
     rows = sylvester_rows(neqs, terms)
     assert len(rows) == neqs
     assert [sum(v * x[c] for c, v in row.items()) for row in rows] == want
+    assert rows == sylvester_rows(neqs, mats)
 
 
 def test_sylvester_rows_int_is_identity():
@@ -373,6 +383,25 @@ def test_sparse_rank_matches_reference_with_stored_zeros(m, rng):
     rows = [{j: v for j, v in enumerate(m.row(i))
              if v != 0 or rng.random() < 0.4} for i in range(m.rows)]
     assert sparse_rank(iter(rows)) == len(reference_rref(m)[1])
+    # one matrix in several forms: its Fraction rows and the same rows with
+    # integral entries at random stored as ints; each row cleared of its
+    # denominators, as Fractions, mixed, and all ints.  echelon and rref
+    # see the same integer rows in every form.
+    cleared = [[v * math.lcm(*(x.denominator for x in row)) for v in row]
+               for row in m.to_rows()]
+    for fracs in (m.to_rows(), cleared):
+        forms = [fracs, [[int(v) if v.denominator == 1 and rng.random() < 0.5
+                          else v for v in row] for row in fracs]]
+        if fracs is cleared:
+            forms.append([[int(v) for v in row] for row in fracs])
+        got = []
+        for form in forms:
+            piv = echelon([{j: v for j, v in enumerate(row)
+                            if v != 0 or rng.random() < 0.4} for row in form])
+            assert all(type(v) is int for r in piv.values() for v in r.values())
+            got.append((piv, list(piv), rref(
+                Mat(m.rows, m.cols, tuple(v for row in form for v in row)))))
+        assert all(g == got[0] for g in got)
 
 
 def sparse_rows(m: Mat) -> list:

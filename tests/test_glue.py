@@ -303,6 +303,21 @@ def test_built_data_are_not_normalized_again(monkeypatch):
     assert calls == []
 
 
+def test_canonical_tube_data_are_kept_as_given(monkeypatch):
+    census = enumerate_single_tube_specs(5)
+    arcs = census[0].tube("x").arcs
+    calls = []
+    real = glue.normalize
+    monkeypatch.setattr(glue, "normalize",
+                        lambda a, ctx: calls.append(a) or real(a, ctx))
+    td = TubeData(5, arcs)
+    assert td.arcs is arcs and calls == []
+    # pushed and reduced arcs come canonical: each round trip normalizes
+    # only the summand it adjoins
+    assert len(census) == 126 and all(round_trip(spec, "x") for spec in census)
+    assert len(calls) == 126
+
+
 def test_spec_parse_errors():
     with pytest.raises(ValueError, match="header"):
         parse_spec("nope")

@@ -175,6 +175,21 @@ def test_sweep_reports_mismatches_in_checking_order():
                    if ext_dim_arcs(a, b, ctx)]
 
 
+def test_a_sweep_past_the_pair_bound_builds_nothing(monkeypatch):
+    # (rank * max_len)^2 pairs: 110^2 = 12100 is the first count past the
+    # bound; a negative length sweeps no arc
+    def no_rep(a, ctx):
+        raise AssertionError("a representation was built")
+    monkeypatch.setattr(cyclic_oracle, "rep_of_arc", no_rep)
+    for n, max_len in ((110, 1), (1, 110), (2000, 2), (10 ** 18, 1)):
+        with pytest.raises(ValueError) as exc:
+            sweep_arcs(TubeCtx(n), max_len, hom_dim_arcs, ext_dim_arcs)
+        assert str(exc.value) == (f"oracle sweep of rank {n} to length "
+                                  f"{max_len} checks more than 12000 pairs")
+    assert sweep_arcs(TubeCtx(3), -10 ** 6, hom_dim_arcs,
+                      ext_dim_arcs) == (0, [])
+
+
 # -- the one-cycle nilpotency test against the all-vertex check ----------------
 
 
