@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .exactlin import (Mat, QONE, QZERO, block, cokernel_coordinates, diag,
@@ -129,11 +130,14 @@ class ProjMorphism:
 
     def rep_morphism(self) -> tuple:
         """The morphism as a matrix pair (f1, f2) between the explicit
-        representations of src and dst."""
-        f2 = block([[self.s11, self.arr_a, self.arr_b],
-                    [None, self.s22, None],
-                    [None, None, self.s22]])
-        return self.s22, f2
+        representations of src and dst, kept on the instance."""
+        pair = self.__dict__.get("_rep")
+        if pair is None:
+            pair = self.s22, block([[self.s11, self.arr_a, self.arr_b],
+                                    [None, self.s22, None],
+                                    [None, None, self.s22]])
+            object.__setattr__(self, "_rep", pair)
+        return pair
 
 
 def morphism_space_dim(src: ProjSum, dst: ProjSum) -> int:
@@ -277,6 +281,7 @@ def partial_map(c: TwoTermComplex, d: TwoTermComplex) -> list:
         + _post_terms(c.deg_0, d.diff, nm1, 0, 1))
 
 
+@lru_cache(maxsize=256)
 def derived_hom_dim(c: TwoTermComplex, d: TwoTermComplex, shift: int = 0) -> int:
     """dim Hom(c, d[shift]) in the homotopy category; zero for |shift| >= 2."""
     if abs(shift) >= 2:

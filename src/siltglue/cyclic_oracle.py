@@ -156,10 +156,12 @@ def sweep_arcs(ctx: TubeCtx, max_len: int, hom_arcs, ext_arcs) -> tuple:
     they are passed in so that the oracle keeps depending on nothing from
     the arc side.  Returns the pair count and the mismatches, as
     (kind, a, b) with kind "ext" or "hom", in the order they were checked.
-    A sweep of more than _MAX_PAIRS pairs raises ValueError before any
-    arc is built.
+    A bound below 1, or a sweep of more than _MAX_PAIRS pairs, raises
+    ValueError before any arc is built.
     """
-    if (ctx.n * max(max_len, 0)) ** 2 > _MAX_PAIRS:
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
+    if (ctx.n * max_len) ** 2 > _MAX_PAIRS:
         raise ValueError(
             f"oracle sweep of rank {ctx.n} to length {max_len} checks more "
             f"than {_MAX_PAIRS} pairs")

@@ -2,13 +2,15 @@
 
 Matrices, vectors and results are exact rationals (Fraction) at the API;
 there is no floating point anywhere in the package.  Every row reduction
-here runs in reduce_row, on sparse integer rows: each row is scaled by the
-lcm of its denominators and combined fraction-free with a pivot row,
-a*row - b*pivot_row with the content removed.  echelon inserts rows one at
-a time; rref back-substitutes its basis, and rank, kernels and solving are
-read off rref; quotient_pencil reduces paired rows modulo an echelon basis,
-for quotients and minimal models.  Determinants alone use their own loop,
-Bareiss elimination, since content-reduced rows lose the determinant.
+here runs in reduce_row, on sparse integer rows: sparse rows carry an
+integral entry as an int, a row with proper fractions is scaled by the lcm
+of its denominators, and each row is combined fraction-free with a pivot
+row, a*row - b*pivot_row with the content removed.  echelon inserts rows
+one at a time; rref back-substitutes its basis and keeps the result on the
+Mat, and rank, kernels and solving are read off rref; quotient_pencil
+reduces paired rows modulo an echelon basis, for quotients and minimal
+models.  Determinants alone use their own loop, Bareiss elimination, since
+content-reduced rows lose the determinant.
 Pivots are leftmost nonzero columns, so pivot columns, reduced echelon
 forms and kernel bases are deterministic across runs and platforms, and
 equal to those of rational Gauss-Jordan.  Mat is immutable and row-major.
@@ -107,8 +109,10 @@ class Mat:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def sparse_rows(self) -> list:
-        """The rows as dicts col -> value of their nonzero entries."""
-        return [{j: v for j, v in enumerate(self.row(i)) if v}
+        """The rows as dicts col -> value of their nonzero entries, an
+        integral entry as an int."""
+        return [{j: v.numerator if v.denominator == 1 else v
+                 for j, v in enumerate(self.row(i)) if v}
                 for i in range(self.rows)]
 
     def is_zero(self) -> bool:
@@ -208,7 +212,8 @@ def sylvester_rows(neqs: int, terms) -> list:
     int n, standing for the n x n identity.  X_v is the A.cols x B.rows
     block of unknowns stored row-major from column var on, and the product,
     of shape A.rows x B.cols, is added row-major to the outputs from row out
-    on.  Returns one dict col -> Fraction per output, neqs in all.  In
+    on.  Returns one dict col -> value per output, neqs in all: an int
+    where the products of the entries are integral, else a Fraction.  In
     row-major order vec(A X B) = (A kron B^T) vec X, so only the nonzeros of
     A and B are visited, and an identity factor is a loop over its size.
     """
@@ -245,14 +250,15 @@ def sylvester_rows(neqs: int, terms) -> list:
 
 def _nonzeros(m) -> tuple:
     """(rows, cols, the (i, j, value) triples) of a Mat, or of the
-    identity for an int."""
+    identity for an int; an integral value is an int."""
     if isinstance(m, int):
-        return m, m, [(i, i, QONE) for i in range(m)]
+        return m, m, [(i, i, 1) for i in range(m)]
     # the same Mats enter many systems: scan the entries once and keep the
     # triples on the instance, as __hash__ keeps its hash
     nz = m.__dict__.get("_nonzeros")
     if nz is None:
-        nz = tuple((t // m.cols, t % m.cols, v)
+        nz = tuple((t // m.cols, t % m.cols,
+                    v.numerator if v.denominator == 1 else v)
                    for t, v in enumerate(m.entries) if v)
         object.__setattr__(m, "_nonzeros", nz)
     return m.rows, m.cols, nz
@@ -270,6 +276,11 @@ def rref(m: Mat) -> tuple:
     pivot.  The reduced rows are unique, so they equal those of rational
     Gauss-Jordan.
     """
+    # the per-call gluing checks rank the same Mats again: keep the result
+    # on the instance, as __hash__ keeps its hash
+    kept = m.__dict__.get("_rref")
+    if kept is not None:
+        return kept
     pivrows = echelon(m.sparse_rows())
     done: dict = {}
     for c in sorted(pivrows, reverse=True):
@@ -281,7 +292,9 @@ def rref(m: Mat) -> tuple:
         pv = row[c]
         for j, v in row.items():
             ent[r * m.cols + j] = Fraction(v, pv)
-    return Mat(m.rows, m.cols, tuple(ent)), pivots
+    kept = Mat(m.rows, m.cols, tuple(ent)), pivots
+    object.__setattr__(m, "_rref", kept)
+    return kept
 
 
 def rank(m: Mat) -> int:

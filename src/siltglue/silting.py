@@ -35,7 +35,8 @@ from .complexes import (ProjMorphism, ProjSum, TwoTermComplex, _delta_terms,
 # sweep over rows asks for the same few presentations and base gluings again.
 # Those two are cached, keyed on objects that repeat: the ExplicitRep from
 # explicit_rep's cache and the complexes the first cache returns.  The rank
-# and (A1) checks run on every call; the complexes layer holds no cache.
+# and (A1) checks run on every call, on the kernels memoized below them:
+# derived_hom_dim's cache, and the rref and rep_morphism kept on instances.
 
 
 def canonical_resolution(x: ExplicitRep) -> TwoTermComplex:

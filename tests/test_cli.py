@@ -115,6 +115,9 @@ def test_domain_error_exit_code(capsys):
     assert code == 1 and "error" in err
     assert run_cli(capsys, "emit-quiver", "--rank", "3", "--max-len", "0") \
         == (1, "", "error: max_len must be at least 1\n")
+    for bound in ("0", "-5000"):
+        assert run_cli(capsys, "oracle-check", "--rank", "3", "--max-len",
+                       bound) == (1, "", "error: max_len must be at least 1\n")
     assert run_cli(capsys, "oracle-check", "--rank", "7", "--max-len", "16") \
         == (1, "", "error: oracle sweep of rank 7 to length 16 checks more "
             "than 12000 pairs\n")

@@ -232,6 +232,32 @@ def test_sylvester_rows_int_is_identity():
     assert ident == [{0: 1, 2: 2}, {1: 1, 3: 2}, {0: 3, 2: 4}, {1: 3, 3: 4}]
 
 
+@given(sylvester_cases())
+@settings(max_examples=60, deadline=None)
+def test_integral_entries_reach_the_elimination_core_as_ints(case):
+    neqs, terms, _ = case
+    # the same terms on Fraction Mats whose entries are all integral
+    terms = [(out, var, sign, *(m if isinstance(m, int) else Mat(
+        m.rows, m.cols, tuple(Fraction(x.numerator) for x in m.entries))
+        for m in (a, b))) for out, var, sign, a, b in terms]
+    rows = sylvester_rows(neqs, terms)
+    assert all(type(v) is int for row in rows for v in row.values())
+    piv = echelon(rows)
+    want = echelon([{c: Fraction(v) for c, v in row.items()} for row in rows])
+    assert piv == want and list(piv) == list(want)
+    for m in (t[k] for t in terms for k in (3, 4)):
+        if isinstance(m, Mat):
+            assert all(type(v) is int
+                       for row in m.sparse_rows() for v in row.values())
+            assert rref(m) == reference_rref(m)
+
+
+def test_sparse_rows_keep_a_proper_fraction():
+    (row,) = Mat.from_rows([[Fraction(1, 2), 2, 0]]).sparse_rows()
+    assert row == {0: Fraction(1, 2), 1: 2}
+    assert [type(v) for v in row.values()] == [Fraction, int]
+
+
 # -- the integer kernels against rational Gauss-Jordan -----------------------
 
 
@@ -352,6 +378,15 @@ def test_rref_matches_rational_gauss_jordan(m):
     assert pivots == want_pivots
     assert red.entries == want_red.entries
     assert all(type(x) is Fraction for x in red.entries)
+
+
+@given(dependent_matrices())
+@settings(max_examples=100, deadline=None)
+def test_rref_kept_on_the_matrix_equals_a_fresh_elimination(m):
+    first = rref(m)
+    fresh = Mat(m.rows, m.cols, m.entries)
+    assert fresh is not m and rref(fresh) == first
+    assert rref(m) is first
 
 
 @given(dependent_matrices(), st.data())

@@ -177,7 +177,7 @@ def test_sweep_reports_mismatches_in_checking_order():
 
 def test_a_sweep_past_the_pair_bound_builds_nothing(monkeypatch):
     # (rank * max_len)^2 pairs: 110^2 = 12100 is the first count past the
-    # bound; a negative length sweeps no arc
+    # bound; a length below 1 is refused as emit-quiver refuses it
     def no_rep(a, ctx):
         raise AssertionError("a representation was built")
     monkeypatch.setattr(cyclic_oracle, "rep_of_arc", no_rep)
@@ -186,8 +186,9 @@ def test_a_sweep_past_the_pair_bound_builds_nothing(monkeypatch):
             sweep_arcs(TubeCtx(n), max_len, hom_dim_arcs, ext_dim_arcs)
         assert str(exc.value) == (f"oracle sweep of rank {n} to length "
                                   f"{max_len} checks more than 12000 pairs")
-    assert sweep_arcs(TubeCtx(3), -10 ** 6, hom_dim_arcs,
-                      ext_dim_arcs) == (0, [])
+    for max_len in (0, -10 ** 6):
+        with pytest.raises(ValueError, match="^max_len must be at least 1$"):
+            sweep_arcs(TubeCtx(3), max_len, hom_dim_arcs, ext_dim_arcs)
 
 
 # -- the one-cycle nilpotency test against the all-vertex check ----------------

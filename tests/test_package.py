@@ -89,7 +89,8 @@ def test_every_cache_is_bounded():
             if hasattr(obj, "cache_parameters"):
                 name = f"{obj.__module__}.{obj.__qualname__}"
                 caches[name.removeprefix("siltglue.")] = obj.cache_parameters()
-    assert set(caches) == {"cyclic_oracle._uniserial",
+    assert set(caches) == {"complexes.derived_hom_dim",
+                           "cyclic_oracle._uniserial",
                            "cyclic_oracle._hom_ext_oracle",
                            "kronecker.explicit_rep", "kronecker.hom_dim",
                            "silting._minimal_presentation",

@@ -218,14 +218,20 @@ def _euler_characteristic(c, d) -> int:
             - hom(c.deg_0, d.deg_0) + hom(c.deg_m1, d.deg_0))
 
 
-def test_a1_check_reads_degree_zero_from_the_euler_characteristic():
-    complexes = [presentation_of_object(x) for x in
-                 [P(i) for i in range(1, 7)] + [Q(i) for i in range(1, 7)]
-                 + [R((1, 0), 1), R((1, 0), 2), R((2, 3), 1)]]
-    complexes += [shifted_projective(1), shifted_projective(2),
-                  stalk_complex(ProjSum(1, 0)), stalk_complex(ProjSum(0, 1))]
-    complexes += [scrambled(PIECES[k:k + 3], k)
+def _sample_complexes() -> list:
+    """Presentations, shifted projectives, stalks and scrambled sums: 25
+    two-term complexes whose ordered pairs reach every (A1) outcome."""
+    out = [presentation_of_object(x) for x in
+           [P(i) for i in range(1, 7)] + [Q(i) for i in range(1, 7)]
+           + [R((1, 0), 1), R((1, 0), 2), R((2, 3), 1)]]
+    out += [shifted_projective(1), shifted_projective(2),
+            stalk_complex(ProjSum(1, 0)), stalk_complex(ProjSum(0, 1))]
+    return out + [scrambled(PIECES[k:k + 3], k)
                   for k in range(0, len(PIECES), 3)]
+
+
+def test_a1_check_reads_degree_zero_from_the_euler_characteristic():
+    complexes = _sample_complexes()
     seen = set()
     for c in complexes:
         for d in complexes:
@@ -241,6 +247,22 @@ def test_a1_check_reads_degree_zero_from_the_euler_characteristic():
                  (shifted_projective(2), presentation_of_object(P(3)))]:
         assert (derived_hom_dim(c, d, 0), derived_hom_dim(c, d, 1)) == (0, 2)
         assert silting._a1_failure(c, d) == 1
+
+
+def test_kept_derived_hom_dims_equal_fresh_ranks():
+    # the twins are equal complexes built again, so they hit the entries
+    # their originals left (some of the 25 are equal, which adds hits)
+    complexes, twins = _sample_complexes(), _sample_complexes()
+    assert len(complexes) == 25 and twins == complexes
+    derived_hom_dim.cache_clear()
+    for c, c2 in zip(complexes, twins):
+        for d, d2 in zip(complexes, twins):
+            for k in (-1, 0, 1):
+                fresh = derived_hom_dim.__wrapped__(c, d, k)
+                assert derived_hom_dim(c, d, k) == fresh, (c, d, k)
+                assert derived_hom_dim(c2, d2, k) == fresh, (c, d, k)
+    info = derived_hom_dim.cache_info()
+    assert info.hits >= 25 * 25 * 3 >= info.misses
 
 
 def _count_calls(monkeypatch, calls, module, name):
@@ -264,12 +286,20 @@ def test_each_check_ranks_each_hom_system_once(monkeypatch):
         if getattr(module, "sparse_rank", None) is sparse_rank:
             _count_calls(monkeypatch, calls, module, "sparse_rank")
     _count_calls(monkeypatch, calls, silting, "echelon")
+    # derived_hom_dim keeps its answers: clear it so that each block counts
+    # the ranks of a cold check
+    derived_hom_dim.cache_clear()
     assert glue_kronecker("P5", "P4", "P5").render() == "P4 + P5"
     assert calls == {"sparse_rank": 2}
+    calls.clear()
+    assert glue_kronecker("P5", "P4", "P5").render() == "P4 + P5"
+    assert "sparse_rank" not in calls
     for s1, s2 in fixtures:
+        derived_hom_dim.cache_clear()
         calls.clear()
         phi_surjective(s1, s2, ProjMorphism.zero(s2.deg_m1, s1.deg_0))
         assert calls == {"sparse_rank": 2, "echelon": 1}
+    derived_hom_dim.cache_clear()
     calls.clear()
     assert in_y_class(simple, other)
     assert calls == {"sparse_rank": 1}
@@ -487,11 +517,18 @@ def test_a_repeated_gluing_runs_its_checks_but_not_the_base_gluing(
                  "derived_hom_dim"):
         counted(silting, name)
     counted(exactlin, "rref")
+    sparse_rank = exactlin.sparse_rank
+    for info in pkgutil.iter_modules(siltglue.__path__):
+        module = importlib.import_module(f"siltglue.{info.name}")
+        if getattr(module, "sparse_rank", None) is sparse_rank:
+            counted(module, "sparse_rank")
     assert glue_kronecker("P5", "P4", "P5").render() == "P4 + P5"
     assert glue_kronecker("P7", "P6", "P7").render() == "P6 + P7"
     assert "universal_extension" not in calls
     assert "identify_summands" not in calls
     assert calls["derived_hom_dim"] == 4 and calls["rref"] > 0
+    # the checks run, but on ranks kept from the first gluing
+    assert "sparse_rank" not in calls
 
 
 BASE_ROWS = ("P1", "P2", "P3", "P4", "P5", "Q1", "Q2")
