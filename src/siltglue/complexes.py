@@ -5,6 +5,9 @@ P1^a + P2^b of the two indecomposable projectives and the differential is
 a morphism between such sums.  Morphisms are stored blockwise: scalar
 blocks P1 -> P1 and P2 -> P2, and an arrow-pair block P1 -> P2 (the space
 Hom(P1, P2) is two-dimensional, spanned by the arrows); Hom(P2, P1) = 0.
+A value stores only its blocks: a morphism reads its source and target
+off the block shapes, and a complex, which stores only its differential,
+reads its two terms off the differential's.
 
 Derived Hom spaces between complexes, and against module stalks, are
 homotopy computations carried out by exact linear algebra on flattened
@@ -71,35 +74,31 @@ class ProjMorphism:
 
     s11: a x c scalars, s22: b x d scalars, arr_a / arr_b: a x d arrow
     coefficients (the P1 -> P2 block); the P2 -> P1 block is always zero.
+    src = P1^a + P2^b and dst = P1^c + P2^d are read off the block shapes.
     """
 
-    src: ProjSum
-    dst: ProjSum
     s11: Mat
     s22: Mat
     arr_a: Mat
     arr_b: Mat
 
     def __post_init__(self):
-        a, b = self.src.p1, self.src.p2
-        c, d = self.dst.p1, self.dst.p2
-        if (self.s11.rows, self.s11.cols) != (a, c):
-            raise ValueError("s11 block shape mismatch")
-        if (self.s22.rows, self.s22.cols) != (b, d):
-            raise ValueError("s22 block shape mismatch")
+        a, d = self.s11.rows, self.s22.cols
         for m in (self.arr_a, self.arr_b):
             if (m.rows, m.cols) != (a, d):
                 raise ValueError("arrow block shape mismatch")
+        # attributes, not fields: equal blocks have equal terms
+        object.__setattr__(self, "src", ProjSum(a, self.s22.rows))
+        object.__setattr__(self, "dst", ProjSum(self.s11.cols, d))
 
     @staticmethod
     def zero(src: ProjSum, dst: ProjSum) -> "ProjMorphism":
-        return ProjMorphism(src, dst,
-                            Mat.zeros(src.p1, dst.p1), Mat.zeros(src.p2, dst.p2),
+        return ProjMorphism(Mat.zeros(src.p1, dst.p1), Mat.zeros(src.p2, dst.p2),
                             Mat.zeros(src.p1, dst.p2), Mat.zeros(src.p1, dst.p2))
 
     @staticmethod
     def identity(s: ProjSum) -> "ProjMorphism":
-        return ProjMorphism(s, s, Mat.identity(s.p1), Mat.identity(s.p2),
+        return ProjMorphism(Mat.identity(s.p1), Mat.identity(s.p2),
                             Mat.zeros(s.p1, s.p2), Mat.zeros(s.p1, s.p2))
 
     def then(self, other: "ProjMorphism") -> "ProjMorphism":
@@ -107,22 +106,19 @@ class ProjMorphism:
         if self.dst != other.src:
             raise ValueError("composition shape mismatch")
         return ProjMorphism(
-            self.src, other.dst,
             self.s11.mul(other.s11),
             self.s22.mul(other.s22),
             self.s11.mul(other.arr_a).add(self.arr_a.mul(other.s22)),
             self.s11.mul(other.arr_b).add(self.arr_b.mul(other.s22)))
 
     def add(self, other: "ProjMorphism") -> "ProjMorphism":
-        return ProjMorphism(self.src, self.dst,
-                            self.s11.add(other.s11), self.s22.add(other.s22),
+        return ProjMorphism(self.s11.add(other.s11), self.s22.add(other.s22),
                             self.arr_a.add(other.arr_a),
                             self.arr_b.add(other.arr_b))
 
     def scale(self, c) -> "ProjMorphism":
-        return ProjMorphism(self.src, self.dst, self.s11.scale(c),
-                            self.s22.scale(c), self.arr_a.scale(c),
-                            self.arr_b.scale(c))
+        return ProjMorphism(self.s11.scale(c), self.s22.scale(c),
+                            self.arr_a.scale(c), self.arr_b.scale(c))
 
     def flat(self) -> tuple:
         return (self.s11.entries + self.s22.entries
@@ -140,6 +136,10 @@ class ProjMorphism:
         return pair
 
 
+# the stored blocks of a ProjMorphism, in field order
+_BLOCKS = ("s11", "s22", "arr_a", "arr_b")
+
+
 def morphism_space_dim(src: ProjSum, dst: ProjSum) -> int:
     return src.p1 * dst.p1 + src.p2 * dst.p2 + 2 * src.p1 * dst.p2
 
@@ -151,7 +151,6 @@ def morphism_from_flat(src: ProjSum, dst: ProjSum, flat: Sequence) -> ProjMorphi
     if len(flat) != n11 + n22 + 2 * narr:
         raise ValueError("flat vector length mismatch")
     return ProjMorphism(
-        src, dst,
         Mat(a, c, flat[:n11]),
         Mat(b, d, flat[n11:n11 + n22]),
         Mat(a, d, flat[n11 + n22:n11 + n22 + narr]),
@@ -173,15 +172,14 @@ def morphism_basis(src: ProjSum, dst: ProjSum) -> list:
 
 @frozen
 class TwoTermComplex:
-    """deg_m1 --diff--> deg_0, concentrated in degrees -1 and 0."""
+    """deg_m1 --diff--> deg_0, concentrated in degrees -1 and 0; the terms
+    are the differential's source and target."""
 
-    deg_m1: ProjSum
-    deg_0: ProjSum
     diff: ProjMorphism
 
     def __post_init__(self):
-        if self.diff.src != self.deg_m1 or self.diff.dst != self.deg_0:
-            raise ValueError("differential does not match the terms")
+        object.__setattr__(self, "deg_m1", self.diff.src)
+        object.__setattr__(self, "deg_0", self.diff.dst)
 
     def is_zero(self) -> bool:
         return self.deg_m1.is_zero() and self.deg_0.is_zero()
@@ -189,15 +187,13 @@ class TwoTermComplex:
 
 def stalk_complex(s: ProjSum) -> TwoTermComplex:
     """s placed in degree 0."""
-    z = ProjSum(0, 0)
-    return TwoTermComplex(z, s, ProjMorphism.zero(z, s))
+    return TwoTermComplex(ProjMorphism.zero(ProjSum(0, 0), s))
 
 
-def shifted_projective(which: int, mult: int = 1) -> TwoTermComplex:
-    """P1^mult or P2^mult placed in degree -1 (the [1]-shift of a stalk)."""
-    s = ProjSum(mult, 0) if which == 1 else ProjSum(0, mult)
-    z = ProjSum(0, 0)
-    return TwoTermComplex(s, z, ProjMorphism.zero(s, z))
+def shifted_projective(which: int) -> TwoTermComplex:
+    """P1 or P2 placed in degree -1 (the [1]-shift of a stalk)."""
+    s = ProjSum(1, 0) if which == 1 else ProjSum(0, 1)
+    return TwoTermComplex(ProjMorphism.zero(s, ProjSum(0, 0)))
 
 
 def zero_complex() -> TwoTermComplex:
@@ -205,11 +201,8 @@ def zero_complex() -> TwoTermComplex:
 
 
 def direct_sum(cs: Sequence[TwoTermComplex]) -> TwoTermComplex:
-    m1 = ProjSum(sum(c.deg_m1.p1 for c in cs), sum(c.deg_m1.p2 for c in cs))
-    d0 = ProjSum(sum(c.deg_0.p1 for c in cs), sum(c.deg_0.p2 for c in cs))
-    diff = ProjMorphism(m1, d0, *(diag([getattr(c.diff, part) for c in cs])
-                                  for part in ("s11", "s22", "arr_a", "arr_b")))
-    return TwoTermComplex(m1, d0, diff)
+    return TwoTermComplex(ProjMorphism(
+        *(diag([getattr(c.diff, part) for c in cs]) for part in _BLOCKS)))
 
 
 def power(c: TwoTermComplex, k: int) -> TwoTermComplex:
@@ -354,19 +347,10 @@ def cocone(from_cplx: TwoTermComplex, to_cplx: TwoTermComplex,
     if attach.src != from_cplx.deg_m1 or attach.dst != to_cplx.deg_0:
         raise ValueError("attaching map has wrong endpoints")
     f, t = from_cplx.diff, to_cplx.diff
-    m1 = ProjSum(from_cplx.deg_m1.p1 + to_cplx.deg_m1.p1,
-                 from_cplx.deg_m1.p2 + to_cplx.deg_m1.p2)
-    d0 = ProjSum(from_cplx.deg_0.p1 + to_cplx.deg_0.p1,
-                 from_cplx.deg_0.p2 + to_cplx.deg_0.p2)
-
-    def two_block(part: str) -> Mat:
-        """[[d_from, attach], [0, d_to]] on one block of the differential."""
-        return block([[getattr(f, part), getattr(attach, part)],
-                      [None, getattr(t, part)]])
-
-    return TwoTermComplex(m1, d0, ProjMorphism(
-        m1, d0, two_block("s11"), two_block("s22"), two_block("arr_a"),
-        two_block("arr_b")))
+    # [[d_from, attach], [0, d_to]] on each block of the differential
+    return TwoTermComplex(ProjMorphism(
+        *(block([[getattr(f, part), getattr(attach, part)],
+                 [None, getattr(t, part)]]) for part in _BLOCKS)))
 
 
 def universal_extension(left: TwoTermComplex, right: TwoTermComplex) -> TwoTermComplex:
@@ -377,12 +361,9 @@ def universal_extension(left: TwoTermComplex, right: TwoTermComplex) -> TwoTermC
     k = len(reps)
     if k == 0:
         return right
-    stacked = power(left, k)
-    attach = ProjMorphism(
-        stacked.deg_m1, right.deg_0,
-        *(block([[getattr(r, part)] for r in reps])
-          for part in ("s11", "s22", "arr_a", "arr_b")))
-    return cocone(stacked, right, attach)
+    attach = ProjMorphism(*(block([[getattr(r, part)] for r in reps])
+                            for part in _BLOCKS))
+    return cocone(power(left, k), right, attach)
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +402,9 @@ def minimize(c: TwoTermComplex) -> TwoTermComplex:
         [{j - p1: x for j, x in r.items() if j < end} for r in rest],
         [{j - end: x for j, x in r.items() if j >= end} for r in rest],
         range(len(rest)), s22, p2)
-    m1 = ProjSum(len(rest), c.deg_m1.p2 - len(s22))
-    d0 = ProjSum(p1 - len(kept), q)
-    return TwoTermComplex(m1, d0, ProjMorphism(
-        m1, d0, Mat.zeros(m1.p1, d0.p1), Mat.zeros(m1.p2, d0.p2),
+    return TwoTermComplex(ProjMorphism(
+        Mat.zeros(len(rest), p1 - len(kept)),
+        Mat.zeros(c.deg_m1.p2 - len(s22), q),
         Mat.from_sparse(qa, q), Mat.from_sparse(qb, q)))
 
 
@@ -475,7 +455,7 @@ def parse_complex_literal(text: str) -> TwoTermComplex:
     if src.is_zero() or dst.is_zero():
         if rows:
             raise ValueError("rows given for a stalk complex")
-        return TwoTermComplex(src, dst, ProjMorphism.zero(src, dst))
+        return TwoTermComplex(ProjMorphism.zero(src, dst))
     if len(rows) != total_src:
         raise ValueError(f"expected {total_src} rows, got {len(rows)}")
     entry_re = re.compile(r"\(\s*(-?\d+(?:/\d+)?)\s*,\s*(-?\d+(?:/\d+)?)\s*\)"
@@ -510,10 +490,8 @@ def parse_complex_literal(text: str) -> TwoTermComplex:
                         raise ValueError("the P2 -> P1 block is forced zero")
                 else:
                     s22[i - src.p1][j - dst.p1] = val
-    diff = ProjMorphism(
-        src, dst,
+    return TwoTermComplex(ProjMorphism(
         Mat.from_rows(s11, cols=dst.p1),
         Mat.from_rows(s22, cols=dst.p2),
         Mat.from_rows(arr_a, cols=dst.p2),
-        Mat.from_rows(arr_b, cols=dst.p2))
-    return TwoTermComplex(src, dst, diff)
+        Mat.from_rows(arr_b, cols=dst.p2)))

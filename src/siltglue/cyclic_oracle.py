@@ -32,11 +32,10 @@ _MAX_PAIRS = 12000
 
 @frozen
 class NilpRep:
-    """dims[v] vector-space dimensions; maps[v] the arrow action
-    V_v -> V_{v-1 mod n} on row vectors."""
+    """maps[v] the arrow action V_v -> V_{v-1 mod n} on row vectors.  Only
+    the maps are stored: the rank n is their number and dims[v], the
+    dimension of V_v, the row count of maps[v]."""
 
-    n: int
-    dims: tuple
     maps: tuple
 
     def __hash__(self):
@@ -44,16 +43,17 @@ class NilpRep:
         # keep the value on the instance, as Mat does
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash((self.n, self.dims, self.maps))
+            h = hash(self.maps)
             object.__setattr__(self, "_hash", h)
         return h
 
     def __post_init__(self):
-        if len(self.dims) != self.n or len(self.maps) != self.n:
-            raise ValueError("need one dimension and one map per vertex")
-        for v in range(self.n):
-            m = self.maps[v]
-            if (m.rows, m.cols) != (self.dims[v], self.dims[(v - 1) % self.n]):
+        n = len(self.maps)
+        dims = tuple(m.rows for m in self.maps)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "dims", dims)
+        for v in range(n):
+            if self.maps[v].cols != dims[(v - 1) % n]:
                 raise ValueError(f"map at vertex {v} has the wrong shape")
         if not _is_nilpotent(self):
             raise ValueError("cycle composite is not nilpotent")
@@ -94,7 +94,6 @@ def _uniserial(a: Arc, n: int) -> NilpRep:
     index_at_vertex = [[] for _ in range(n)]
     for t, v in enumerate(layers):
         index_at_vertex[v].append(t)
-    dims = tuple(len(ix) for ix in index_at_vertex)
     # the maps are 0/1, so their entries stay ints: the intertwiner rows
     # then hold ints, and no Fraction is tested or multiplied
     mats = []
@@ -106,7 +105,7 @@ def _uniserial(a: Arc, n: int) -> NilpRep:
             if t >= 1:
                 ent[r * len(dst) + dst.index(t - 1)] = 1
         mats.append(Mat(len(src), len(dst), tuple(ent)))
-    return NilpRep(n, dims, tuple(mats))
+    return NilpRep(tuple(mats))
 
 
 def hom_dim_oracle(x: NilpRep, y: NilpRep) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Optional
+from typing import Iterator, Optional
 
 from .exactlin import Mat, block, echelon, rank, reduce_row, sylvester_rows
 from .frozen import frozen
@@ -20,8 +20,8 @@ from .kronecker import (DimVector, ExplicitRep, KroneckerObject, LocalizedRing,
                         Point, Preinjective, Preprojective, Pruefer, Regular,
                         decompose, explicit_rep, object_sum,
                         parse_object, parse_point, render_object,
-                        render_object_sum, symbolic_ext_dim)
-from .complexes import (ProjMorphism, ProjSum, TwoTermComplex, _delta_terms,
+                        render_object_sum)
+from .complexes import (ProjMorphism, TwoTermComplex, _delta_terms,
                         _post_terms, _pre_terms, cocone, derived_hom_dim,
                         direct_sum, hom_complex_to_module, minimize,
                         morphism_space_dim, parse_complex_literal,
@@ -47,14 +47,11 @@ def canonical_resolution(x: ExplicitRep) -> TwoTermComplex:
     the corresponding P2 copy along that arrow and into the P1 copies by
     the negative of the arrow action.
     """
-    d1, d2 = x.dim.d1, x.dim.d2
-    src = ProjSum(2 * d1, 0)
-    dst = ProjSum(d2, d1)
+    d1 = x.dim.d1
     one, zero = Mat.identity(d1), Mat.zeros(d1, d1)
-    diff = ProjMorphism(
-        src, dst, block([[x.m_alpha], [x.m_beta]]).scale(-1), Mat.zeros(0, d1),
-        block([[one], [zero]]), block([[zero], [one]]))
-    return TwoTermComplex(src, dst, diff)
+    return TwoTermComplex(ProjMorphism(
+        block([[x.m_alpha], [x.m_beta]]).scale(-1), Mat.zeros(0, d1),
+        block([[one], [zero]]), block([[zero], [one]])))
 
 
 @lru_cache(maxsize=256)
@@ -424,20 +421,16 @@ def _glue_regular_row(row: GlueRow, left, right) -> GlueOutcomeKronecker:
         left = frozenset(parse_point(p) for p in m.group(1).split(",")) \
             if m.group(1).strip() else frozenset()
     if isinstance(right, str):
-        obj = parse_object(right)
-        if not isinstance(obj, Pruefer):
-            raise GlueError("the localized side of a regular row is the "
-                            "Pruefer module at the localized point")
-        right = obj
+        right = parse_object(right)
+    if not isinstance(right, Pruefer):
+        raise GlueError("the localized side of a regular row is the "
+                        "Pruefer module at the localized point")
     if row.point in left:
         raise GlueError("the localized point is already inverted on the "
                         "subcategory side")
     if right.point != row.point:
         raise GlueError("the Pruefer summand must sit at the localized point")
-    for q in left:
-        symbolic_ext_dim(Pruefer(q), right)       # 0 by orthogonality
     allpts = frozenset(left) | {row.point}
-    symbolic_ext_dim(LocalizedRing(allpts), right)
     pieces = [(LocalizedRing(allpts), 1)] + [(Pruefer(q), 1) for q in sorted(allpts)]
     modsum = object_sum(pieces)
     summands = tuple((ComplexSummand(obj, None), 1) for obj, _ in modsum)
@@ -466,31 +459,30 @@ class SiltingEntry:
         return out
 
 
-def classify_silting(index_bound: int = 6) -> list:
+def classify_silting(index_bound: int = 6) -> Iterator[SiltingEntry]:
     """The complete list of silting modules up to equivalence: the three
     silting non-tilting classes, the compact tilting families up to the
-    index bound, and the two symbolic large families."""
-    entries = [
-        SiltingEntry((), "P1[1] + P2[1]", "silting non-tilting"),
-        SiltingEntry(object_sum([(Preprojective(1), 1)]), "P1 + P2[1]",
-                     "silting non-tilting"),
-        SiltingEntry(object_sum([(Preinjective(1), 1)]),
-                     "P1[1] + pres(Q1)", "silting non-tilting"),
-        SiltingEntry(object_sum([(Preprojective(1), 1), (Preprojective(2), 1)]),
-                     "P1 + P2", "compact tilting", "the algebra itself"),
-    ]
+    index bound, and the two symbolic large families.  Entries are yielded
+    as they are built, so a large bound costs no memory."""
+    yield SiltingEntry((), "P1[1] + P2[1]", "silting non-tilting")
+    yield SiltingEntry(object_sum([(Preprojective(1), 1)]), "P1 + P2[1]",
+                       "silting non-tilting")
+    yield SiltingEntry(object_sum([(Preinjective(1), 1)]),
+                       "P1[1] + pres(Q1)", "silting non-tilting")
+    yield SiltingEntry(
+        object_sum([(Preprojective(1), 1), (Preprojective(2), 1)]),
+        "P1 + P2", "compact tilting", "the algebra itself")
     for i in range(2, index_bound + 1):
-        entries.append(SiltingEntry(
+        yield SiltingEntry(
             object_sum([(Preprojective(i), 1), (Preprojective(i + 1), 1)]),
-            f"pres(P{i}) + pres(P{i+1})", "compact tilting"))
+            f"pres(P{i}) + pres(P{i+1})", "compact tilting")
     for i in range(1, index_bound + 1):
-        entries.append(SiltingEntry(
+        yield SiltingEntry(
             object_sum([(Preinjective(i + 1), 1), (Preinjective(i), 1)]),
-            f"pres(Q{i+1}) + pres(Q{i})", "compact tilting"))
-    entries.append(SiltingEntry(
+            f"pres(Q{i+1}) + pres(Q{i})", "compact tilting")
+    yield SiltingEntry(
         None, "pres(R_U) + pres(R_U/R)", "large tilting (symbolic family)",
-        "R_U + R_U/R for every finite nonempty set U of points"))
-    entries.append(SiltingEntry(
+        "R_U + R_U/R for every finite nonempty set U of points")
+    yield SiltingEntry(
         None, "pres(L)", "large tilting (symbolic)",
-        "Lukas; symbolic, reachable only through the trivial recollement"))
-    return entries
+        "Lukas; symbolic, reachable only through the trivial recollement")

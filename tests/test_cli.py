@@ -2,6 +2,8 @@ import json
 import math
 import os
 import pathlib
+import resource
+import select
 import subprocess
 import sys
 
@@ -205,6 +207,29 @@ def test_classify_silting(capsys):
     lines = out.splitlines()
     assert lines[0] == "0 w.r.t. P1[1] + P2[1] [silting non-tilting]"
     assert any("Lukas" in ln for ln in lines)
+
+
+def test_a_huge_classification_bound_streams_its_first_line():
+    # the listing has two lines per unit of bound, far more than memory
+    # holds: the first entry must arrive before the list is built, and the
+    # child gets 1 GB of address space, so building it fails fast
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "siltglue.cli", "classify-silting", "--bound",
+         "100000000"], stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        preexec_fn=limit)
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 5)
+        assert ready, "no output within 5 s"
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=5) == 141
+    finally:
+        proc.kill()
+        proc.wait()
+    assert first == b"0 w.r.t. P1[1] + P2[1] [silting non-tilting]\n"
 
 
 def test_oracle_check(capsys):

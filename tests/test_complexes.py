@@ -3,6 +3,7 @@ import random
 import time
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,8 @@ from siltglue.exactlin import Mat, block, rank
 from siltglue.complexes import (ProjMorphism, ProjSum, TwoTermComplex,
                                 derived_hom_dim, direct_sum,
                                 hom_complex_to_module, minimize, power,
-                                shifted_projective, stalk_complex)
+                                shifted_projective, stalk_complex,
+                                zero_complex)
 from siltglue.kronecker import (DimVector, ExplicitRep, Preinjective,
                                 Preprojective, Regular, decompose,
                                 explicit_rep, ext_dim, ext_dim_objects,
@@ -134,7 +136,7 @@ def test_minimize_cancels_contractible_summands():
 
 
 def _unit(s: ProjSum) -> TwoTermComplex:
-    return TwoTermComplex(s, s, ProjMorphism.identity(s))
+    return TwoTermComplex(ProjMorphism.identity(s))
 
 
 def reference_minimize(c: TwoTermComplex) -> TwoTermComplex:
@@ -197,15 +199,11 @@ def reference_minimize(c: TwoTermComplex) -> TwoTermComplex:
             d -= 1
             continue
         break
-    m1 = ProjSum(a, b)
-    d0 = ProjSum(cc, d)
-    diff = ProjMorphism(
-        m1, d0,
+    return TwoTermComplex(ProjMorphism(
         Mat.from_rows(s11, cols=cc),
         Mat.from_rows(s22, cols=d),
         Mat.from_rows(arr_a, cols=d),
-        Mat.from_rows(arr_b, cols=d))
-    return TwoTermComplex(m1, d0, diff)
+        Mat.from_rows(arr_b, cols=d)))
 
 
 # presentations, shifted projectives, stalks, contractible units and a
@@ -228,7 +226,7 @@ def automorphism(rng: random.Random, s: ProjSum) -> ProjMorphism:
         return Mat.from_rows([[rng.randint(-2, 2) for _ in range(s.p2)]
                               for _ in range(s.p1)], cols=s.p2)
 
-    return ProjMorphism(s, s, unimodular(rng, s.p1), unimodular(rng, s.p2),
+    return ProjMorphism(unimodular(rng, s.p1), unimodular(rng, s.p2),
                         arrows(), arrows())
 
 
@@ -236,8 +234,8 @@ def scrambled(pieces, seed: int) -> TwoTermComplex:
     """The sum of the pieces under a seeded automorphism of both terms."""
     rng = random.Random(seed)
     c = direct_sum([_piece(x) for x in pieces])
-    return TwoTermComplex(c.deg_m1, c.deg_0, automorphism(rng, c.deg_m1).then(
-        c.diff).then(automorphism(rng, c.deg_0)))
+    return TwoTermComplex(automorphism(rng, c.deg_m1).then(c.diff).then(
+        automorphism(rng, c.deg_0)))
 
 
 @given(st.lists(st.sampled_from(PIECES), min_size=1, max_size=5),
@@ -255,6 +253,62 @@ def test_minimize_matches_the_pivot_by_pivot_reference(pieces, seed):
         named.update(dict(identify_summands(_piece(x))))
     assert (dict(identify_summands(got)) == dict(identify_summands(want))
             == dict(identify_summands(c)) == dict(named))
+
+
+# the terms of each of PIECES, pinned: (degree -1, degree 0) multiplicities
+# of (P1, P2)
+PIECE_TERMS = [((0, 0), (1, 0)), ((0, 0), (0, 1)), ((1, 0), (0, 2)),
+               ((2, 0), (0, 3)), ((2, 0), (0, 1)), ((3, 0), (0, 2)),
+               ((4, 0), (0, 3)), ((2, 0), (0, 2)), ((1, 0), (0, 1)),
+               ((2, 0), (0, 2)), ((1, 0), (0, 0)), ((0, 1), (0, 0)),
+               ((0, 0), (1, 0)), ((0, 0), (0, 1)), ((1, 0), (1, 0)),
+               ((0, 1), (0, 1)), ((4, 0), (1, 2))]
+
+
+def _rebuilt(c: TwoTermComplex) -> TwoTermComplex:
+    """c rebuilt from fresh copies of its four differential blocks."""
+    d = c.diff
+    return TwoTermComplex(ProjMorphism(*(
+        Mat(m.rows, m.cols, m.entries)
+        for m in (d.s11, d.s22, d.arr_a, d.arr_b))))
+
+
+def test_a_complex_is_its_differential():
+    def terms(picks):
+        return tuple(ProjSum(*(sum(PIECE_TERMS[i][deg][k] for i in picks)
+                               for k in (0, 1))) for deg in (0, 1))
+
+    cases = [([i], _piece(x)) for i, x in enumerate(PIECES)]
+    for seed in range(20):
+        picks = random.Random(seed).choices(range(len(PIECES)), k=3)
+        cases.append((picks, scrambled([PIECES[i] for i in picks], seed)))
+    for picks, c in cases:
+        assert (c.deg_m1, c.deg_0) == terms(picks), picks
+        assert (c.diff.src, c.diff.dst) == (c.deg_m1, c.deg_0)
+        again = _rebuilt(c)
+        assert again == c and hash(again) == hash(c), picks
+        assert (again.deg_m1, again.deg_0) == terms(picks)
+
+
+def test_terms_are_read_off_zero_size_blocks():
+    z = ProjSum(0, 0)
+    for c, m1, d0 in [(zero_complex(), z, z), (direct_sum([]), z, z),
+                      (stalk_complex(ProjSum(2, 0)), z, ProjSum(2, 0)),
+                      (shifted_projective(2), ProjSum(0, 1), z)]:
+        assert (c.deg_m1, c.deg_0) == (m1, d0)
+        assert _rebuilt(c) == c
+    assert direct_sum([]) == zero_complex() and zero_complex().is_zero()
+
+
+def test_arrow_blocks_must_match_the_scalar_blocks():
+    s11, s22, good = Mat.zeros(2, 1), Mat.zeros(1, 3), Mat.zeros(2, 3)
+    f = ProjMorphism(s11, s22, good, good)
+    assert (f.src, f.dst) == (ProjSum(2, 1), ProjSum(1, 3))
+    # one row short of s11, one column short of s22
+    for bad in (Mat.zeros(1, 3), Mat.zeros(2, 2)):
+        for arrows in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match="arrow block shape mismatch"):
+                ProjMorphism(s11, s22, *arrows)
 
 
 def test_identify_summands_round_trip():
@@ -301,9 +355,8 @@ def reference_regular_summand(obj):
     complex P1^l -> P2^l along the arrow matrices of a regular R(x, l),
     and the indecomposable its cokernel decomposes into."""
     rep, n = explicit_rep(obj), obj.length
-    src, dst = ProjSum(n, 0), ProjSum(0, n)
-    pres = TwoTermComplex(src, dst, ProjMorphism(
-        src, dst, Mat.zeros(n, 0), Mat.zeros(0, n), rep.m_alpha, rep.m_beta))
+    pres = TwoTermComplex(ProjMorphism(
+        Mat.zeros(n, 0), Mat.zeros(0, n), rep.m_alpha, rep.m_beta))
     [(coker, mult)] = decompose(h0_rep(pres))
     assert mult == 1
     return pres, ComplexSummand(coker, None)
@@ -385,7 +438,6 @@ def test_complex_literal_round_trip():
 
 def test_complex_literal_errors():
     from siltglue.complexes import parse_complex_literal
-    import pytest
     with pytest.raises(ValueError, match="forced zero"):
         parse_complex_literal("[P2 -> P1+P2 | 1 0]")
     with pytest.raises(ValueError, match="rows"):
@@ -419,8 +471,7 @@ def test_module_stalk_route_on_non_minimal_complexes():
     # canonical resolutions carry a nonzero P1 -> P1 block and the added
     # identity on P2 a nonzero P2 -> P2 block, which minimal presentations
     # never do; Hom against a stalk is Hom against its presentation
-    p2 = ProjSum(0, 1)
-    unit = TwoTermComplex(p2, p2, ProjMorphism.identity(p2))
+    unit = TwoTermComplex(ProjMorphism.identity(ProjSum(0, 1)))
     sources = [shifted_projective(1), shifted_projective(2),
                stalk_complex(ProjSum(1, 1))]
     for a in CATALOG:

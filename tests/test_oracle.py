@@ -57,7 +57,7 @@ def test_intertwiner_rows_hold_ints_and_reps_keep_their_hash(monkeypatch):
     assert all(type(v) is int for m in x.maps for v in m.entries)
     _hom_ext_oracle.__wrapped__(x, y)
     assert seen and all(type(v) is int for v in seen)
-    assert hash(x) == x.__dict__["_hash"] == hash((x.n, x.dims, x.maps))
+    assert hash(x) == x.__dict__["_hash"] == hash(x.maps)
 
 
 def test_hom_then_ext_ranks_the_system_once(monkeypatch):
@@ -98,7 +98,31 @@ def test_cached_answers_match_freshly_built_reps():
 
 def test_nilpotency_enforced():
     with pytest.raises(ValueError, match="nilpotent"):
-        NilpRep(1, (1,), (Mat.identity(1),))
+        NilpRep((Mat.identity(1),))
+
+
+def test_a_rep_is_its_maps():
+    # every canonical finite arc of rank 1 to 4, lengths 1 to 2n + 1
+    for n in range(1, 5):
+        ctx = TubeCtx(n)
+        for s in range(n):
+            for length in range(1, 2 * n + 2):
+                rep = rep_of_arc(Arc(s, s + 1 + length), ctx)
+                # one composition factor per vertex of the layers from the
+                # socle at s + 1 up
+                dims = tuple(sum(1 for t in range(length)
+                                 if (s + 1 + t) % n == v) for v in range(n))
+                assert (rep.n, rep.dims) == (n, dims)
+                again = NilpRep(tuple(Mat(m.rows, m.cols, m.entries)
+                                      for m in rep.maps))
+                assert again == rep and hash(again) == hash(rep)
+                assert (again.n, again.dims) == (n, dims)
+
+
+def test_maps_must_chain_around_the_cycle():
+    # V_0 -> V_1 is 1 x 2, but V_1 is 1-dimensional
+    with pytest.raises(ValueError, match="vertex 0 has the wrong shape"):
+        NilpRep((Mat.zeros(1, 2), Mat.zeros(1, 1)))
 
 
 def test_identity_and_distinct_simples():
@@ -255,7 +279,7 @@ def test_one_cycle_nilpotency_matches_the_all_vertex_check(case):
     assert want or kind != "flag"
     assert not want or kind != "cycle"
     if want:
-        NilpRep(rep.n, rep.dims, rep.maps)
+        NilpRep(rep.maps)
     else:
         with pytest.raises(ValueError, match="not nilpotent"):
-            NilpRep(rep.n, rep.dims, rep.maps)
+            NilpRep(rep.maps)

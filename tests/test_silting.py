@@ -15,7 +15,7 @@ from siltglue.complexes import (ProjMorphism, ProjSum, TwoTermComplex,
                                 universal_extension)
 from siltglue.exactlin import Mat, block
 from siltglue.kronecker import (DimVector, ExplicitRep, Preinjective,
-                                Preprojective, Regular, explicit_rep,
+                                Preprojective, Pruefer, Regular, explicit_rep,
                                 object_sum, render_object_sum)
 from siltglue.silting import (GlueError, GlueOutcomeKronecker,
                               PreconditionError, _complex_token_table,
@@ -356,6 +356,13 @@ def test_glue_regular_row_symbolic():
         glue_kronecker("S(1:0)", "TP(1:0)", "Pruefer(1:0)")
     with pytest.raises(GlueError):
         glue_kronecker("S(1:0)", "TP()", "Pruefer(0:1)")
+    # the localized side must be a Pruefer module, given as a token or as a
+    # parsed value
+    for right in ("R(1:0,1)", Regular((1, 0), 1)):
+        with pytest.raises(GlueError, match="is the Pruefer module"):
+            glue_kronecker("S(1:0)", "TP()", right)
+    out = glue_kronecker("S(1:0)", frozenset(), Pruefer((1, 0)))
+    assert out.render() == "Pruefer(1:0) + R_U{1:0}"
 
 
 @pytest.mark.parametrize("token, want", [
@@ -401,7 +408,7 @@ def test_complex_from_token():
 
 
 def test_classification_contents():
-    entries = classify_silting(6)
+    entries = list(classify_silting(6))
     rendered = [e.render() for e in entries]
     assert rendered[0].startswith("0 w.r.t. P1[1] + P2[1]")
     assert any(r.startswith("P1 + P2 ") for r in rendered)
@@ -415,7 +422,7 @@ def test_classification_contents():
 
 
 def test_glue_outputs_land_in_classification():
-    entries = classify_silting(8)
+    entries = list(classify_silting(8))
     listed = {e.modules for e in entries if e.modules is not None}
     for (row, left, right) in EXPECTED_TABLE:
         out = glue_kronecker(row, left, right)
@@ -566,8 +573,7 @@ def test_pres_of_a_shifted_projective_is_not_a_token():
 
 
 def _contractible():
-    s = ProjSum(1, 0)
-    return TwoTermComplex(s, s, ProjMorphism.identity(s))
+    return TwoTermComplex(ProjMorphism.identity(ProjSum(1, 0)))
 
 
 @pytest.mark.parametrize("row", ["P6", "P7", "Q3", "Q4"])
