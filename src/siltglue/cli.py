@@ -142,7 +142,7 @@ def cmd_oracle_check(args) -> int:
 def cmd_emit_quiver(args) -> int:
     from . import tube
     ctx = tube.TubeCtx(args.rank)
-    sys.stdout.write(tube.translation_quiver_dot(ctx, args.max_len))
+    sys.stdout.writelines(tube.translation_quiver_dot(ctx, args.max_len))
     return 0
 
 

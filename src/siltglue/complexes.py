@@ -96,11 +96,6 @@ class ProjMorphism:
         return ProjMorphism(Mat.zeros(src.p1, dst.p1), Mat.zeros(src.p2, dst.p2),
                             Mat.zeros(src.p1, dst.p2), Mat.zeros(src.p1, dst.p2))
 
-    @staticmethod
-    def identity(s: ProjSum) -> "ProjMorphism":
-        return ProjMorphism(Mat.identity(s.p1), Mat.identity(s.p2),
-                            Mat.zeros(s.p1, s.p2), Mat.zeros(s.p1, s.p2))
-
     def then(self, other: "ProjMorphism") -> "ProjMorphism":
         """Composition, self followed by other."""
         if self.dst != other.src:
@@ -119,10 +114,6 @@ class ProjMorphism:
     def scale(self, c) -> "ProjMorphism":
         return ProjMorphism(self.s11.scale(c), self.s22.scale(c),
                             self.arr_a.scale(c), self.arr_b.scale(c))
-
-    def flat(self) -> tuple:
-        return (self.s11.entries + self.s22.entries
-                + self.arr_a.entries + self.arr_b.entries)
 
     def rep_morphism(self) -> tuple:
         """The morphism as a matrix pair (f1, f2) between the explicit
@@ -417,17 +408,18 @@ def _parse_proj_sum(text: str) -> ProjSum:
     t = text.strip()
     if t == "0":
         return ProjSum(0, 0)
-    p1 = p2 = 0
+    mult = {"1": 0, "2": 0}
     for part in t.split("+"):
         m = re.fullmatch(r"\s*P([12])(?:\^(\d+))?\s*", part)
         if not m:
             raise ValueError(f"cannot parse projective sum {text!r}")
-        mult = int(m.group(2) or 1)
-        if m.group(1) == "1":
-            p1 += mult
-        else:
-            p2 += mult
-    return ProjSum(p1, p2)
+        mult[m[1]] += int(m[2] or 1)
+    return ProjSum(mult["1"], mult["2"])
+
+
+# one literal entry: an arrow pair (a,b) or a rational
+_ENTRY = re.compile(r"\(\s*(-?\d+(?:/\d+)?)\s*,\s*(-?\d+(?:/\d+)?)\s*\)"
+                    r"|(-?\d+(?:/\d+)?)")
 
 
 def parse_complex_literal(text: str) -> TwoTermComplex:
@@ -436,62 +428,45 @@ def parse_complex_literal(text: str) -> TwoTermComplex:
     right over the target summands: rationals on the scalar blocks, pairs
     (a,b) of arrow coefficients on the P1 -> P2 block, and literal 0 on the
     always-zero P2 -> P1 block.  The row part is omitted when either term
-    is empty."""
+    is empty.  Each row is read once into a grid of cells, which the four
+    blocks are sliced out of."""
     t = text.strip()
     if not (t.startswith("[") and t.endswith("]")):
         raise ValueError(f"complex literal must be bracketed: {text!r}")
-    body = t[1:-1]
-    if "|" in body:
-        arrow_part, rows_part = body.split("|", 1)
-    else:
-        arrow_part, rows_part = body, ""
+    arrow_part, _, rows_part = t[1:-1].partition("|")
     if "->" not in arrow_part:
         raise ValueError(f"complex literal needs '->': {text!r}")
-    src_txt, dst_txt = arrow_part.split("->", 1)
-    src, dst = _parse_proj_sum(src_txt), _parse_proj_sum(dst_txt)
-    rows = [r for r in (row.strip() for row in rows_part.split(";"))
-            if r != ""]
-    total_src = src.p1 + src.p2
+    src, dst = map(_parse_proj_sum, arrow_part.split("->", 1))
+    rows = [r.strip() for r in rows_part.split(";") if r.strip()]
     if src.is_zero() or dst.is_zero():
         if rows:
             raise ValueError("rows given for a stalk complex")
         return TwoTermComplex(ProjMorphism.zero(src, dst))
-    if len(rows) != total_src:
-        raise ValueError(f"expected {total_src} rows, got {len(rows)}")
-    entry_re = re.compile(r"\(\s*(-?\d+(?:/\d+)?)\s*,\s*(-?\d+(?:/\d+)?)\s*\)"
-                          r"|(-?\d+(?:/\d+)?)")
-    s11 = [[QZERO] * dst.p1 for _ in range(src.p1)]
-    s22 = [[QZERO] * dst.p2 for _ in range(src.p2)]
-    arr_a = [[QZERO] * dst.p2 for _ in range(src.p1)]
-    arr_b = [[QZERO] * dst.p2 for _ in range(src.p1)]
+    if len(rows) != src.p1 + src.p2:
+        raise ValueError(f"expected {src.p1 + src.p2} rows, got {len(rows)}")
+    a, c, width = src.p1, dst.p1, dst.p1 + dst.p2
+    grid = []
     for i, row in enumerate(rows):
-        cells = [m for m in entry_re.finditer(row)]
-        if len(cells) != dst.p1 + dst.p2:
+        found = list(_ENTRY.finditer(row))
+        if len(found) != width:
             raise ValueError(
-                f"row {i}: expected {dst.p1 + dst.p2} entries, got {len(cells)}")
-        for j, m in enumerate(cells):
-            pair = m.group(1) is not None
-            if i < src.p1 and j >= dst.p1:
-                if not pair:
-                    raise ValueError(
-                        f"row {i}, entry {j}: the P1 -> P2 block takes "
-                        "arrow pairs (a,b)")
-                arr_a[i][j - dst.p1] = Fraction(m.group(1))
-                arr_b[i][j - dst.p1] = Fraction(m.group(2))
+                f"row {i}: expected {width} entries, got {len(found)}")
+        cells = []
+        for j, m in enumerate(found):
+            arrow = i < a and j >= c
+            if arrow != (m[1] is not None):
+                raise ValueError(f"row {i}, entry {j}: " + (
+                    "the P1 -> P2 block takes arrow pairs (a,b)" if arrow
+                    else "scalar block takes rationals"))
+            if arrow:
+                cells.append((Fraction(m[1]), Fraction(m[2])))
+            elif (val := Fraction(m[3])) and i >= a and j < c:
+                raise ValueError("the P2 -> P1 block is forced zero")
             else:
-                if pair:
-                    raise ValueError(
-                        f"row {i}, entry {j}: scalar block takes rationals")
-                val = Fraction(m.group(3))
-                if i < src.p1 and j < dst.p1:
-                    s11[i][j] = val
-                elif i >= src.p1 and j < dst.p1:
-                    if val != 0:
-                        raise ValueError("the P2 -> P1 block is forced zero")
-                else:
-                    s22[i - src.p1][j - dst.p1] = val
+                cells.append(val)
+        grid.append(cells)
     return TwoTermComplex(ProjMorphism(
-        Mat.from_rows(s11, cols=dst.p1),
-        Mat.from_rows(s22, cols=dst.p2),
-        Mat.from_rows(arr_a, cols=dst.p2),
-        Mat.from_rows(arr_b, cols=dst.p2)))
+        Mat.from_rows([r[:c] for r in grid[:a]], cols=c),
+        Mat.from_rows([r[c:] for r in grid[a:]], cols=dst.p2),
+        *(Mat.from_rows([[x[k] for x in r[c:]] for r in grid[:a]],
+                        cols=dst.p2) for k in (0, 1))))

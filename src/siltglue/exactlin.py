@@ -105,9 +105,6 @@ class Mat:
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def to_rows(self) -> list:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def sparse_rows(self) -> list:
         """The rows as dicts col -> value of their nonzero entries, an
         integral entry as an int."""
@@ -144,20 +141,10 @@ class Mat:
         return Mat(self.rows, self.cols,
                    tuple(a + b for a, b in zip(self.entries, other.entries)))
 
-    def sub(self, other: "Mat") -> "Mat":
-        return self.add(other.scale(Fraction(-1)))
-
     def scale(self, c) -> "Mat":
         c = frac(c)
         return Mat(self.rows, self.cols,
                    tuple(c * a if a else a for a in self.entries))
-
-    def transpose(self) -> "Mat":
-        out = [QZERO] * (self.rows * self.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[j * self.rows + i] = self.entries[i * self.cols + j]
-        return Mat(self.cols, self.rows, tuple(out))
 
 
 def block(grid: Sequence[Sequence[Optional[Mat]]]) -> Mat:

@@ -71,9 +71,6 @@ class DimVector:
     def scaled(self, k: int) -> "DimVector":
         return DimVector(k * self.d1, k * self.d2)
 
-    def total(self) -> int:
-        return self.d1 + self.d2
-
 
 @frozen
 class Preprojective:

@@ -303,6 +303,16 @@ def _module_token(token: str) -> str:
     return m.group(1).strip() if m else t
 
 
+def _token_summand(token: str) -> ComplexSummand:
+    """The indecomposable a token names: a shifted projective P1[1] / P2[1],
+    or a module X or pres(X), standing for the presentation of X."""
+    t = _module_token(token)
+    m = re.fullmatch(r"P([12])\[1\]", t)
+    if m:
+        return ComplexSummand(None, int(m.group(1)))
+    return ComplexSummand(parse_object(t), None)
+
+
 def complex_from_token(token: str) -> TwoTermComplex:
     """Complex named by a token: a module name X or pres(X) (its
     presentation), a shifted projective P1[1] / P2[1], a bracketed complex
@@ -312,19 +322,9 @@ def complex_from_token(token: str) -> TwoTermComplex:
         return zero_complex()
     if t.startswith("["):
         return parse_complex_literal(t)
-    m = re.fullmatch(r"P([12])\[1\]", t)
-    if m:
-        return shifted_projective(int(m.group(1)))
-    return presentation_of_object(parse_object(_module_token(t)))
-
-
-def _token_summands(token: str) -> tuple:
-    """identify_summands(complex_from_token(token)) for a table token, read
-    from the string."""
-    m = re.fullmatch(r"P([12])\[1\]", token)
-    if m:
-        return ((ComplexSummand(None, int(m.group(1))), 1),)
-    return ((ComplexSummand(parse_object(token), None), 1),)
+    s = _token_summand(t)
+    return (presentation_of_object(s.h0) if s.shifted is None
+            else shifted_projective(s.shifted))
 
 
 @frozen
@@ -368,7 +368,7 @@ def glue_kronecker(row, left, right) -> GlueOutcomeKronecker:
         summands = identify_summands(
             complex_from_token(arg) if isinstance(arg, str) else arg)
         for pos, tok in enumerate(allowed):
-            if summands == _token_summands(tok):
+            if summands == ((_token_summand(tok), 1),):
                 return pos
         raise GlueError(
             f"the given complex is not equivalent to a silting complex of "

@@ -16,9 +16,10 @@ by one.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .frozen import frozen
 
@@ -291,39 +292,41 @@ def enumerate_maximal_rigid(ctx: TubeCtx, max_len: int,
 
 def translation_quiver(ctx: TubeCtx, max_len: int) -> tuple:
     """Vertices (arcs of composition length <= max_len), irreducible-map
-    arrows, and translate edges.
+    arrows, and translate edges, each an iterator in arc_sort_key order,
+    the arrows by source and then by target.
 
     Arrows extend an arc at its end, or shorten it at the start when the
-    length exceeds one; the translate shifts both endpoints down."""
+    length exceeds one; the translate shifts both endpoints down.  The
+    shortened arc starts at the next point, so it sorts before the
+    extended one exactly when that start wraps round to 0 (at rank 1 the
+    starts tie and the shortened arc ends first)."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    verts = [Arc(s, s + 1 + l)
-             for s in range(ctx.n) for l in range(1, max_len + 1)]
-    vset = set(verts)
-    arrows = []
-    for a in verts:
-        longer = Arc(a.start, a.end + 1)
-        if longer in vset:
-            arrows.append((a, longer))
-        if a.end > a.start + 2:
-            shorter = normalize(Arc(a.start + 1, a.end), ctx)
-            if shorter in vset:
-                arrows.append((a, shorter))
-    tau_edges = [(a, tau_arc(a, ctx)) for a in verts]
-    return verts, sorted(arrows, key=lambda e: (arc_sort_key(e[0]),
-                                                arc_sort_key(e[1]))), tau_edges
+
+    def verts():
+        return (Arc(s, s + 1 + l)
+                for s in range(ctx.n) for l in range(1, max_len + 1))
+
+    def arrows():
+        for a in verts():
+            longer = [Arc(a.start, a.end + 1)] if a.length() < max_len else []
+            shorter = ([normalize(Arc(a.start + 1, a.end), ctx)]
+                       if a.length() > 1 else [])
+            for b in (shorter + longer if a.start == ctx.n - 1
+                      else longer + shorter):
+                yield a, b
+
+    return verts(), arrows(), ((a, tau_arc(a, ctx)) for a in verts())
 
 
-def translation_quiver_dot(ctx: TubeCtx, max_len: int) -> str:
-    """DOT rendering of the translation quiver; translate edges dashed."""
+def translation_quiver_dot(ctx: TubeCtx, max_len: int) -> Iterator[str]:
+    """DOT rendering of the translation quiver, line by line as it is
+    built, each line with its newline; translate edges dashed."""
     verts, arrows, tau_edges = translation_quiver(ctx, max_len)
-    lines = ["digraph tube {"]
-    for v in verts:
-        lines.append(f'  "{render_arc(v)}";')
-    for a, b in arrows:
-        lines.append(f'  "{render_arc(a)}" -> "{render_arc(b)}";')
-    for a, b in sorted(tau_edges, key=lambda e: arc_sort_key(e[0])):
-        lines.append(f'  "{render_arc(a)}" -> "{render_arc(b)}"'
-                     ' [style=dashed, label="tau"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return itertools.chain(
+        ["digraph tube {\n"],
+        (f'  "{render_arc(v)}";\n' for v in verts),
+        (f'  "{render_arc(a)}" -> "{render_arc(b)}";\n' for a, b in arrows),
+        (f'  "{render_arc(a)}" -> "{render_arc(b)}"'
+         ' [style=dashed, label="tau"];\n' for a, b in tau_edges),
+        ["}\n"])

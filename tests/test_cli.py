@@ -209,17 +209,16 @@ def test_classify_silting(capsys):
     assert any("Lukas" in ln for ln in lines)
 
 
-def test_a_huge_classification_bound_streams_its_first_line():
-    # the listing has two lines per unit of bound, far more than memory
-    # holds: the first entry must arrive before the list is built, and the
-    # child gets 1 GB of address space, so building it fails fast
+def first_line_under_a_memory_cap(*argv) -> bytes:
+    """The first line a CLI child prints within 5 s under 1 GB of address
+    space, after which the reader closes the pipe: the child must then
+    exit 141."""
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     proc = subprocess.Popen(
-        [sys.executable, "-m", "siltglue.cli", "classify-silting", "--bound",
-         "100000000"], stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-        preexec_fn=limit)
+        [sys.executable, "-m", "siltglue.cli", *argv], stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL, preexec_fn=limit)
     try:
         ready, _, _ = select.select([proc.stdout], [], [], 5)
         assert ready, "no output within 5 s"
@@ -229,7 +228,26 @@ def test_a_huge_classification_bound_streams_its_first_line():
     finally:
         proc.kill()
         proc.wait()
+    return first
+
+
+def test_a_huge_classification_bound_streams_its_first_line():
+    # the listing has two lines per unit of bound, far more than memory
+    # holds: the first entry must arrive before the list is built, and the
+    # child gets 1 GB of address space, so building it fails fast
+    first = first_line_under_a_memory_cap("classify-silting", "--bound",
+                                          "100000000")
     assert first == b"0 w.r.t. P1[1] + P2[1] [silting non-tilting]\n"
+
+
+@pytest.mark.parametrize("rank, max_len", [("1000000", "2"),
+                                           ("3", "100000000")])
+def test_a_huge_quiver_streams_its_first_line(rank, max_len):
+    # millions of vertices, and three lines or more for each: the DOT text
+    # is written as it is built, in memory that does not grow with either
+    first = first_line_under_a_memory_cap("emit-quiver", "--rank", rank,
+                                          "--max-len", max_len)
+    assert first == b"digraph tube {\n"
 
 
 def test_oracle_check(capsys):

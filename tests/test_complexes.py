@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from siltglue.silting import (ComplexSummand, canonical_resolution,
                               identify_summands, presentation_of,
                               presentation_of_object)
 
-from test_exactlin import rows_are_multiples
+from test_exactlin import rows_are_multiples, to_rows
 from test_kronecker import unimodular, wall_budget
 
 P = Preprojective
@@ -136,7 +137,10 @@ def test_minimize_cancels_contractible_summands():
 
 
 def _unit(s: ProjSum) -> TwoTermComplex:
-    return TwoTermComplex(ProjMorphism.identity(s))
+    """The identity of s as a (contractible) complex."""
+    zero = Mat.zeros(s.p1, s.p2)
+    return TwoTermComplex(ProjMorphism(Mat.identity(s.p1), Mat.identity(s.p2),
+                                       zero, zero))
 
 
 def reference_minimize(c: TwoTermComplex) -> TwoTermComplex:
@@ -146,10 +150,10 @@ def reference_minimize(c: TwoTermComplex) -> TwoTermComplex:
     vanish."""
     a, b = c.deg_m1.p1, c.deg_m1.p2
     cc, d = c.deg_0.p1, c.deg_0.p2
-    s11 = c.diff.s11.to_rows()
-    s22 = c.diff.s22.to_rows()
-    arr_a = c.diff.arr_a.to_rows()
-    arr_b = c.diff.arr_b.to_rows()
+    s11 = to_rows(c.diff.s11)
+    s22 = to_rows(c.diff.s22)
+    arr_a = to_rows(c.diff.arr_a)
+    arr_b = to_rows(c.diff.arr_b)
 
     def find_pivot(rows):
         for i, row in enumerate(rows):
@@ -436,14 +440,62 @@ def test_complex_literal_round_trip():
     assert lit == "[P1^2 -> P2 | (1,0); (0,1)]"
 
 
+def test_scrambled_complex_literals_round_trip():
+    from siltglue.complexes import parse_complex_literal
+    rng = random.Random(7)
+    for seed in range(40):
+        pieces = rng.sample(PIECES, rng.randint(1, 4))
+        c = scrambled(pieces, seed)
+        for d in (c, TwoTermComplex(c.diff.scale(Fraction(-2, 3)))):
+            assert parse_complex_literal(render_complex_literal(d)) == d
+
+
+# every error text of the literal reader, each for a literal with one fault
+LITERAL_ERRORS = [
+    ("[P1 -> P2 | (1,0)", "complex literal must be bracketed: "
+     "'[P1 -> P2 | (1,0)'"),
+    ("[P1 P2 | (1,0)]", "complex literal needs '->': '[P1 P2 | (1,0)]'"),
+    ("[P3 -> P2 | (1,0)]", "cannot parse projective sum 'P3 '"),
+    ("[P1 -> 0 | 1]", "rows given for a stalk complex"),
+    ("[P1 -> P2 | (1,0); (0,1)]", "expected 1 rows, got 2"),
+    ("[P1 -> P1+P2 | 1]", "row 0: expected 2 entries, got 1"),
+    ("[P1 -> P2 | 3]",
+     "row 0, entry 0: the P1 -> P2 block takes arrow pairs (a,b)"),
+    ("[P1 -> P1 | (1,0)]", "row 0, entry 0: scalar block takes rationals"),
+    ("[P2 -> P1+P2 | 1 0]", "the P2 -> P1 block is forced zero"),
+]
+
+
 def test_complex_literal_errors():
     from siltglue.complexes import parse_complex_literal
-    with pytest.raises(ValueError, match="forced zero"):
-        parse_complex_literal("[P2 -> P1+P2 | 1 0]")
-    with pytest.raises(ValueError, match="rows"):
-        parse_complex_literal("[P1 -> P2 | (1,0); (0,1)]")
-    with pytest.raises(ValueError, match="arrow pairs"):
-        parse_complex_literal("[P1 -> P2 | 3]")
+    for text, message in LITERAL_ERRORS:
+        with pytest.raises(ValueError) as exc:
+            parse_complex_literal(text)
+        assert str(exc.value) == message, text
+
+
+# literals with two faults: the first one met, reading left to right and
+# row by row, is the one reported
+LITERAL_FIRST_ERRORS = [
+    ("[P1^2 -> P1^2 | 1/0 1; 2]", ZeroDivisionError, "Fraction(1, 0)"),
+    ("[P1^2 -> P1 | (1,0); 1/0]", ValueError,
+     "row 0, entry 0: scalar block takes rationals"),
+    ("[P2 -> P1+P2 | 1 (1,0)]", ValueError,
+     "the P2 -> P1 block is forced zero"),
+    ("[P1+P2 -> P1+P2 | 1 3; 0 (0,1)]", ValueError,
+     "row 0, entry 1: the P1 -> P2 block takes arrow pairs (a,b)"),
+    ("[P1 -> P2 | 1/0; 2]", ValueError, "expected 1 rows, got 2"),
+    ("[P1 -> 0 | 1/0]", ValueError, "rows given for a stalk complex"),
+    ("[P3 -> P4 | 1]", ValueError, "cannot parse projective sum 'P3 '"),
+]
+
+
+def test_complex_literal_reports_its_first_fault():
+    from siltglue.complexes import parse_complex_literal
+    for text, kind, message in LITERAL_FIRST_ERRORS:
+        with pytest.raises(kind) as exc:
+            parse_complex_literal(text)
+        assert (type(exc.value), str(exc.value)) == (kind, message), text
 
 
 def test_presentation_route_matches_intertwiner_route_dim8():
@@ -471,7 +523,7 @@ def test_module_stalk_route_on_non_minimal_complexes():
     # canonical resolutions carry a nonzero P1 -> P1 block and the added
     # identity on P2 a nonzero P2 -> P2 block, which minimal presentations
     # never do; Hom against a stalk is Hom against its presentation
-    unit = TwoTermComplex(ProjMorphism.identity(ProjSum(0, 1)))
+    unit = _unit(ProjSum(0, 1))
     sources = [shifted_projective(1), shifted_projective(2),
                stalk_complex(ProjSum(1, 1))]
     for a in CATALOG:

@@ -106,9 +106,18 @@ def test_solve_dimension_mismatch_is_usage_error():
         solve(Mat.identity(2), [1, 2, 3])
 
 
+def to_rows(m: Mat) -> list:
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def transpose(m: Mat) -> Mat:
+    return Mat(m.cols, m.rows, tuple(m.at(i, j) for j in range(m.cols)
+                                     for i in range(m.rows)))
+
+
 def left_kernel_basis(m: Mat) -> list:
     """Basis of {v : v m = 0}, i.e. the kernel of the row action."""
-    return kernel_basis(m.transpose())
+    return kernel_basis(transpose(m))
 
 
 def test_left_kernel():
@@ -140,13 +149,13 @@ def test_rank_plus_nullity(m):
 @given(matrices(), st.randoms(use_true_random=False))
 @settings(max_examples=80, deadline=None)
 def test_rank_invariant_under_permutation(m, rng):
-    rows = m.to_rows()
+    rows = to_rows(m)
     rng.shuffle(rows)
     permuted = Mat.from_rows(rows, cols=m.cols)
     cols = list(range(m.cols))
     rng.shuffle(cols)
     twisted = Mat.from_rows(
-        [[row[c] for c in cols] for row in permuted.to_rows()], cols=m.cols)
+        [[row[c] for c in cols] for row in to_rows(permuted)], cols=m.cols)
     assert rank(twisted) == rank(m)
 
 
@@ -266,7 +275,7 @@ def reference_rref(m: Mat) -> tuple:
     row, each pivot row divided by its pivot as soon as it is chosen.  A
     row operation visits only the nonzero columns of the pivot row, which
     leaves every other entry as it is."""
-    rows = m.to_rows()
+    rows = to_rows(m)
     nr, nc = m.rows, m.cols
     pivots = []
     r = 0
@@ -423,8 +432,8 @@ def test_sparse_rank_matches_reference_with_stored_zeros(m, rng):
     # denominators, as Fractions, mixed, and all ints.  echelon and rref
     # see the same integer rows in every form.
     cleared = [[v * math.lcm(*(x.denominator for x in row)) for v in row]
-               for row in m.to_rows()]
-    for fracs in (m.to_rows(), cleared):
+               for row in to_rows(m)]
+    for fracs in (to_rows(m), cleared):
         forms = [fracs, [[int(v) if v.denominator == 1 and rng.random() < 0.5
                           else v for v in row] for row in fracs]]
         if fracs is cleared:

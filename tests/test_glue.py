@@ -1,6 +1,9 @@
 import itertools
 import math
+import pathlib
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -802,3 +805,21 @@ def test_error_texts_stay_bounded_at_a_large_rank():
         glue_right(espec, single(n, []), "x")
     assert str(exc.value) == ("expected exactly one qualifying top summand, "
                               f"found {n}: [4,6], [3,6]")
+
+
+def test_census_script_finds_no_mismatch():
+    # the script lists every single-tube datum up to a rank, C(2n-1, n) of
+    # rank n, with its seed and the status of its round trip
+    script = (pathlib.Path(__file__).resolve().parents[1] / "scripts"
+              / "tilting_census.py")
+    out = subprocess.run([sys.executable, str(script), "4"],
+                         capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stderr) == (0, "")
+    lines = out.stdout.splitlines()
+    assert [ln for ln in lines if not ln.startswith("  ")] == [
+        "rank 2: 3 tilting data", "rank 3: 10 tilting data",
+        "rank 4: 35 tilting data"]
+    assert len(lines) == 3 + 3 + 10 + 35
+    assert not any("MISMATCH" in ln for ln in lines)
+    assert all(ln.endswith("round-trip=ok")
+               for ln in lines if ln.startswith("  "))

@@ -25,8 +25,8 @@ from siltglue.silting import (GlueError, GlueOutcomeKronecker,
                               parse_row, phi_surjective,
                               presentation_of_object)
 
-from test_complexes import PIECES, scrambled
-from test_exactlin import reference_kernel_basis, reference_rref
+from test_complexes import PIECES, _unit, scrambled
+from test_exactlin import reference_kernel_basis, reference_rref, transpose
 from test_kronecker import parses_to, wall_budget
 
 P = Preprojective
@@ -133,11 +133,14 @@ def reference_phi_surjective(s1, s2, alpha) -> bool:
                 for v in reference_kernel_basis(Mat.from_sparse(rows, nd))]
 
     n = morphism_space_dim(s2.deg_m1, s1.deg_0)
-    vectors = [f.then(alpha).flat() for f, _ in chain_endos(s2)]
-    vectors += [alpha.then(g).flat() for _, g in chain_endos(s1)]
+    def flat(f):
+        return f.s11.entries + f.s22.entries + f.arr_a.entries + f.arr_b.entries
+
+    vectors = [flat(f.then(alpha)) for f, _ in chain_endos(s2)]
+    vectors += [flat(alpha.then(g)) for _, g in chain_endos(s1)]
     homotopies, nh = delta_map(s2, s1)
     stacked = block([[Mat.from_rows(vectors, cols=n)],
-                     [Mat.from_sparse(homotopies, nh).transpose()]])
+                     [transpose(Mat.from_sparse(homotopies, nh))]])
     return len(reference_rref(stacked)[1]) == n
 
 
@@ -573,7 +576,7 @@ def test_pres_of_a_shifted_projective_is_not_a_token():
 
 
 def _contractible():
-    return TwoTermComplex(ProjMorphism.identity(ProjSum(1, 0)))
+    return _unit(ProjSum(1, 0))
 
 
 @pytest.mark.parametrize("row", ["P6", "P7", "Q3", "Q4"])

@@ -257,7 +257,7 @@ def test_enumerated_collections_are_maximal_rigid():
 
 
 def test_translation_quiver_small():
-    verts, arrows, tau_edges = translation_quiver(TubeCtx(2), 2)
+    verts, arrows, tau_edges = map(list, translation_quiver(TubeCtx(2), 2))
     assert len(verts) == 4  # two simples and two length-two arcs
     assert len(tau_edges) == 4
     names = {render_arc(v) for v in verts}
@@ -267,7 +267,7 @@ def test_translation_quiver_small():
 def test_translation_quiver_translate_property():
     for n, max_len in ((2, 3), (3, 4)):
         ctx = TubeCtx(n)
-        verts, arrows, _ = translation_quiver(ctx, max_len)
+        verts, arrows, _ = map(list, translation_quiver(ctx, max_len))
         count = {}
         for a, b in arrows:
             count[(a, b)] = count.get((a, b), 0) + 1
@@ -278,11 +278,52 @@ def test_translation_quiver_translate_property():
 
 
 def test_translation_quiver_dot_shape():
-    out = translation_quiver_dot(TubeCtx(2), 2)
+    out = "".join(translation_quiver_dot(TubeCtx(2), 2))
     assert out.startswith("digraph tube {")
     assert '"[0,2]" -> "[0,3]";' in out
     assert 'style=dashed' in out
     assert out.endswith("}\n")
+
+
+def reference_quiver_dot(ctx: TubeCtx, max_len: int) -> str:
+    """The collect-and-sort rendering the streamed one replaced: every
+    vertex in a set, arrows kept when both ends are vertices, then arrows
+    and translate edges sorted by arc_sort_key, and the text joined whole."""
+    verts = [Arc(s, s + 1 + l)
+             for s in range(ctx.n) for l in range(1, max_len + 1)]
+    vset = set(verts)
+    arrows = []
+    for a in verts:
+        longer = Arc(a.start, a.end + 1)
+        if longer in vset:
+            arrows.append((a, longer))
+        if a.end > a.start + 2:
+            shorter = normalize(Arc(a.start + 1, a.end), ctx)
+            if shorter in vset:
+                arrows.append((a, shorter))
+    arrows.sort(key=lambda e: (arc_sort_key(e[0]), arc_sort_key(e[1])))
+    tau_edges = sorted(((a, tau_arc(a, ctx)) for a in verts),
+                       key=lambda e: arc_sort_key(e[0]))
+    lines = ["digraph tube {"]
+    lines += [f'  "{render_arc(v)}";' for v in verts]
+    lines += [f'  "{render_arc(a)}" -> "{render_arc(b)}";' for a, b in arrows]
+    lines += [f'  "{render_arc(a)}" -> "{render_arc(b)}"'
+              ' [style=dashed, label="tau"];' for a, b in tau_edges]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def test_streamed_quiver_matches_the_collect_and_sort_rendering():
+    for n, max_len in itertools.product(range(1, 9), range(1, 13)):
+        ctx = TubeCtx(n)
+        got = "".join(translation_quiver_dot(ctx, max_len))
+        assert got == reference_quiver_dot(ctx, max_len), (n, max_len)
+
+
+def test_quiver_length_bound_is_checked_before_any_line():
+    for bound in (0, -5):
+        with pytest.raises(ValueError, match="^max_len must be at least 1$"):
+            translation_quiver_dot(TubeCtx(3), bound)
 
 
 # -- property tests ------------------------------------------------------------
