@@ -4,8 +4,12 @@ of each rank, print it with the seed the round trip uses, and verify the
 reduce-then-glue cycle.
 
 Usage: python3 scripts/tilting_census.py [max_rank]
+
+Like the CLI verbs, it exits 141 without a word when its reader closes
+stdout early.
 """
 
+import os
 import sys
 
 from siltglue.glue import (choose_seed, enumerate_single_tube_specs,
@@ -28,4 +32,10 @@ def census(max_rank: int) -> None:
 
 
 if __name__ == "__main__":
-    census(int(sys.argv[1]) if len(sys.argv) > 1 else 4)
+    try:
+        census(int(sys.argv[1]) if len(sys.argv) > 1 else 4)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # reader gone: exit 128 + SIGPIPE; the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)

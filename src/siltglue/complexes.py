@@ -37,7 +37,7 @@ from .exactlin import (Mat, QONE, QZERO, block, cokernel_coordinates, diag,
                        echelon, kernel_basis, quotient_pencil, reduce_row,
                        sparse_rank, sylvester_rows)
 from .frozen import frozen
-from .kronecker import DimVector, ExplicitRep
+from .kronecker import ExplicitRep
 
 # ---------------------------------------------------------------------------
 # sums of projectives and morphisms between them
@@ -57,15 +57,6 @@ class ProjSum:
 
     def is_zero(self) -> bool:
         return self.p1 == 0 and self.p2 == 0
-
-    def rep(self) -> ExplicitRep:
-        """Explicit representation; vertex-2 coordinates are laid out as
-        [P1 generators | P2 alpha socle | P2 beta socle]."""
-        a, b = self.p1, self.p2
-        zero, one = Mat.zeros(b, b), Mat.identity(b)
-        return ExplicitRep(DimVector(b, a + 2 * b),
-                           block([[Mat.zeros(b, a), one, zero]]),
-                           block([[Mat.zeros(b, a), zero, one]]))
 
 
 @frozen
@@ -95,16 +86,6 @@ class ProjMorphism:
     def zero(src: ProjSum, dst: ProjSum) -> "ProjMorphism":
         return ProjMorphism(Mat.zeros(src.p1, dst.p1), Mat.zeros(src.p2, dst.p2),
                             Mat.zeros(src.p1, dst.p2), Mat.zeros(src.p1, dst.p2))
-
-    def then(self, other: "ProjMorphism") -> "ProjMorphism":
-        """Composition, self followed by other."""
-        if self.dst != other.src:
-            raise ValueError("composition shape mismatch")
-        return ProjMorphism(
-            self.s11.mul(other.s11),
-            self.s22.mul(other.s22),
-            self.s11.mul(other.arr_a).add(self.arr_a.mul(other.s22)),
-            self.s11.mul(other.arr_b).add(self.arr_b.mul(other.s22)))
 
     def add(self, other: "ProjMorphism") -> "ProjMorphism":
         return ProjMorphism(self.s11.add(other.s11), self.s22.add(other.s22),
@@ -172,9 +153,6 @@ class TwoTermComplex:
         object.__setattr__(self, "deg_m1", self.diff.src)
         object.__setattr__(self, "deg_0", self.diff.dst)
 
-    def is_zero(self) -> bool:
-        return self.deg_m1.is_zero() and self.deg_0.is_zero()
-
 
 def stalk_complex(s: ProjSum) -> TwoTermComplex:
     """s placed in degree 0."""
@@ -214,7 +192,7 @@ def _offsets(src: ProjSum, dst: ProjSum, base: int) -> tuple:
 
 def _pre_terms(k: ProjMorphism, dst: ProjSum, out: int, var: int,
                sign: int) -> list:
-    """Sylvester terms of u -> sign * k.then(u), for the unknown
+    """Sylvester terms of u -> sign * (k followed by u), for the unknown
     u: k.dst -> dst stored at var, written to the composite's layout at out."""
     o, v = _offsets(k.src, dst, out), _offsets(k.dst, dst, var)
     i1, i2 = dst.p1, dst.p2
@@ -225,7 +203,7 @@ def _pre_terms(k: ProjMorphism, dst: ProjSum, out: int, var: int,
 
 def _post_terms(src: ProjSum, k: ProjMorphism, out: int, var: int,
                 sign: int) -> list:
-    """Sylvester terms of u -> sign * u.then(k), for the unknown
+    """Sylvester terms of u -> sign * (u followed by k), for the unknown
     u: src -> k.src stored at var, written to the composite's layout at out."""
     o, v = _offsets(src, k.dst, out), _offsets(src, k.src, var)
     i1, i2 = src.p1, src.p2
@@ -417,19 +395,20 @@ def _parse_proj_sum(text: str) -> ProjSum:
     return ProjSum(mult["1"], mult["2"])
 
 
-# one literal entry: an arrow pair (a,b) or a rational
-_ENTRY = re.compile(r"\(\s*(-?\d+(?:/\d+)?)\s*,\s*(-?\d+(?:/\d+)?)\s*\)"
-                    r"|(-?\d+(?:/\d+)?)")
+# one literal entry, an arrow pair (a,b) or a rational, with space or the
+# row's ends on both sides
+_ENTRY = re.compile(r"(?<!\S)(?:\(\s*(-?\d+(?:/\d+)?)\s*,\s*(-?\d+(?:/\d+)?)"
+                    r"\s*\)|(-?\d+(?:/\d+)?))(?!\S)")
 
 
 def parse_complex_literal(text: str) -> TwoTermComplex:
     """Complex literal `[src -> dst | rows]`: rows are ;-separated, one per
-    source summand (P1 copies first), entries space-separated left to
-    right over the target summands: rationals on the scalar blocks, pairs
-    (a,b) of arrow coefficients on the P1 -> P2 block, and literal 0 on the
-    always-zero P2 -> P1 block.  The row part is omitted when either term
-    is empty.  Each row is read once into a grid of cells, which the four
-    blocks are sliced out of."""
+    source summand (P1 copies first), entries left to right over the target
+    summands with only space between them: rationals on the scalar blocks,
+    pairs (a,b) of arrow coefficients on the P1 -> P2 block, and literal 0
+    on the always-zero P2 -> P1 block.  The row part is omitted when either
+    term is empty.  Each row is read once into a grid of cells, which the
+    four blocks are sliced out of."""
     t = text.strip()
     if not (t.startswith("[") and t.endswith("]")):
         raise ValueError(f"complex literal must be bracketed: {text!r}")
@@ -447,6 +426,9 @@ def parse_complex_literal(text: str) -> TwoTermComplex:
     a, c, width = src.p1, dst.p1, dst.p1 + dst.p2
     grid = []
     for i, row in enumerate(rows):
+        stray = _ENTRY.sub(" ", row).split()
+        if stray:
+            raise ValueError(f"row {i}: stray text {stray[0]!r}")
         found = list(_ENTRY.finditer(row))
         if len(found) != width:
             raise ValueError(
@@ -458,12 +440,15 @@ def parse_complex_literal(text: str) -> TwoTermComplex:
                 raise ValueError(f"row {i}, entry {j}: " + (
                     "the P1 -> P2 block takes arrow pairs (a,b)" if arrow
                     else "scalar block takes rationals"))
-            if arrow:
-                cells.append((Fraction(m[1]), Fraction(m[2])))
-            elif (val := Fraction(m[3])) and i >= a and j < c:
+            try:
+                cell = ((Fraction(m[1]), Fraction(m[2])) if arrow
+                        else Fraction(m[3]))
+            except ZeroDivisionError:
+                raise ValueError(
+                    f"row {i}, entry {j}: zero denominator") from None
+            if not arrow and cell and i >= a and j < c:
                 raise ValueError("the P2 -> P1 block is forced zero")
-            else:
-                cells.append(val)
+            cells.append(cell)
         grid.append(cells)
     return TwoTermComplex(ProjMorphism(
         Mat.from_rows([r[:c] for r in grid[:a]], cols=c),

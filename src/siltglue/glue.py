@@ -143,13 +143,6 @@ def _within(x: int, iv: tuple, n: int) -> bool:
     return (x - iv[0]) % n < iv[1]
 
 
-def _contains(outer: tuple, inner: tuple, n: int) -> bool:
-    """Inclusion of cyclic intervals."""
-    if outer[1] >= n:
-        return True
-    return inner[1] < n and (inner[0] - outer[0]) % n + inner[1] <= outer[1]
-
-
 def _runs(ivs, n: int) -> list:
     """The union of cyclic intervals as sorted maximal runs (first, last)
     of 0..n-1."""
@@ -181,39 +174,15 @@ def _gaps(runs: list, lo: int, hi: int) -> list:
     return out
 
 
-def _render_runs(runs: list) -> str:
-    """Sorted runs as a residue list, each run of three or more as a..b."""
-    parts = [f"{a}..{b}" if b - a >= 2
-             else ", ".join(map(str, range(a, b + 1))) for a, b in runs]
-    return "[" + ", ".join(parts) + "]"
-
-
-def _components(finite: list, n: int) -> list:
-    """Partition of a rigid finite collection into nesting components,
-    each returned as (root, members, residues of the root); the root spans
-    its component."""
-    # longest first, then in arc_sort_key order
-    arcs = sorted(finite, key=lambda a: (a.start - a.end, a.start, a.end))
-    comps = []
-    for a in arcs:
-        fa = _residues(a, n)
-        for root, members, rootset in comps:
-            if _contains(rootset, fa, n):
-                members.append(a)
-                break
-        else:
-            comps.append((a, [a], fa))
-    return comps
-
-
 def verify_tilting_spec(spec: TiltingSpec) -> Tuple[bool, list]:
     """Validity of a tilting datum; returns (ok, reasons).
 
-    Checks per-tube rigidity, the branch structure away from the divisible
-    points (full wing tilting in pairwise non-adjacent wings), and the
-    Pruefer pattern on the divisible points: a Pruefer summand sits exactly
-    over the simples whose translate misses the wing bases.  Residue sets
-    are cyclic intervals, so the cost does not depend on the ranks.
+    Each tube's arcs must be rigid and complete to n arcs once Pruefer arcs
+    are added.  A Pruefer arc can be added over each residue the finite
+    arcs leave uncovered, so on a divisible point the datum carries exactly
+    n arcs, and elsewhere it has no Pruefer arc and as many finite arcs as
+    the residues they cover.  Residue sets are cyclic intervals, so the
+    cost does not depend on the ranks.
     """
     reasons = []
     if not spec.divisible:
@@ -222,7 +191,6 @@ def verify_tilting_spec(spec: TiltingSpec) -> Tuple[bool, list]:
         n = td.rank
         arcs = td.sorted_arcs()
         finite = [a for a in arcs if a.end is not None]
-        pruefer = [a for a in arcs if a.end is None]
         spans = [(b, b.start, b.end) for b in finite]
         # every ordered pair with a finite second arc (nothing extends a
         # Pruefer arc): an arc of length >= n extends itself.  The lift of
@@ -238,41 +206,21 @@ def verify_tilting_spec(spec: TiltingSpec) -> Tuple[bool, list]:
                     reasons.append(
                         f"point {pid}: extensions between {render_arc(a)} "
                         f"and {render_arc(b)}")
-        comps = _components(finite, n)
-        for root, members, _ in comps:
-            if len(members) != root.length():
-                reasons.append(
-                    f"point {pid}: component rooted at {render_arc(root)} has "
-                    f"{len(members)} summands, expected {root.length()}")
-        for i, (_, _, b1) in enumerate(comps):
-            for _, _, b2 in comps[i + 1:]:
-                if _within(b2[0], b1, n) or _within(b1[0], b2, n):
-                    reasons.append(f"point {pid}: wing bases overlap")
-                # the union is the circle when b2 holds b1's complement, and
-                # one run when the two meet or touch
-                if b1[1] >= n or _contains(
-                        b2, ((b1[0] + b1[1]) % n, n - b1[1]), n):
-                    reasons.append(f"point {pid}: wing bases cover the tube")
-                elif ((b2[0] - b1[0]) % n <= b1[1]
-                      or (b1[0] - b2[0]) % n <= b2[1]):
-                    reasons.append(
-                        f"point {pid}: adjacent wings form a segment")
         if pid in spec.divisible:
-            # a Pruefer socle s is wanted when s - 1 misses the wing bases
-            want = _gaps(_runs([((bs + 2) % n, be - bs - 1)
-                                for _, bs, be in spans], n), 0, n - 1)
-            have = _runs([((a.start + 1) % n, 1) for a in pruefer], n)
-            if want != have:
-                reasons.append(
-                    f"point {pid}: Pruefer socles {_render_runs(have)} do not "
-                    f"match the complement rule {_render_runs(want)}")
             if len(arcs) != n:
                 reasons.append(
                     f"point {pid}: divisible tube carries {len(arcs)} arcs, "
                     f"expected {n}")
-        elif pruefer:
+            continue
+        if len(finite) != len(arcs):
             reasons.append(
                 f"point {pid}: Pruefer arcs outside the divisible set")
+        covered = sum(last - first + 1 for first, last in
+                      _runs([_residues(a, n) for a in finite], n))
+        if len(finite) != covered:
+            reasons.append(
+                f"point {pid}: branch carries {len(finite)} arcs, expected "
+                f"{covered}, one per residue it covers")
     return (not reasons, reasons)
 
 

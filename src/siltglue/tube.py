@@ -246,12 +246,19 @@ def rigid_candidates(ctx: TubeCtx, max_len: int, include_infinite: bool) -> list
     return out
 
 
+# the most maximal rigid collections one listing holds: rank 10 to length 9
+# with Pruefer arcs has 92,378, and all are sorted before the first is
+# printed, while the count grows exponentially with the rank
+_MAX_COLLECTIONS = 100_000
+
+
 def enumerate_maximal_rigid(ctx: TubeCtx, max_len: int,
                             include_infinite: bool) -> list:
     """All inclusion-maximal rigid collections over the candidate arcs, in
     deterministic lexicographic order: the maximal cliques of the graph of
     pairs with no Ext either way, each found once by Bron-Kerbosch with
-    the Tomita pivot (most neighbours left), on int bitmask vertex sets."""
+    the Tomita pivot (most neighbours left), on int bitmask vertex sets.
+    Finding more than _MAX_COLLECTIONS of them raises ValueError."""
     cands = rigid_candidates(ctx, max_len, include_infinite)
     nbrs = [0] * len(cands)
     for i, a in enumerate(cands):
@@ -271,6 +278,10 @@ def enumerate_maximal_rigid(ctx: TubeCtx, max_len: int,
         if not cand:
             if not excl:
                 out.append(tuple(sorted(chosen)))
+                if len(out) > _MAX_COLLECTIONS:
+                    raise ValueError(
+                        f"rank {ctx.n} to length {max_len} has more than "
+                        f"{_MAX_COLLECTIONS} maximal rigid collections")
             return
         pivot = max(bits(cand | excl),
                     key=lambda u: (cand & nbrs[u]).bit_count())

@@ -6,6 +6,7 @@ import resource
 import select
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -336,8 +337,8 @@ def test_spec_verbs_reject_an_invalid_datum_with_its_first_reason(
                     encoding="utf-8")
     code, out, err = run_cli(capsys, argv[0], "--spec", str(spec), *argv[1:])
     assert (code, out) == (1, "")
-    assert err == ("error: not a tilting datum: point x: Pruefer socles [1] "
-                   "do not match the complement rule [0..99999]\n")
+    assert err == ("error: not a tilting datum: point x: divisible tube "
+                   "carries 1 arcs, expected 100000\n")
 
 
 TWO_TUBES = "curve points=[x:3, y:1] V={y}\npoint x\n[0,2]\npoint y\n[0,inf)\n"
@@ -454,6 +455,24 @@ def test_rank_nine_maximal_rigid_listing_in_a_subprocess():
         capture_output=True, text=True, timeout=10)
     assert out.returncode == 0
     assert len(out.stdout.splitlines()) == math.comb(17, 9)
+
+
+def test_too_many_rigid_collections_is_a_named_domain_error():
+    # rank 40 to length 3 has far more maximal rigid collections than the
+    # listing holds, and all are sorted before the first is printed: the
+    # child gets 1 GB of address space and must stop by name within 2 s
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    start = time.monotonic()
+    out = subprocess.run(
+        [sys.executable, "-m", "siltglue.cli", "enumerate-rigid", "--rank",
+         "40", "--max-len", "3"],
+        capture_output=True, text=True, timeout=10, preexec_fn=limit)
+    assert time.monotonic() - start < 2.0
+    assert (out.returncode, out.stdout, out.stderr) == (
+        1, "", "error: rank 40 to length 3 has more than 100000 maximal "
+        "rigid collections\n")
 
 
 def test_a_huge_length_bound_lists_rigid_collections_in_start_up_time():

@@ -1,6 +1,6 @@
 import pytest
 
-from siltglue.expansion import (ExpansionSpec, _inv, parse_expansion_spec,
+from siltglue.expansion import (ExpansionSpec, parse_expansion_spec,
                                 push_forward, reduce_left, reduce_right)
 from siltglue.tube import (Arc, TubeCtx, ext_dim_arcs, hom_dim_arcs, normalize,
                            render_arc, subobject_arcs, tau_arc)
@@ -38,7 +38,8 @@ def test_merged_simple_pushes_to_the_extension():
     # the image of the merged simple is the length-two arc with socle the
     # translate and top the chosen simple
     s = spec34()
-    sbar = Arc(s.sbar_factor - 1, s.sbar_factor + 1)
+    l = s.lambda_arc.start
+    sbar = Arc(l - 1, l + 1)
     image = push_forward(s, sbar)
     assert image == Arc(0, 3)
     assert image.length() == 2
@@ -54,9 +55,9 @@ def test_untouched_simples_push_to_simples():
 
 def test_reduce_left_examples():
     s = spec34()
+    l = s.lambda_arc.start
     assert reduce_left(s, s.lambda_arc) is None
-    assert reduce_left(s, s.rho_arc) == Arc(s.sbar_factor - 1,
-                                            s.sbar_factor + 1)
+    assert reduce_left(s, s.rho_arc) == Arc(l - 1, l + 1)
     # a simple away from the pair keeps its identity
     out = reduce_left(s, Arc(2, 4))
     assert out is not None and out.length() == 1
@@ -64,29 +65,38 @@ def test_reduce_left_examples():
 
 def test_reduce_right_examples():
     s = spec34()
+    l = s.lambda_arc.start
     assert reduce_right(s, s.rho_arc) is None
-    assert reduce_right(s, s.lambda_arc) == Arc(s.sbar_factor - 1,
-                                                s.sbar_factor + 1)
+    assert reduce_right(s, s.lambda_arc) == Arc(l - 1, l + 1)
 
 
 def reference_reduce(spec, a, killed_residue):
     """The factor-list route: list every factor of the arc, drop those
-    congruent to killed_residue and keep the first and last survivors."""
+    congruent to killed_residue and keep the first and last survivors.
+    Survivors are numbered by counting from the survivor of the merged
+    pair, at big index l or l + 1, which lands on reduced factor l."""
     a = normalize(a, spec.big)
+    n, l = spec.n, spec.lambda_arc.start
+
+    def alive(t):
+        return (t - killed_residue) % n != 0
+
+    anchor = l if alive(l) else l + 1
+
+    def back(b):
+        if b >= anchor:
+            return l + sum(map(alive, range(anchor + 1, b + 1)))
+        return l - sum(map(alive, range(b, anchor)))
+
     first_f = a.start + 1
-    n = spec.n
     if a.is_infinite():
-        s = first_f if first_f % n != killed_residue % n else first_f + 1
-        return normalize(Arc(_inv(spec, s, killed_residue) - 1, None),
-                         spec.reduced)
-    last_f = a.end - 1
-    survivors = [t for t in range(first_f, last_f + 1)
-                 if t % n != killed_residue % n]
+        s = first_f if alive(first_f) else first_f + 1
+        return normalize(Arc(back(s) - 1, None), spec.reduced)
+    survivors = [t for t in range(first_f, a.end) if alive(t)]
     if not survivors:
         return None
-    s, e = survivors[0], survivors[-1]
-    return normalize(Arc(_inv(spec, s, killed_residue) - 1,
-                         _inv(spec, e, killed_residue) + 1), spec.reduced)
+    return normalize(Arc(back(survivors[0]) - 1, back(survivors[-1]) + 1),
+                     spec.reduced)
 
 
 def test_reduce_matches_the_factor_list_route():
@@ -99,9 +109,9 @@ def test_reduce_matches_the_factor_list_route():
             arcs += [Arc(st, None) for st in range(n)]
             for a in arcs:
                 assert reduce_left(s, a) == reference_reduce(
-                    s, a, s.lam_factor), (n, lstart, a)
+                    s, a, lstart + 1), (n, lstart, a)
                 assert reduce_right(s, a) == reference_reduce(
-                    s, a, s.rho_factor), (n, lstart, a)
+                    s, a, lstart), (n, lstart, a)
 
 
 def test_reduce_at_rank_ten_to_the_twelve_within_budget():
@@ -125,7 +135,7 @@ def test_length_additivity_of_push():
                     image = push_forward(s, a)
                     passages = sum(
                         1 for t in range(a.start + 1, a.end)
-                        if t % (n - 1) == s.sbar_factor % (n - 1))
+                        if t % (n - 1) == lstart % (n - 1))
                     assert image.length() == a.length() + passages
 
 

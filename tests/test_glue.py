@@ -19,6 +19,8 @@ from siltglue.tube import (Arc, TubeCtx, arc_sort_key, ext_dim_arcs,
                            hom_to_simple, is_rigid, normalize, render_arc,
                            rigid_candidates, tau_arc)
 
+from test_kronecker import wall_budget
+
 
 def spec_diff(a: TiltingSpec, b: TiltingSpec) -> str:
     """Human-readable difference of two tilting data."""
@@ -388,48 +390,60 @@ def test_reasons_are_pinned_in_full():
     assert reasons == [
         "point x: extensions between [0,4] and [0,4]",
         "point x: extensions between [1,inf) and [0,4]",
-        "point x: component rooted at [0,4] has 1 summands, expected 3",
-        "point x: Pruefer socles [0] do not match the complement rule []",
     ]
     ok, reasons = verify_tilting_spec(
         single(3, [Arc(0, 2), Arc(1, 3), Arc(0, None)]))
-    assert reasons == ["point x: extensions between [1,3] and [0,2]",
-                       "point x: adjacent wings form a segment"]
+    assert reasons == ["point x: extensions between [1,3] and [0,2]"]
     # three simples, each extending its translate: the pairs come out row
     # by row in arc order
     ok, reasons = verify_tilting_spec(
         single(3, [Arc(2, 4), Arc(0, 2), Arc(1, 3)]))
     assert reasons == ["point x: extensions between [0,2] and [2,4]",
                        "point x: extensions between [1,3] and [0,2]",
-                       "point x: extensions between [2,4] and [1,3]"] + [
-                           "point x: adjacent wings form a segment"] * 3
+                       "point x: extensions between [2,4] and [1,3]"]
+    # off the divisible set the Pruefer arc is named; the two simples over
+    # residues 1 and 2 pass the count
+    ok, reasons = verify_tilting_spec(
+        single(3, [Arc(0, 2), Arc(1, 3), Arc(0, None)], divisible=False))
+    assert reasons == ["the set of divisible points is empty",
+                       "point x: extensions between [1,3] and [0,2]",
+                       "point x: Pruefer arcs outside the divisible set"]
+    # rigid, but two arcs of a three-residue wing
+    ok, reasons = verify_tilting_spec(TiltingSpec.make(
+        {"x": TubeData(5, frozenset({Arc(0, 4), Arc(1, 3)})),
+         "y": TubeData(1, frozenset({Arc(0, None)}))}, {"y"}))
+    assert reasons == [
+        "point x: branch carries 2 arcs, expected 3, one per residue it "
+        "covers"]
 
 
 def test_wrong_pruefer_pattern_invalid():
     # simple branch at position 1 forbids the Pruefer over its inverse
-    # translate socle
+    # translate socle: that Pruefer arc extends the simple
     spec = single(3, [Arc(0, 2), Arc(0, None), Arc(1, None)])
     ok, reasons = verify_tilting_spec(spec)
     assert not ok
-    assert any("complement rule" in r or "Pruefer socles" in r
-               for r in reasons)
+    assert reasons == ["point x: extensions between [1,inf) and [0,2]"]
 
 
 def test_partial_wing_invalid():
-    # a length-two summand alone is not a full tilting object of its wing
+    # a length-two summand alone is not a full tilting object of its wing:
+    # one arc over two residues
     spec = TiltingSpec.make(
         {"x": TubeData(4, frozenset({Arc(0, 3)})),
          "y": TubeData(1, frozenset({Arc(0, None)}))},
         {"y"})
     ok, reasons = verify_tilting_spec(spec)
     assert not ok
-    assert any("component rooted" in r for r in reasons)
+    assert reasons == [
+        "point x: branch carries 1 arcs, expected 2, one per residue it "
+        "covers"]
 
 
 def test_adjacent_wings_invalid():
     # two simple wings with neighbouring bases extend each other, which is
-    # already a rigidity failure; the wing conditions are also reported for
-    # a configuration with overlapping bases
+    # already a rigidity failure; three arcs over two residues also fail
+    # the count
     spec = TiltingSpec.make(
         {"x": TubeData(4, frozenset({Arc(0, 3), Arc(0, 2), Arc(1, 3)})),
          "y": TubeData(1, frozenset({Arc(0, None)}))},
@@ -756,18 +770,24 @@ def test_free_lengths_match_an_extension_scan():
     assert cases == 2324
 
 
+def _same_verdict(spec) -> bool:
+    """The verdict, checked against the reference; an invalid datum must
+    name a reason."""
+    ok, reasons = verify_tilting_spec(spec)
+    assert ok == reference_verify_tilting_spec(spec)[0] and ok != bool(
+        reasons), serialize_spec(spec)
+    return ok
+
+
 def test_verify_matches_the_residue_set_reference():
     for rank in range(1, 6):
         for spec in enumerate_single_tube_specs(rank):
-            assert verify_tilting_spec(spec) == \
-                reference_verify_tilting_spec(spec)
+            _same_verdict(spec)
     for rank in (2, 3, 4):
         for branch in _branch_configs(rank):
-            spec = TiltingSpec.make(
+            _same_verdict(TiltingSpec.make(
                 {"x": TubeData(rank, branch),
-                 "y": TubeData(1, frozenset({Arc(0, None)}))}, {"y"})
-            assert verify_tilting_spec(spec) == \
-                reference_verify_tilting_spec(spec)
+                 "y": TubeData(1, frozenset({Arc(0, None)}))}, {"y"}))
     # random arc sets, rigid or not, long arcs and Pruefer arcs included
     rng = random.Random(1403)
     for _ in range(3000):
@@ -777,9 +797,30 @@ def test_verify_matches_the_residue_set_reference():
             s = rng.randrange(n)
             arcs.add(Arc(s, None) if rng.random() < 0.25
                      else Arc(s, s + 1 + rng.randrange(1, 2 * n + 2)))
-        spec = single(n, arcs, divisible=rng.random() < 0.6)
-        assert verify_tilting_spec(spec) == \
-            reference_verify_tilting_spec(spec), serialize_spec(spec)
+        _same_verdict(single(n, arcs, divisible=rng.random() < 0.6))
+
+
+def test_verify_matches_the_reference_on_every_small_datum():
+    # every set of at most n + 1 arcs of length 1..n+1, Pruefer arcs
+    # included, at ranks 1-3: on a divisible tube, and off the divisible
+    # set beside a divisible rank-1 tube, where the count is tested
+    pruefer_y = TubeData(1, frozenset({Arc(0, None)}))
+    seen = valid = 0
+    with wall_budget(5.0):
+        for n in (1, 2, 3):
+            arcs = [Arc(s, s + 1 + l)
+                    for s in range(n) for l in range(1, n + 2)]
+            arcs += [Arc(s, None) for s in range(n)]
+            for k in range(n + 2):
+                for sub in itertools.combinations(arcs, k):
+                    td = TubeData(n, frozenset(sub))
+                    for spec in (TiltingSpec.make({"x": td}, {"x"}),
+                                 TiltingSpec.make({"x": td, "y": pruefer_y},
+                                                  {"y"})):
+                        seen += 1
+                        valid += _same_verdict(spec)
+    # C(2n-1, n) valid data on a divisible tube, as many branches off it
+    assert (seen, valid) == (4082, 2 * (1 + 3 + 10))
 
 
 def test_round_trip_every_datum_of_ranks_six_to_eight():
@@ -792,10 +833,12 @@ def test_round_trip_every_datum_of_ranks_six_to_eight():
 def test_error_texts_stay_bounded_at_a_large_rank():
     n = 10**12
     ok, reasons = verify_tilting_spec(single(n, [Arc(0, None)]))
-    assert reasons == [
-        "point x: Pruefer socles [1] do not match the complement rule "
-        "[0..999999999999]",
-        f"point x: divisible tube carries 1 arcs, expected {n}"]
+    assert reasons == [f"point x: divisible tube carries 1 arcs, expected {n}"]
+    ok, reasons = verify_tilting_spec(TiltingSpec.make(
+        {"x": TubeData(n, frozenset({Arc(5, n + 5)})),
+         "y": TubeData(1, frozenset({Arc(0, None)}))}, {"y"}))
+    assert reasons == [f"point x: branch carries 1 arcs, expected {n - 1}, "
+                       "one per residue it covers"]
     espec = ExpansionSpec(n + 1, Arc(5, 7))
     with pytest.raises(GlueCaseError) as exc:
         glue_left(espec, single(n, []), "x")
@@ -807,12 +850,14 @@ def test_error_texts_stay_bounded_at_a_large_rank():
                               f"found {n}: [4,6], [3,6]")
 
 
+CENSUS_SCRIPT = (pathlib.Path(__file__).resolve().parents[1] / "scripts"
+                 / "tilting_census.py")
+
+
 def test_census_script_finds_no_mismatch():
     # the script lists every single-tube datum up to a rank, C(2n-1, n) of
     # rank n, with its seed and the status of its round trip
-    script = (pathlib.Path(__file__).resolve().parents[1] / "scripts"
-              / "tilting_census.py")
-    out = subprocess.run([sys.executable, str(script), "4"],
+    out = subprocess.run([sys.executable, str(CENSUS_SCRIPT), "4"],
                          capture_output=True, text=True, timeout=60)
     assert (out.returncode, out.stderr) == (0, "")
     lines = out.stdout.splitlines()
@@ -823,3 +868,15 @@ def test_census_script_finds_no_mismatch():
     assert not any("MISMATCH" in ln for ln in lines)
     assert all(ln.endswith("round-trip=ok")
                for ln in lines if ln.startswith("  "))
+
+
+def test_census_script_ends_quietly_when_its_reader_closes():
+    # as the CLI verbs do: exit 141 and nothing on stderr; rank 7 lists 2358
+    # lines, more than a pipe holds, so the writer meets the closed pipe
+    proc = subprocess.Popen([sys.executable, str(CENSUS_SCRIPT), "7"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"rank 2: 3 tilting data\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=30), err) == (141, b"")

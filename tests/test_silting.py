@@ -25,7 +25,7 @@ from siltglue.silting import (GlueError, GlueOutcomeKronecker,
                               parse_row, phi_surjective,
                               presentation_of_object)
 
-from test_complexes import PIECES, _unit, scrambled
+from test_complexes import PIECES, _unit, is_zero_complex, scrambled, then
 from test_exactlin import reference_kernel_basis, reference_rref, transpose
 from test_kronecker import parses_to, wall_budget
 
@@ -136,8 +136,8 @@ def reference_phi_surjective(s1, s2, alpha) -> bool:
     def flat(f):
         return f.s11.entries + f.s22.entries + f.arr_a.entries + f.arr_b.entries
 
-    vectors = [flat(f.then(alpha)) for f, _ in chain_endos(s2)]
-    vectors += [flat(alpha.then(g)) for _, g in chain_endos(s1)]
+    vectors = [flat(then(f, alpha)) for f, _ in chain_endos(s2)]
+    vectors += [flat(then(alpha, g)) for _, g in chain_endos(s1)]
     homotopies, nh = delta_map(s2, s1)
     stacked = block([[Mat.from_rows(vectors, cols=n)],
                      [transpose(Mat.from_sparse(homotopies, nh))]])
@@ -402,7 +402,7 @@ def test_parse_row():
 
 
 def test_complex_from_token():
-    assert complex_from_token("0").is_zero()
+    assert is_zero_complex(complex_from_token("0"))
     assert complex_from_token("P1[1]").deg_m1 == ProjSum(1, 0)
     assert complex_from_token("Q1").deg_m1 == ProjSum(2, 0)
 
