@@ -73,6 +73,15 @@ class ProjMorphism:
     arr_a: Mat
     arr_b: Mat
 
+    def __hash__(self):
+        # complexes key the gluing and derived-Hom caches: hash the blocks
+        # once and keep the value on the instance, as Mat does
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.s11, self.s22, self.arr_a, self.arr_b))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     def __post_init__(self):
         a, d = self.s11.rows, self.s22.cols
         for m in (self.arr_a, self.arr_b):
@@ -148,6 +157,14 @@ class TwoTermComplex:
     are the differential's source and target."""
 
     diff: ProjMorphism
+
+    def __hash__(self):
+        # kept on the instance, as ProjMorphism keeps its hash
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash(self.diff)
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __post_init__(self):
         object.__setattr__(self, "deg_m1", self.diff.src)

@@ -15,9 +15,10 @@ depends on nothing from the arc side.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
-from .exactlin import Mat, sparse_rank, sylvester_rows
+from .exactlin import Mat, sparse_rank
 from .frozen import frozen
 from .tube import Arc, TubeCtx, normalize
 
@@ -26,7 +27,8 @@ from .tube import Arc, TubeCtx, normalize
 _REP_CACHE = 1024
 _PAIR_CACHE = 4096
 # the most ordered pairs one sweep checks: rank 7 to length 15 is 11,025
-# pairs, about 0.6 s on a 2-vCPU host, and the cost grows with the count
+# pairs, 0.30-0.33 s wall with start-up on a 2-vCPU host, and the cost
+# grows with the count
 _MAX_PAIRS = 12000
 
 
@@ -119,32 +121,121 @@ def ext_dim_oracle(x: NilpRep, y: NilpRep) -> int:
     return _hom_ext_oracle(x, y)[1]
 
 
+def _tables(rep: NilpRep) -> tuple:
+    """(rows, cols): rows[v][i] the (column, value) nonzeros of row i of
+    maps[v] and cols[v][j] the (row, value) nonzeros of its column j, as
+    tuples, an integral value as an int.  Kept on the rep, as its hash."""
+    kept = rep.__dict__.get("_tables")
+    if kept is None:
+        rows, cols = [], []
+        for m in rep.maps:
+            nz = [(*divmod(t, m.cols), val.numerator
+                   if val.denominator == 1 else val)
+                  for t, val in enumerate(m.entries) if val]
+            rows.append(tuple(tuple((j, val) for i, j, val in nz if i == r)
+                              for r in range(m.rows)))
+            cols.append(tuple(tuple((i, val) for i, j, val in nz if j == c)
+                              for c in range(m.cols)))
+        kept = tuple(rows), tuple(cols)
+        object.__setattr__(rep, "_tables", kept)
+    return kept
+
+
 @lru_cache(maxsize=_PAIR_CACHE)
 def _hom_ext_oracle(x: NilpRep, y: NilpRep) -> tuple:
-    """(dim Hom, dim Ext^1) from one intertwiner rank."""
+    """(dim Hom, dim Ext^1) from one rank of the intertwiner system
+    X_v f_w = f_v Y_v, w = v - 1, as maps V^x_v -> V^y_w.
+
+    The system is ranked as it is generated.  Equation (i, j) at arrow v
+    reads row i of X_v and column j of Y_v off the tables; with at most one
+    nonzero in each it grounds an unknown (a f = 0) or ties two (a f = b g),
+    and a union-find over the unknowns, f_c = ratio[c] f_root with exact
+    ratios, ranks these equations exactly, as the light-row step of
+    structured Gaussian elimination does.  A longer equation is held back,
+    then projected onto the free roots, so the rank is the links plus the
+    grounded roots plus the sparse_rank of the projections.  Uniserial
+    maps have at most one nonzero per row and column: an arc pair holds
+    nothing back.
+    """
     if x.n != y.n:
         raise ValueError("rank mismatch")
     n = x.n
+    xd, yd = x.dims, y.dims
+    xrows, ycols = _tables(x)[0], _tables(y)[1]
     var = [0]
     for v in range(n):
-        var.append(var[-1] + x.dims[v] * y.dims[v])
-    out = [0]
+        var.append(var[-1] + xd[v] * yd[v])
+    nvar = var[-1]
+    # ground is read at roots only; a root's ratio is never read
+    up, ratio, ground = list(range(nvar)), [1] * nvar, [False] * nvar
+    links, arrows, held = 0, 0, []
     for v in range(n):
-        out.append(out[-1] + x.dims[v] * y.dims[(v - 1) % n])
-    # X_v f_w = f_v Y_v as maps V^x_v -> V^y_w, w = v - 1
-    terms = []
-    for v in range(n):
-        if out[v + 1] == out[v]:
-            continue  # no equations at this arrow
         w = (v - 1) % n
-        terms.append((out[v], var[w], 1, x.maps[v], y.dims[w]))
-        terms.append((out[v], var[v], -1, x.dims[v], y.maps[v]))
-    rank = sparse_rank(sylvester_rows(out[-1], terms))
-    # var[-1] and out[-1] are the vertex- and arrow-space dimensions
-    ext = out[-1] - rank
+        dw, dv = yd[w], yd[v]
+        arrows += xd[v] * dw
+        for i, xr in enumerate(xrows[v]):
+            fv = var[v] + i * dv
+            if len(xr) == 1:
+                (k, a), = xr
+                fw = var[w] + k * dw
+            for j, yc in enumerate(ycols[v]):
+                if len(xr) > 1 or len(yc) > 1:
+                    row = {var[w] + k * dw + j: av for k, av in xr}
+                    for l, bv in yc:
+                        row[fv + l] = row.get(fv + l, 0) - bv
+                    held.append(row)
+                    continue
+                if xr:
+                    c = r1 = fw + j
+                    s1 = 1
+                    while up[r1] != r1:
+                        s1 *= ratio[r1]
+                        r1 = up[r1]
+                    up[c], ratio[c] = r1, s1
+                    if not yc:
+                        ground[r1] = True
+                        continue
+                elif not yc:
+                    continue
+                (l, b), = yc
+                c = r2 = fv + l
+                s2 = 1
+                while up[r2] != r2:
+                    s2 *= ratio[r2]
+                    r2 = up[r2]
+                up[c], ratio[c] = r2, s2
+                if not xr:
+                    ground[r2] = True
+                    continue
+                # a s1 f_r1 = b s2 f_r2
+                p, t = a * s1, b * s2
+                if r1 == r2:
+                    if p != t:
+                        ground[r1] = True
+                    continue
+                up[r1] = r2
+                ratio[r1] = (t // p if type(p) is type(t) is int
+                             and t % p == 0 else Fraction(t, p))
+                ground[r2] = ground[r2] or ground[r1]
+                links += 1
+    rank = links + sum(1 for c in range(nvar) if ground[c] and up[c] == c)
+    if held:
+        projected = []
+        for row in held:
+            out = {}
+            for c, s in row.items():
+                while up[c] != c:
+                    s *= ratio[c]
+                    c = up[c]
+                if not ground[c]:
+                    out[c] = out.get(c, 0) + s
+            projected.append(out)
+        rank += sparse_rank(projected)
+    # nvar and arrows are the vertex- and arrow-space dimensions
+    ext = arrows - rank
     if ext < 0:
         raise ArithmeticError("negative oracle Ext dimension")
-    return var[-1] - rank, ext
+    return nvar - rank, ext
 
 
 def sweep_arcs(ctx: TubeCtx, max_len: int, hom_arcs, ext_arcs) -> tuple:

@@ -318,6 +318,18 @@ def test_a_complex_is_its_differential():
         assert (again.deg_m1, again.deg_0) == terms(picks)
 
 
+def test_complexes_and_morphisms_keep_their_hash():
+    for seed in range(5):
+        c = scrambled(random.Random(seed).choices(PIECES, k=3), seed)
+        again = _rebuilt(c)
+        assert again == c and again.diff == c.diff
+        assert "_hash" not in again.__dict__
+        assert hash(again) == hash(c) and hash(again.diff) == hash(c.diff)
+        for x in (again, again.diff):
+            assert x.__dict__["_hash"] == hash(x)
+        assert again.__dict__["_hash"] == hash(again.diff)
+
+
 def test_terms_are_read_off_zero_size_blocks():
     z = ProjSum(0, 0)
     for c, m1, d0 in [(zero_complex(), z, z), (direct_sum([]), z, z),

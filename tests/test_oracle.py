@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 
 from siltglue import cyclic_oracle
 from siltglue.cyclic_oracle import (NilpRep, _hom_ext_oracle, _is_nilpotent,
-                                    _uniserial, ext_dim_oracle,
+                                    _tables, _uniserial, ext_dim_oracle,
                                     hom_dim_oracle, rep_of_arc, sweep_arcs)
-from siltglue.exactlin import Mat, sparse_rank
+from siltglue.exactlin import Mat, diag, echelon, sparse_rank, sylvester_rows
 from siltglue.tube import (Arc, TubeCtx, ext_dim_arcs, hom_dim_arcs,
                            normalize, tau_arc)
 
@@ -43,20 +44,27 @@ def test_shifted_arcs_share_one_representation():
 
 
 def test_intertwiner_rows_hold_ints_and_reps_keep_their_hash(monkeypatch):
-    # the uniserial maps are 0/1 ints, so the rows built from them hold no
-    # Fraction; each rep hashes its maps once
-    seen = []
+    # the uniserial maps are 0/1 ints, so the tables the equations are read
+    # from hold no Fraction, and with at most one nonzero per row and column
+    # no arc-rep pair holds an equation back for sparse_rank; each rep
+    # hashes its maps once
+    def no_rank(rows):
+        raise AssertionError("an arc-rep pair reached sparse_rank")
 
-    def capturing_rank(rows):
-        seen.extend(v for row in rows for v in row.values())
-        return sparse_rank(rows)
-
-    monkeypatch.setattr(cyclic_oracle, "sparse_rank", capturing_rank)
-    ctx = TubeCtx(3)
-    x, y = rep_of_arc(Arc(0, 6), ctx), rep_of_arc(Arc(2, 7), ctx)
-    assert all(type(v) is int for m in x.maps for v in m.entries)
-    _hom_ext_oracle.__wrapped__(x, y)
-    assert seen and all(type(v) is int for v in seen)
+    monkeypatch.setattr(cyclic_oracle, "sparse_rank", no_rank)
+    for n in (1, 2, 3):
+        ctx = TubeCtx(n)
+        reps = [rep_of_arc(Arc(s, s + 1 + l), ctx)
+                for s in range(n) for l in range(1, 2 * n + 2)]
+        for x in reps:
+            rows, cols = _tables(x)
+            assert x.__dict__["_tables"] == (rows, cols)
+            assert all(type(i) is type(val) is int and val == 1
+                       for table in (rows, cols) for m in table for line in m
+                       for i, val in line)
+            for y in reps:
+                _hom_ext_oracle.__wrapped__(x, y)
+    x = rep_of_arc(Arc(0, 6), TubeCtx(3))
     assert hash(x) == x.__dict__["_hash"] == hash(x.maps)
 
 
@@ -68,13 +76,19 @@ def test_hom_then_ext_ranks_the_system_once(monkeypatch):
         return sparse_rank(rows)
 
     monkeypatch.setattr(cyclic_oracle, "sparse_rank", counting_rank)
-    _hom_ext_oracle.cache_clear()
     ctx = TubeCtx(3)
     x, y = rep_of_arc(Arc(0, 4), ctx), rep_of_arc(Arc(2, 5), ctx)
-    assert (hom_dim_oracle(x, y), ext_dim_oracle(x, y)) == (1, 1)
-    info = _hom_ext_oracle.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-    assert len(ranks) == 1
+    # the arc pair is one rank of short equations; the changed-basis pair
+    # holds equations back and ranks their projections once
+    z = rep_of_arc(Arc(0, 6), ctx)
+    cases = ((x, y, 1, 1, 0), (changed_basis(z, random.Random(1)), z, 2, 1, 1))
+    for x, y, hom, ext, calls in cases:
+        _hom_ext_oracle.cache_clear()
+        ranks.clear()
+        assert (hom_dim_oracle(x, y), ext_dim_oracle(x, y)) == (hom, ext)
+        info = _hom_ext_oracle.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert len(ranks) == calls
 
 
 def test_cached_answers_match_freshly_built_reps():
@@ -215,6 +229,98 @@ def test_a_sweep_past_the_pair_bound_builds_nothing(monkeypatch):
             sweep_arcs(TubeCtx(3), max_len, hom_dim_arcs, ext_dim_arcs)
 
 
+# -- the union-find rank against the Sylvester-row reference -----------------
+
+
+def reference_hom_ext(x, y) -> tuple:
+    """(dim Hom, dim Ext^1) from the full intertwiner system, built with
+    sylvester_rows and ranked by echelon."""
+    n = x.n
+    var = [0]
+    for v in range(n):
+        var.append(var[-1] + x.dims[v] * y.dims[v])
+    out = [0]
+    for v in range(n):
+        out.append(out[-1] + x.dims[v] * y.dims[(v - 1) % n])
+    # X_v f_w = f_v Y_v as maps V^x_v -> V^y_w, w = v - 1
+    terms = []
+    for v in range(n):
+        if out[v + 1] == out[v]:
+            continue  # no equations at this arrow
+        w = (v - 1) % n
+        terms.append((out[v], var[w], 1, x.maps[v], y.dims[w]))
+        terms.append((out[v], var[v], -1, x.dims[v], y.maps[v]))
+    rank = len(echelon(sylvester_rows(out[-1], terms)))
+    return var[-1] - rank, out[-1] - rank
+
+
+SCALES = [Fraction(p, q) for p in (-3, -2, -1, 1, 2, 5) for q in (1, 2, 3)]
+
+
+def uniserial_sum(rng, n):
+    """The direct sum of 1-3 seeded uniserials of rank n, lengths 1..2n+1,
+    with each nonzero scaled by a seeded nonzero rational."""
+    parts = []
+    for _ in range(rng.randint(1, 3)):
+        s, length = rng.randrange(n), rng.randint(1, 2 * n + 1)
+        parts.append(rep_of_arc(Arc(s, s + 1 + length), TubeCtx(n)))
+    return NilpRep(tuple(
+        Mat(m.rows, m.cols, tuple(val * rng.choice(SCALES) if val else val
+                                  for val in m.entries))
+        for m in (diag([p.maps[v] for p in parts]) for v in range(n))))
+
+
+def changed_basis(rep, rng):
+    """rep after a seeded unipotent change of basis at each vertex u:
+    2 dim V_u steps E = I + c e_ij, i < j, each taking maps[u] to
+    E maps[u] and maps[u + 1] to maps[u + 1] E^-1."""
+    n = rep.n
+    rows = [[list(m.row(i)) for i in range(m.rows)] for m in rep.maps]
+    for u, d in enumerate(rep.dims):
+        for _ in range(2 * d if d > 1 else 0):
+            i, j = sorted(rng.sample(range(d), 2))
+            c = rng.choice(SCALES)
+            rows[u][i] = [a + c * b for a, b in zip(rows[u][i], rows[u][j])]
+            for row in rows[(u + 1) % n]:
+                row[j] -= c * row[i]
+    return NilpRep(tuple(Mat.from_rows(r, cols=m.cols)
+                         for r, m in zip(rows, rep.maps)))
+
+
+def test_every_canonical_arc_pair_matches_the_reference():
+    # ranks 1 to 7, lengths 1 to 2n + 1; at rank 1 both terms of every
+    # equation are unknowns of the one block at the loop arrow
+    for n in range(1, 8):
+        ctx = TubeCtx(n)
+        reps = [rep_of_arc(Arc(s, s + 1 + l), ctx)
+                for s in range(n) for l in range(1, 2 * n + 2)]
+        for x in reps:
+            for y in reps:
+                assert (_hom_ext_oracle.__wrapped__(x, y)
+                        == reference_hom_ext(x, y)), (x, y)
+
+
+def test_scaled_uniserial_sums_match_the_reference():
+    # scaled nonzeros give the union-find ratios other than +-1
+    rng = random.Random(7)
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        x, y = uniserial_sum(rng, n), uniserial_sum(rng, n)
+        assert _hom_ext_oracle.__wrapped__(x, y) == reference_hom_ext(x, y)
+
+
+def test_changed_basis_sums_match_the_reference():
+    # a change of basis gives long equations, ranked by projection
+    rng = random.Random(11)
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        x, y = uniserial_sum(rng, n), uniserial_sum(rng, n)
+        want = reference_hom_ext(x, y)
+        x, y = changed_basis(x, rng), changed_basis(y, rng)
+        assert reference_hom_ext(x, y) == want
+        assert _hom_ext_oracle.__wrapped__(x, y) == want
+
+
 # -- the one-cycle nilpotency test against the all-vertex check ----------------
 
 
@@ -242,14 +348,16 @@ LEVELS = st.integers(min_value=0, max_value=3)
 
 
 @st.composite
-def cyclic_reps(draw):
-    """(kind, rep) with rep a cyclic-quiver representation of dimension at
-    most 3 per vertex, not checked for nilpotency.  "flag" arrows only
+def cyclic_reps(draw, n=None):
+    """(kind, rep) with rep a cyclic-quiver representation of rank n (drawn
+    from 1-5 if not given) and of dimension at most 3 per vertex, not
+    checked for nilpotency.  "flag" arrows only
     lower a level given to each basis vector, so the rep is nilpotent;
     "cycle" keeps every dimension positive and carries basis vector 0
     around the cycle by nonzero scalars, apart from a flag part, so it is
     not; "random" entries are arbitrary."""
-    n = draw(st.integers(min_value=1, max_value=5))
+    if n is None:
+        n = draw(st.integers(min_value=1, max_value=5))
     kind = draw(st.sampled_from(["random", "flag", "cycle"]))
     dims = draw(st.lists(st.integers(min_value=int(kind == "cycle"),
                                      max_value=3), min_size=n, max_size=n))
@@ -283,3 +391,15 @@ def test_one_cycle_nilpotency_matches_the_all_vertex_check(case):
     else:
         with pytest.raises(ValueError, match="not nilpotent"):
             NilpRep(rep.maps)
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.tuples(cyclic_reps(n), cyclic_reps(n))))
+@settings(max_examples=200, deadline=None)
+def test_any_cyclic_system_is_ranked_as_the_reference_ranks_it(pair):
+    # on nilpotent reps every cycle of two-term equations balances, since
+    # the single-nonzero rows of the maps, and their single-nonzero
+    # columns, form forests; these reps need not be nilpotent, so a cycle
+    # can fail to balance and then grounds its root
+    (_, x), (_, y) = pair
+    assert _hom_ext_oracle.__wrapped__(x, y) == reference_hom_ext(x, y)
