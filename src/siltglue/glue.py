@@ -20,7 +20,7 @@ import re
 
 from .expansion import ExpansionSpec, push_forward, reduce_left, reduce_right
 from .frozen import frozen
-from .tube import (Arc, TubeCtx, arc_sort_key, ext_dim_arcs,
+from .tube import (Arc, TubeCtx, arc_sort_key, ext_dim_arcs, ext_pairs,
                    hom_simple_to, hom_to_simple, normalize, parse_arc,
                    render_arc, tau_arc, tau_arc_inverse)
 
@@ -37,13 +37,14 @@ class GlueCaseError(RuntimeError):
 @frozen
 class TubeData:
     """A tube's rank and its arcs, each stored as the representative with
-    0 <= start < rank."""
+    0 <= start < rank; ctx, the TubeCtx of the rank, is kept beside them."""
 
     rank: int
     arcs: frozenset
 
     def __post_init__(self):
         ctx = TubeCtx(self.rank)
+        object.__setattr__(self, "ctx", ctx)
         # pushed, reduced and enumerated arcs come canonical: keep them
         if type(self.arcs) is not frozenset or not all(
                 0 <= a.start < ctx.n for a in self.arcs):
@@ -143,35 +144,25 @@ def _within(x: int, iv: tuple, n: int) -> bool:
     return (x - iv[0]) % n < iv[1]
 
 
-def _runs(ivs, n: int) -> list:
-    """The union of cyclic intervals as sorted maximal runs (first, last)
-    of 0..n-1."""
-    pieces = []
-    for start, length in ivs:
-        if length >= n:
-            return [(0, n - 1)]
-        last = start + length - 1
-        pieces += [(start, last)] if last < n else [(start, n - 1),
-                                                    (0, last - n)]
-    out = []
-    for first, last in sorted(pieces):
-        if out and first <= out[-1][1] + 1:
-            out[-1] = (out[-1][0], max(out[-1][1], last))
-        else:
-            out.append((first, last))
-    return out
-
-
 def _gaps(runs: list, lo: int, hi: int) -> list:
     """The runs (first, last) of lo..hi left free by runs sorted by their
-    first element; these may overlap and end past hi, but none starts past
-    hi + 1."""
+    first element; these may overlap, start below lo and end past hi, but
+    none starts past hi + 1."""
     out, nxt = [], lo
     for first, last in runs + [(hi + 1, hi + 1)]:
         if first > nxt:
             out.append((nxt, first - 1))
         nxt = max(nxt, last + 1)
     return out
+
+
+def _covered(ivs, n: int) -> int:
+    """The number of residues in the union of cyclic intervals: n less the
+    runs of 0..n-1 they leave free, each interval taken also shifted down
+    by n, to cover its part past n - 1."""
+    runs = sorted((first - k, first - k + length - 1)
+                  for first, length in ivs for k in (n, 0))
+    return n - sum(last - first + 1 for first, last in _gaps(runs, 0, n - 1))
 
 
 def verify_tilting_spec(spec: TiltingSpec) -> Tuple[bool, list]:
@@ -191,21 +182,10 @@ def verify_tilting_spec(spec: TiltingSpec) -> Tuple[bool, list]:
         n = td.rank
         arcs = td.sorted_arcs()
         finite = [a for a in arcs if a.end is not None]
-        spans = [(b, b.start, b.end) for b in finite]
-        # every ordered pair with a finite second arc (nothing extends a
-        # Pruefer arc): an arc of length >= n extends itself.  The lift of
-        # b by kn crosses a from the left when a.start - b.end < kn < hi,
-        # the lift range of tube._crossing_lifts
-        for a in arcs:
-            s, e = a.start, a.end
-            for b, bs, be in spans:
-                hi = s - bs
-                if e is not None and e - be < hi:
-                    hi = e - be
-                if (hi - 1) // n > (s - be) // n:
-                    reasons.append(
-                        f"point {pid}: extensions between {render_arc(a)} "
-                        f"and {render_arc(b)}")
+        for i, j in ext_pairs(arcs, td.ctx):
+            reasons.append(
+                f"point {pid}: extensions between {render_arc(arcs[i])} "
+                f"and {render_arc(arcs[j])}")
         if pid in spec.divisible:
             if len(arcs) != n:
                 reasons.append(
@@ -215,8 +195,7 @@ def verify_tilting_spec(spec: TiltingSpec) -> Tuple[bool, list]:
         if len(finite) != len(arcs):
             reasons.append(
                 f"point {pid}: Pruefer arcs outside the divisible set")
-        covered = sum(last - first + 1 for first, last in
-                      _runs([_residues(a, n) for a in finite], n))
+        covered = _covered([_residues(a, n) for a in finite], n)
         if len(finite) != covered:
             reasons.append(
                 f"point {pid}: branch carries {len(finite)} arcs, expected "
@@ -430,7 +409,7 @@ def choose_seed(spec: TiltingSpec, point: str) -> Seed:
     td = spec.tube(point)
     if td.rank < 2:
         raise ValueError("no expansion exists for a tube of rank 1")
-    ctx = TubeCtx(td.rank)
+    ctx = td.ctx
     arcs = td.sorted_arcs()
     branch = [a for a in arcs if a.end is not None]
     if not arcs:
@@ -483,8 +462,9 @@ def round_trip(spec: TiltingSpec, point: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_single_tube_specs(rank: int, point: str = "x") -> list:
-    """All valid tilting data supported on one tube of the given rank.
+def enumerate_single_tube_specs(rank: int) -> list:
+    """All valid tilting data supported on one tube of the given rank, at
+    the point "x".
 
     Such a datum is a maximal rigid collection containing at least one
     Pruefer arc (an all-finite collection can never reach the full rank);
@@ -497,8 +477,8 @@ def enumerate_single_tube_specs(rank: int, point: str = "x") -> list:
                                         include_infinite=True):
         if all(a.end is not None for a in coll):
             continue
-        spec = TiltingSpec.make({point: TubeData(rank, frozenset(coll))},
-                                {point})
+        spec = TiltingSpec.make({"x": TubeData(rank, frozenset(coll))},
+                                {"x"})
         ok, reasons = verify_tilting_spec(spec)
         if not ok:
             raise GlueCaseError(

@@ -230,11 +230,15 @@ def parse_object_sum(text: str) -> ObjectSum:
     pairs = []
     for part in text.split("+"):
         part = part.strip()
-        mult = 1
+        token, mult = part, 1
         if "^" in part:
-            part, p = part.rsplit("^", 1)
-            mult = int(p)
-        pairs.append((parse_object(part), mult))
+            token, p = part.rsplit("^", 1)
+            try:
+                mult = int(p)
+            except ValueError:
+                raise ValueError(
+                    f"cannot parse multiplicity in {part!r}") from None
+        pairs.append((parse_object(token), mult))
     return object_sum(pairs)
 
 

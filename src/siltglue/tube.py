@@ -117,6 +117,25 @@ def ext_dim_arcs(a: Arc, b: Arc, ctx: TubeCtx) -> int:
     return _neg_crossings(a, b, ctx.n)
 
 
+def ext_pairs(arcs: list, ctx: TubeCtx) -> Iterator[tuple]:
+    """The ordered pairs (i, j), self-pairs included, with
+    Ext^1(arcs[i], arcs[j]) != 0, by i and then j.  Only a finite second
+    arc counts (nothing extends a Pruefer arc): the lift of b by kn crosses
+    a from the left when a.start - b.end < kn < hi, the lift range of
+    _crossing_lifts, and an arc of length >= n extends itself."""
+    n = ctx.n
+    spans = [(j, b.start, b.end) for j, b in enumerate(arcs)
+             if b.end is not None]
+    for i, a in enumerate(arcs):
+        s, e = a.start, a.end
+        for j, bs, be in spans:
+            hi = s - bs
+            if e is not None and e - be < hi:
+                hi = e - be
+            if (hi - 1) // n > (s - be) // n:
+                yield i, j
+
+
 def tau_arc(a: Arc, ctx: TubeCtx) -> Arc:
     """Auslander-Reiten translate: both endpoints down by one."""
     return normalize(Arc(a.start - 1, None if a.end is None else a.end - 1),
@@ -220,12 +239,7 @@ def extension_middle(a: Arc, b: Arc, ctx: TubeCtx) -> list:
 
 def is_rigid(arcs: Iterable[Arc], ctx: TubeCtx) -> bool:
     """No extensions in either direction between any pair, self included."""
-    arcs = list(arcs)
-    for a in arcs:
-        for b in arcs:
-            if ext_dim_arcs(a, b, ctx) != 0:
-                return False
-    return True
+    return next(ext_pairs(list(arcs), ctx), None) is None
 
 
 def is_maximal_rigid(arcs: Iterable[Arc], ctx: TubeCtx) -> bool:
@@ -259,13 +273,14 @@ def enumerate_maximal_rigid(ctx: TubeCtx, max_len: int,
     pairs with no Ext either way, each found once by Bron-Kerbosch with
     the Tomita pivot (most neighbours left), on int bitmask vertex sets.
     Finding more than _MAX_COLLECTIONS of them raises ValueError."""
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
     cands = rigid_candidates(ctx, max_len, include_infinite)
-    nbrs = [0] * len(cands)
-    for i, a in enumerate(cands):
-        for j, b in enumerate(cands[i + 1:], i + 1):
-            if ext_dim_arcs(a, b, ctx) == 0 and ext_dim_arcs(b, a, ctx) == 0:
-                nbrs[i] |= 1 << j
-                nbrs[j] |= 1 << i
+    everyone = (1 << len(cands)) - 1
+    nbrs = [everyone ^ (1 << i) for i in range(len(cands))]
+    for i, j in ext_pairs(cands, ctx):
+        nbrs[i] &= ~(1 << j)
+        nbrs[j] &= ~(1 << i)
     out = []
 
     def bits(mask):
@@ -290,7 +305,7 @@ def enumerate_maximal_rigid(ctx: TubeCtx, max_len: int,
             cand &= ~(1 << v)
             excl |= 1 << v
 
-    expand([], (1 << len(cands)) - 1, 0)
+    expand([], everyone, 0)
     # cands are in arc_sort_key order with distinct keys, so index tuples
     # sort as the arc tuples would
     return [[cands[i] for i in c] for c in sorted(set(out)) if c]

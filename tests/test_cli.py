@@ -116,11 +116,16 @@ def test_regular_part_off_the_rational_points_is_a_named_domain_error(capsys):
 def test_domain_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "tau", "[0,1]", "--tube", "3")
     assert code == 1 and "error" in err
+    assert run_cli(capsys, "ext", "Q1", "P1^x") \
+        == (1, "", "error: cannot parse multiplicity in 'P1^x'\n")
     assert run_cli(capsys, "emit-quiver", "--rank", "3", "--max-len", "0") \
         == (1, "", "error: max_len must be at least 1\n")
     for bound in ("0", "-5000"):
         assert run_cli(capsys, "oracle-check", "--rank", "3", "--max-len",
                        bound) == (1, "", "error: max_len must be at least 1\n")
+    for argv in (["--max-len", "0"], ["--max-len", "-5", "--pruefer"]):
+        assert run_cli(capsys, "enumerate-rigid", "--rank", "3", *argv) \
+            == (1, "", "error: max_len must be at least 1\n")
     assert run_cli(capsys, "oracle-check", "--rank", "7", "--max-len", "16") \
         == (1, "", "error: oracle sweep of rank 7 to length 16 checks more "
             "than 12000 pairs\n")

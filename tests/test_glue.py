@@ -770,6 +770,19 @@ def test_free_lengths_match_an_extension_scan():
     assert cases == 2324
 
 
+def test_covered_residues_match_a_residue_set():
+    # seeded interval lists, with lengths of n or more and intervals that
+    # wrap past n - 1
+    rng = random.Random(3011)
+    for _ in range(3000):
+        n = rng.randrange(1, 10)
+        ivs = [(rng.randrange(n), rng.randrange(1, 2 * n + 2))
+               for _ in range(rng.randrange(0, 5))]
+        want = {(first + t) % n for first, length in ivs
+                for t in range(length)}
+        assert glue._covered(ivs, n) == len(want), (n, ivs)
+
+
 def _same_verdict(spec) -> bool:
     """The verdict, checked against the reference; an invalid datum must
     name a reason."""

@@ -414,6 +414,13 @@ def test_grammar_round_trip():
         parse_object("X7")
 
 
+def test_a_malformed_multiplicity_is_named_as_written():
+    for text, part in (("P1^x", "P1^x"), ("Q2 +  P1^ ", "P1^")):
+        with pytest.raises(ValueError) as err:
+            parse_object_sum(text)
+        assert str(err.value) == f"cannot parse multiplicity in {part!r}"
+
+
 def parses_to(parse, token, want):
     """parse(token) == want, or a ValueError when want is None."""
     if want is None:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from siltglue.tube import (Arc, TubeCtx, arc_sort_key, crossings,
                            enumerate_maximal_rigid, ext_dim_arcs,
-                           extension_middle, hom_dim_arcs, hom_simple_to,
+                           ext_pairs, extension_middle, hom_dim_arcs, hom_simple_to,
                            hom_to_simple, is_maximal_rigid, is_rigid,
                            normalize, parse_arc, quotient_arcs, render_arc,
                            rigid_candidates, socle, subobject_arcs, tau_arc,
@@ -468,6 +468,11 @@ def test_bron_kerbosch_matches_the_backtracking(n):
     ctx = TubeCtx(n)
     for max_len in sorted({1, n - 1, n, n + 1}):
         for pruefer in (False, True):
+            if max_len < 1:
+                with pytest.raises(ValueError,
+                                   match="max_len must be at least 1"):
+                    enumerate_maximal_rigid(ctx, max_len, pruefer)
+                continue
             assert (enumerate_maximal_rigid(ctx, max_len, pruefer)
                     == reference_enumerate_maximal_rigid(ctx, max_len,
                                                          pruefer))
@@ -508,6 +513,20 @@ def lift(a: Arc, k: int, n: int) -> Arc:
 def canonical_arcs(n: int, max_len: int) -> list:
     return [Arc(s, s + 1 + l) for s in range(n)
             for l in range(1, max_len + 1)] + [Arc(s, None) for s in range(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_ext_pairs_match_ext_dim_arcs(n):
+    # every ordered pair, self-pairs included, of the canonical arcs and
+    # again of lifts shifted by different turns
+    ctx = TubeCtx(n)
+    arcs = canonical_arcs(n, 2 * n + 1)
+    shifted = [lift(a, k, n)
+               for a, k in zip(arcs, itertools.cycle(range(-2, 3)))]
+    for coll in (arcs, shifted):
+        assert list(ext_pairs(coll, ctx)) == [
+            (i, j) for i, a in enumerate(coll) for j, b in enumerate(coll)
+            if ext_dim_arcs(a, b, ctx)]
 
 
 @pytest.mark.parametrize("n", range(1, 6))
