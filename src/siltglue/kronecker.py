@@ -224,20 +224,26 @@ def object_sum(pairs) -> ObjectSum:
 
 
 def parse_object_sum(text: str) -> ObjectSum:
+    """A sum of object tokens joined by +.  A multiplicity is ^ followed by
+    ASCII digits, with no sign, space or underscore, and is positive."""
     text = text.strip()
     if text == "0":
         return ()
     pairs = []
     for part in text.split("+"):
         part = part.strip()
-        token, mult = part, 1
-        if "^" in part:
-            token, p = part.rsplit("^", 1)
+        token, caret, digits = part.partition("^")
+        mult = 1
+        if caret:
             try:
-                mult = int(p)
+                if not (digits.isascii() and digits.isdigit()):
+                    raise ValueError
+                mult = int(digits)
             except ValueError:
                 raise ValueError(
                     f"cannot parse multiplicity in {part!r}") from None
+            if not mult:
+                raise ValueError("multiplicities must be positive")
         pairs.append((parse_object(token), mult))
     return object_sum(pairs)
 

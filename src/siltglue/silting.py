@@ -2,10 +2,10 @@
 
 Contains the membership tests cut out by a two-term complex (the surjective
 and bijective Hom conditions on modules), the surjectivity criterion for
-the attaching map of a glued object, projective presentations, the
-admissible gluing rows coming from universal localizations at
-preprojectives / preinjectives / simple regulars, and the classification
-list of silting modules.
+the attaching map of a glued object, projective presentations, the gluing
+along the recollement of each row (a universal localization at an
+exceptional module, named by the chain E_n, or at a simple regular), and
+the classification list of silting modules.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Iterator, Optional
 from .exactlin import Mat, block, echelon, rank, reduce_row, sylvester_rows
 from .frozen import frozen
 from .kronecker import (DimVector, ExplicitRep, KroneckerObject, LocalizedRing,
-                        Point, Preinjective, Preprojective, Pruefer, Regular,
+                        Preinjective, Preprojective, Pruefer, Regular,
                         decompose, explicit_rep, object_sum,
                         parse_object, parse_point, render_object,
                         render_object_sum)
@@ -115,8 +115,10 @@ class PreconditionError(ValueError):
 def _a1_failure(c: TwoTermComplex, d: TwoTermComplex) -> Optional[int]:
     """(A1) for c localized, d in the subcategory ((A2) holds for two-term
     complexes): the first k in (0, 1) with Hom(c, d[k]) nonzero, or None.
-    Two ranks, as Hom(c, d) = Hom(c, d[-1]) + Hom(c, d[1]) - chi for chi
-    the Euler characteristic of the Hom complex."""
+    On a row's generators, _a1_failure(right, left) tests
+    Hom(j_!E_R, i_*E_L[k]) = 0 for k = 0, 1.  Two ranks, as Hom(c, d) =
+    Hom(c, d[-1]) + Hom(c, d[1]) - chi for chi the Euler characteristic of
+    the Hom complex."""
     hom = morphism_space_dim
     chi = (hom(c.deg_0, d.deg_m1) - hom(c.deg_m1, d.deg_m1)
            - hom(c.deg_0, d.deg_0) + hom(c.deg_m1, d.deg_0))
@@ -210,12 +212,10 @@ def identify_summands(c: TwoTermComplex) -> tuple:
 
     The minimal model is a complex P1^a -> P2^d whose differential is a
     pair of scalar matrices, i.e. a Kronecker representation of dimension
-    (a, d); its decomposition transfers back summand by summand.  The
-    preprojective of index j corresponds to the presentation of the
-    preprojective module of index j+1, the preinjective of index j >= 2 to
-    the presentation of the preinjective of index j-1, the preinjective of
-    index 1 to the shifted projective P1[1], and the regular R((a:b), l)
-    to the presentation of R((b:-a), l).
+    (a, d); its decomposition transfers back summand by summand.  E_m of
+    the chain of exceptional modules corresponds to the presentation of
+    E_(m+1), or to the shifted projective P1[1] when m + 1 = 1, and the
+    regular R((a:b), l) to the presentation of R((b:-a), l).
     """
     m = minimize(c)
     parts: dict = {}
@@ -231,68 +231,60 @@ def identify_summands(c: TwoTermComplex) -> tuple:
     if a or d:
         aux = ExplicitRep(DimVector(a, d), m.diff.arr_a, m.diff.arr_b)
         for obj, mult in decompose(aux):
-            if isinstance(obj, Preprojective):
-                bump(ComplexSummand(Preprojective(obj.index + 1), None), mult)
-            elif isinstance(obj, Preinjective):
-                if obj.index == 1:
-                    bump(ComplexSummand(None, 1), mult)
-                else:
-                    bump(ComplexSummand(Preinjective(obj.index - 1), None), mult)
-            else:
-                assert isinstance(obj, Regular)
+            if isinstance(obj, Regular):
                 (x, y), n = obj.point, obj.length
                 bump(ComplexSummand(Regular((y, -x), n), None), mult)
+            elif (j := _position(obj) + 1) == 1:
+                bump(ComplexSummand(None, 1), mult)
+            else:
+                bump(ComplexSummand(_exceptional(j), None), mult)
     return tuple(sorted(parts.items(), key=lambda kv: _sort_token(kv[0])))
 
 
 # ---------------------------------------------------------------------------
-# gluing rows from the localization table
+# gluing rows: recollements at an exceptional module
 # ---------------------------------------------------------------------------
+#
+# The exceptional modules form one chain ..., Q2, Q1, P1, P2, ...: E_n is P_n
+# for n >= 1 and Q_(1-n) for n <= 0.  A compact row localizes at E_n = P_i or
+# Q_i.  D(A) is glued from the side generated by E_(n-1) and the side
+# generated by E_n (Geigle-Lenzing): row P_i is the exceptional pair
+# (E_(i-1), E_i) and row Q_i is (E_(-i), E_(1-i)).
 
 
 class GlueError(RuntimeError):
     pass
 
 
-@frozen
-class GlueRow:
-    """One admissible recollement row: localization at a compact
-    preprojective / preinjective, or at a simple regular (symbolic)."""
-
-    kind: str      # "P" | "Q" | "S"
-    index: int     # the localized P_i / Q_i; 0 for the regular row
-    point: Optional[Point] = None
+def _exceptional(n: int) -> KroneckerObject:
+    return Preprojective(n) if n >= 1 else Preinjective(1 - n)
 
 
-def parse_row(text: str) -> GlueRow:
+def _position(x: KroneckerObject) -> int:
+    """The n with E_n = x, for a preprojective or preinjective x."""
+    return x.index if isinstance(x, Preprojective) else 1 - x.index
+
+
+def _side_tokens(n: int) -> tuple:
+    """The silting generators of the side generated by E_n: E_n, and E_n[1]
+    when E_n is projective, the only case where the shift is two-term."""
+    name = f"P{n}" if n >= 1 else f"Q{1 - n}"
+    return (name, f"{name}[1]") if n in (1, 2) else (name,)
+
+
+def parse_row(text: str) -> KroneckerObject:
+    """The module a row localizes at: P_i or Q_i for a compact row, the
+    simple regular R(x, 1) for S(x)."""
     t = text.strip()
-    m = re.fullmatch(r"([PQ])(\d+)", t)
+    m = re.fullmatch(r"[PQ](\d+)", t)
     if m:
-        if int(m.group(2)) < 1:
+        if int(m.group(1)) < 1:
             raise ValueError(f"row index starts at 1: {text!r}")
-        return GlueRow(m.group(1), int(m.group(2)))
+        return parse_object(t)
     m = re.fullmatch(r"S\(([^()]*)\)", t)
     if m:
-        return GlueRow("S", 0, parse_point(m.group(1)))
+        return Regular(parse_point(m.group(1)), 1)
     raise ValueError(f"unknown localization row {text!r}")
-
-
-def _complex_token_table(row: GlueRow) -> tuple:
-    """Allowed (left, right) complex tokens for a compact row: the silting
-    generators of the two outer categories, including the degree shift of
-    a side whose generator is a projective stalk."""
-    if row.kind == "P":
-        i = row.index
-        if i == 1:
-            return (("Q1",), ("P1", "P1[1]"))
-        if i == 2:
-            return (("P1", "P1[1]"), ("P2", "P2[1]"))
-        left = (f"P{i-1}", "P2[1]") if i == 3 else (f"P{i-1}",)
-        return (left, (f"P{i}",))
-    if row.kind == "Q":
-        i = row.index
-        return ((f"Q{i+1}",), (f"Q{i}",))
-    raise ValueError("the regular row is handled symbolically")
 
 
 def _module_token(token: str) -> str:
@@ -346,14 +338,16 @@ def glue_kronecker(row, left, right) -> GlueOutcomeKronecker:
     the result is the universal extension of right by left-copies plus the
     embedded left object, normalized additively.
 
-    Inputs may be row ids / tokens (strings) or parsed values.  Pairs
-    outside the admissible table raise naming the failed hypothesis.
+    Inputs may be row ids / tokens (strings) or parsed values.  A side
+    admits the silting generators of its exceptional module; other inputs
+    raise naming the failed hypothesis.
     """
     if isinstance(row, str):
         row = parse_row(row)
-    if row.kind == "S":
+    if isinstance(row, Regular):
         return _glue_regular_row(row, left, right)
-    lefts, rights = _complex_token_table(row)
+    n = _position(row)
+    lefts, rights = _side_tokens(n - 1), _side_tokens(n)
 
     def resolve(arg, allowed, side) -> int:
         """Position in allowed of the token arg names or is equivalent to."""
@@ -362,7 +356,7 @@ def glue_kronecker(row, left, right) -> GlueOutcomeKronecker:
             if name not in allowed:
                 raise GlueError(
                     f"object {arg!r} is not a silting complex of the {side} "
-                    f"for row {row.kind}{row.index}; admissible: "
+                    f"for row {render_object(row)}; admissible: "
                     f"{', '.join(allowed)}")
             return allowed.index(name)
         summands = identify_summands(
@@ -372,26 +366,24 @@ def glue_kronecker(row, left, right) -> GlueOutcomeKronecker:
                 return pos
         raise GlueError(
             f"the given complex is not equivalent to a silting complex of "
-            f"the {side} for row {row.kind}{row.index}; admissible: "
+            f"the {side} for row {render_object(row)}; admissible: "
             f"{', '.join(allowed)}")
 
     at_left = resolve(left, lefts, "subcategory side")
     at_right = resolve(right, rights, "localized side")
-    # tau is a derived autoequivalence taking row P_i to P_(i-2) and row Q_i
-    # to Q_(i+2): glue on the base row (P4 or P5, Q1 or Q2, of the same
-    # parity; rows P1-P3 are their own) and raise the summand indices
-    i = row.index
-    base = 2 - i % 2 if row.kind == "Q" else i if i <= 3 else 4 + i % 2
-    base_lefts, base_rights = _complex_token_table(GlueRow(row.kind, base))
-    left = complex_from_token(base_lefts[at_left])
-    right = complex_from_token(base_rights[at_right])
+    # tau is a derived autoequivalence taking E_n to E_(n-2): glue on the
+    # base row (P4 or P5, Q1 or Q2, of the same parity; rows P1-P3 are their
+    # own) and move every summand along the chain by the gap
+    base = n if 1 <= n <= 3 else 4 + n % 2 if n > 3 else -(n % 2)
+    left = complex_from_token(_side_tokens(base - 1)[at_left])
+    right = complex_from_token(_side_tokens(base)[at_right])
     if _a1_failure(right, left) is not None:
         raise GlueError("(A1) fails: the localized side maps to the "
                         "subcategory side in degrees 0 or 1")
     summands = [s for s, _ in _glue_base(left, right)]
-    if i > base:  # the base rows P4, P5, Q1, Q2 glue to module presentations
-        summands = [ComplexSummand(type(s.h0)(s.h0.index + i - base), None)
-                    for s in summands]
+    if n != base:  # the base rows P4, P5, Q1, Q2 glue to module presentations
+        summands = [ComplexSummand(_exceptional(_position(s.h0) + n - base),
+                                   None) for s in summands]
     dedup = tuple(sorted(((s, 1) for s in summands),
                          key=lambda kv: _sort_token(kv[0])))
     modsum = object_sum((s.h0, 1) for s, _ in dedup if s.h0 is not None)
@@ -407,7 +399,7 @@ def _glue_base(left: TwoTermComplex, right: TwoTermComplex) -> tuple:
                                          left]))
 
 
-def _glue_regular_row(row: GlueRow, left, right) -> GlueOutcomeKronecker:
+def _glue_regular_row(row: Regular, left, right) -> GlueOutcomeKronecker:
     """Localization at a simple regular: symbolic.  The subcategory side
     carries the tilting modules of the localized (polynomial-type) ring,
     parametrized by finite point sets; the extension space against the

@@ -116,8 +116,11 @@ def test_regular_part_off_the_rational_points_is_a_named_domain_error(capsys):
 def test_domain_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "tau", "[0,1]", "--tube", "3")
     assert code == 1 and "error" in err
-    assert run_cli(capsys, "ext", "Q1", "P1^x") \
-        == (1, "", "error: cannot parse multiplicity in 'P1^x'\n")
+    for arg in ("P1^x", "P1^1_0", "P1^ 2", "P1^\u0663", "P1^2^3"):
+        assert run_cli(capsys, "ext", "Q1", arg) \
+            == (1, "", f"error: cannot parse multiplicity in {arg!r}\n")
+    assert run_cli(capsys, "ext", "Q1", "P1^0") \
+        == (1, "", "error: multiplicities must be positive\n")
     assert run_cli(capsys, "emit-quiver", "--rank", "3", "--max-len", "0") \
         == (1, "", "error: max_len must be at least 1\n")
     for bound in ("0", "-5000"):

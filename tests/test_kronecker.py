@@ -415,10 +415,19 @@ def test_grammar_round_trip():
 
 
 def test_a_malformed_multiplicity_is_named_as_written():
-    for text, part in (("P1^x", "P1^x"), ("Q2 +  P1^ ", "P1^")):
+    # a multiplicity is ASCII digits only: no underscore, space, sign,
+    # other script's digit or second caret
+    for text, part in (("P1^x", "P1^x"), ("Q2 +  P1^ ", "P1^"),
+                       ("P1^1_0", "P1^1_0"), ("P1^ 2", "P1^ 2"),
+                       ("P1^\u0663", "P1^\u0663"), ("P1^-1", "P1^-1"),
+                       ("P1^2^3", "P1^2^3")):
         with pytest.raises(ValueError) as err:
             parse_object_sum(text)
         assert str(err.value) == f"cannot parse multiplicity in {part!r}"
+    for text in ("P1^0", "Q2 + P1^00"):
+        with pytest.raises(ValueError, match="^multiplicities must be positive$"):
+            parse_object_sum(text)
+    assert parse_object_sum("P1^007") == parse_object_sum("P1^7")
 
 
 def parses_to(parse, token, want):

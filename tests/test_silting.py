@@ -16,10 +16,12 @@ from siltglue.complexes import (ProjMorphism, ProjSum, TwoTermComplex,
 from siltglue.exactlin import Mat, block
 from siltglue.kronecker import (DimVector, ExplicitRep, Preinjective,
                                 Preprojective, Pruefer, Regular, explicit_rep,
-                                object_sum, render_object_sum)
+                                ext_dim_objects, hom_dim_objects, object_sum,
+                                render_object_sum)
 from siltglue.silting import (GlueError, GlueOutcomeKronecker,
-                              PreconditionError, _complex_token_table,
-                              classify_silting, cocone_of_attachment,
+                              PreconditionError, _a1_failure, _exceptional,
+                              _position, _side_tokens, classify_silting,
+                              cocone_of_attachment,
                               complex_from_token, glue_kronecker, in_d_class,
                               in_positive_perp, in_y_class, identify_summands,
                               parse_row, phi_surjective,
@@ -391,9 +393,10 @@ def test_regular_row_subcategory_token_grammar(token, want):
 
 
 def test_parse_row():
-    assert parse_row("P3").kind == "P"
-    assert parse_row("Q2").index == 2
-    assert parse_row("S(1:0)").point == (1, 0)
+    assert parse_row("P3") == P(3)
+    assert parse_row(" P007 ") == P(7)
+    assert parse_row("Q2") == Q(2)
+    assert parse_row("S(1:0)") == R((1, 0), 1)
     with pytest.raises(ValueError):
         parse_row("Z9")
     for text in ("P0", "Q0", "Q00"):
@@ -448,6 +451,64 @@ def test_glue_accepts_equivalent_literals_and_raw_complexes():
         glue_kronecker("P1", "[P1^2 -> P2 | (1,0); (2,0)]", "P1")
 
 
+# -- each compact row is the recollement of an exceptional pair -------------
+
+
+def reference_token_table(row: str) -> tuple:
+    """The admissible (left, right) tokens of a compact row, written out by
+    hand: the silting generators of the two outer categories, including the
+    degree shift of a side whose generator is a projective stalk."""
+    kind, i = row[0], int(row[1:])
+    if kind == "P":
+        if i == 1:
+            return (("Q1",), ("P1", "P1[1]"))
+        if i == 2:
+            return (("P1", "P1[1]"), ("P2", "P2[1]"))
+        left = (f"P{i-1}", "P2[1]") if i == 3 else (f"P{i-1}",)
+        return (left, (f"P{i}",))
+    return ((f"Q{i+1}",), (f"Q{i}",))
+
+
+def _rows(bound):
+    return [f"{kind}{i}" for kind in "PQ" for i in range(1, bound + 1)]
+
+
+def _pair(row):
+    """The exceptional pair (E_L, E_R) a compact row is generated by."""
+    n = _position(parse_row(row))
+    return _exceptional(n - 1), _exceptional(n)
+
+
+def test_derived_tokens_equal_the_hand_written_table():
+    for row in _rows(40):
+        n = _position(parse_row(row))
+        assert (_side_tokens(n - 1), _side_tokens(n)) == \
+            reference_token_table(row), row
+
+
+def test_each_row_is_an_exceptional_pair_with_e_l_the_perpendicular():
+    points = [(1, 0), (0, 1), (1, 1)]
+    for row in _rows(40):
+        left, right = _pair(row)
+        assert right == parse_row(row)
+        for e in (left, right):
+            assert (hom_dim_objects(e, e), ext_dim_objects(e, e)) == (1, 0)
+        i = int(row[1:])
+        candidates = ([P(j) for j in range(1, i + 3)]
+                      + [Q(j) for j in range(1, i + 3)]
+                      + [R(x, 1) for x in points])
+        perp = [x for x in candidates
+                if hom_dim_objects(right, x) == 0 == ext_dim_objects(right, x)]
+        assert perp == [left], row
+
+
+def test_a1_holds_on_the_generator_pair_of_every_row():
+    for row in _rows(12):
+        left, right = _pair(row)
+        assert _a1_failure(presentation_of_object(right),
+                           presentation_of_object(left)) is None, row
+
+
 # -- every compact row glues on its base row --------------------------------
 
 
@@ -464,7 +525,7 @@ def reference_glue(row, left, right) -> GlueOutcomeKronecker:
 
 def _admissible_pairs():
     for row in [f"P{i}" for i in range(1, 15)] + [f"Q{i}" for i in range(1, 13)]:
-        lefts, rights = _complex_token_table(parse_row(row))
+        lefts, rights = reference_token_table(row)
         for left in lefts:
             for right in rights:
                 lc, rc = complex_from_token(left), complex_from_token(right)
@@ -492,7 +553,7 @@ def test_warm_gluings_equal_cold_ones():
     cases = [(row, left, right)
              for row in [f"P{i}" for i in range(1, 13)]
              + [f"Q{i}" for i in range(1, 13)]
-             for lefts, rights in [_complex_token_table(parse_row(row))]
+             for lefts, rights in [reference_token_table(row)]
              for left in lefts for right in rights]
     for case in cases:
         glue_kronecker(*case)
@@ -553,7 +614,7 @@ def _printed(token: str) -> str:
 def test_every_printed_token_reads_back_as_input():
     printed = set()
     for row in BASE_ROWS:
-        lefts, rights = _complex_token_table(parse_row(row))
+        lefts, rights = reference_token_table(row)
         for left in lefts:
             for right in rights:
                 printed.update(glue_kronecker(row, left, right).complex_tokens)
@@ -581,7 +642,7 @@ def _contractible():
 
 @pytest.mark.parametrize("row", ["P6", "P7", "Q3", "Q4"])
 def test_raw_complexes_glue_as_their_token(row):
-    [left], [right] = _complex_token_table(parse_row(row))
+    [left], [right] = reference_token_table(row)
     want = glue_kronecker(row, left, right)
     fat_left = direct_sum([complex_from_token(left), _contractible()])
     fat_right = direct_sum([_contractible(), complex_from_token(right)])
