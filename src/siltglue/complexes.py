@@ -405,7 +405,7 @@ def _parse_proj_sum(text: str) -> ProjSum:
         return ProjSum(0, 0)
     mult = {"1": 0, "2": 0}
     for part in t.split("+"):
-        m = re.fullmatch(r"\s*P([12])(?:\^(\d+))?\s*", part)
+        m = re.fullmatch(r"\s*P([12])(?:\^([0-9]+))?\s*", part)
         if not m:
             raise ValueError(f"cannot parse projective sum {text!r}")
         mult[m[1]] += int(m[2] or 1)
@@ -414,8 +414,8 @@ def _parse_proj_sum(text: str) -> ProjSum:
 
 # one literal entry, an arrow pair (a,b) or a rational, with space or the
 # row's ends on both sides
-_ENTRY = re.compile(r"(?<!\S)(?:\(\s*(-?\d+(?:/\d+)?)\s*,\s*(-?\d+(?:/\d+)?)"
-                    r"\s*\)|(-?\d+(?:/\d+)?))(?!\S)")
+_Q = r"(-?[0-9]+(?:/[0-9]+)?)"
+_ENTRY = re.compile(rf"(?<!\S)(?:\(\s*{_Q}\s*,\s*{_Q}\s*\)|{_Q})(?!\S)")
 
 
 def parse_complex_literal(text: str) -> TwoTermComplex:

@@ -21,7 +21,7 @@ import re
 from typing import Optional
 
 from .frozen import frozen
-from .tube import Arc, TubeCtx, normalize, parse_arc, tau_arc
+from .tube import Arc, normalize, parse_arc, tau_arc, tube_ctx
 
 
 @frozen
@@ -34,15 +34,15 @@ class ExpansionSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("an expansion needs rank at least 2")
-        big = TubeCtx(self.n)
+        big = tube_ctx(self.n)
         lam = normalize(self.lambda_arc, big)
         if lam.length() != 1:
             raise ValueError("the chosen arc must be a simple (length 1)")
         object.__setattr__(self, "lambda_arc", lam)
-        # the contexts of the big and the reduced tube, built once; they are
+        # the shared contexts of the big and the reduced tube; they are
         # attributes, not fields, so equality and hashing ignore them
         object.__setattr__(self, "big", big)
-        object.__setattr__(self, "reduced", TubeCtx(self.n - 1))
+        object.__setattr__(self, "reduced", tube_ctx(self.n - 1))
 
     @property
     def rho_arc(self) -> Arc:
@@ -50,52 +50,67 @@ class ExpansionSpec:
 
 
 def parse_expansion_spec(text: str) -> ExpansionSpec:
-    m = re.fullmatch(r"expand\s+rank=(\d+)\s+lambda=(\S+)", text.strip())
+    m = re.fullmatch(r"expand\s+rank=([0-9]+)\s+lambda=(\S+)", text.strip())
     if not m:
         raise ValueError("expected 'expand rank=N lambda=[i,j]'")
     return ExpansionSpec(int(m.group(1)), parse_arc(m.group(2)))
 
 
-def push_forward(spec: ExpansionSpec, a: Arc) -> Arc:
-    """Image of a reduced-tube arc under the exact inclusion.  Reduced
-    factor t starts on big factor t - (l - t) // (n-1) and ends on
+def push_arcs(spec: ExpansionSpec, arcs) -> list:
+    """Images of reduced-tube arcs under the exact inclusion, in order.
+    Reduced factor t starts on big factor t - (l - t) // (n-1) and ends on
     t + (t - l) // (n-1) + 1: each pass over the merged simple, at reduced
     index l mod n-1, adds one factor."""
-    l, m = spec.lambda_arc.start, spec.n - 1
-    end = None if a.end is None else a.end + 1 + (a.end - 1 - l) // m
-    return normalize(Arc(a.start - (l - 1 - a.start) // m, end), spec.big)
+    l, m, n = spec.lambda_arc.start, spec.n - 1, spec.n
+    out = []
+    for a in arcs:
+        s = a.start - (l - 1 - a.start) // m
+        c = s % n  # the canonical start, as normalize takes it
+        out.append(Arc(c, None if a.end is None
+                       else a.end + 1 + (a.end - 1 - l) // m + c - s))
+    return out
 
 
-def _reduce(spec: ExpansionSpec, a: Arc, killed: int) -> Optional[Arc]:
-    """Delete the factors of a congruent to killed.  As n >= 2, the first
-    surviving factor is the first factor or the next one, and the last is
-    the last factor or the one before; they cross only when a is the
-    killed simple, so the cost does not depend on the length of a.  A
-    surviving big factor b lands on reduced factor b + (l - b) // n, for
-    both adjoints: of the merged pair at l and l+1 mod n, the survivor
-    lands on the merged simple at l."""
+def reduce_arcs(spec: ExpansionSpec, arcs, side: str) -> list:
+    """Left (side "left") or right adjoint of each arc, in order, None for
+    an arc that dies: delete the factors at the chosen simple or at its
+    translate.  As n >= 2, the first surviving factor is the first factor
+    or the next one, and the last is the last factor or the one before;
+    they cross only when the arc is the killed simple, so the cost does not
+    depend on its length.  A surviving big factor b lands on reduced factor
+    b + (l - b) // n, for both adjoints: of the merged pair at l and l+1
+    mod n, the survivor lands on the merged simple at l."""
     n, l = spec.n, spec.lambda_arc.start
-    s = a.start + 1
-    if (s - killed) % n == 0:
-        s += 1
-    start = s - 1 + (l - s) // n
-    if a.end is None:
-        return normalize(Arc(start, None), spec.reduced)
-    e = a.end - 1
-    if (e - killed) % n == 0:
-        e -= 1
-    if s > e:
-        return None
-    return normalize(Arc(start, e + 1 + (l - e) // n), spec.reduced)
+    killed = l + 1 if side == "left" else l
+    out = []
+    for a in arcs:
+        s = a.start + 1
+        if (s - killed) % n == 0:
+            s += 1
+        start = s - 1 + (l - s) // n
+        c = start % (n - 1)  # the canonical start, as normalize takes it
+        if a.end is None:
+            out.append(Arc(c, None))
+            continue
+        e = a.end - 1
+        if (e - killed) % n == 0:
+            e -= 1
+        out.append(None if s > e else Arc(c, e + 1 + (l - e) // n + c - start))
+    return out
+
+
+def push_forward(spec: ExpansionSpec, a: Arc) -> Arc:
+    """Image of a reduced-tube arc under the exact inclusion."""
+    return push_arcs(spec, (a,))[0]
 
 
 def reduce_left(spec: ExpansionSpec, a: Arc) -> Optional[Arc]:
     """Left adjoint on arcs: delete the factors at the chosen simple; the
     arc of the chosen simple itself dies."""
-    return _reduce(spec, a, spec.lambda_arc.start + 1)
+    return reduce_arcs(spec, (a,), "left")[0]
 
 
 def reduce_right(spec: ExpansionSpec, a: Arc) -> Optional[Arc]:
     """Right adjoint on arcs: delete the factors at the translate of the
     chosen simple."""
-    return _reduce(spec, a, spec.lambda_arc.start)
+    return reduce_arcs(spec, (a,), "right")[0]

@@ -18,11 +18,11 @@ from typing import Dict, Optional, Tuple
 
 import re
 
-from .expansion import ExpansionSpec, push_forward, reduce_left, reduce_right
+from .expansion import ExpansionSpec, push_arcs, reduce_arcs
 from .frozen import frozen
 from .tube import (Arc, TubeCtx, arc_sort_key, ext_dim_arcs, ext_pairs,
-                   hom_simple_to, hom_to_simple, normalize, parse_arc,
-                   render_arc, tau_arc, tau_arc_inverse)
+                   hom_to_simple, normalize, parse_arc, render_arc, socle_top,
+                   tau_arc, tau_arc_inverse, tube_ctx)
 
 
 class GlueCaseError(RuntimeError):
@@ -43,7 +43,7 @@ class TubeData:
     arcs: frozenset
 
     def __post_init__(self):
-        ctx = TubeCtx(self.rank)
+        ctx = tube_ctx(self.rank)
         object.__setattr__(self, "ctx", ctx)
         # pushed, reduced and enumerated arcs come canonical: keep them
         if type(self.arcs) is not frozenset or not all(
@@ -53,9 +53,6 @@ class TubeData:
 
     def sorted_arcs(self) -> list:
         return sorted(self.arcs, key=arc_sort_key)
-
-    def finite_arcs(self) -> list:
-        return [a for a in self.sorted_arcs() if a.end is not None]
 
 
 @frozen
@@ -101,7 +98,7 @@ def parse_spec(text: str) -> TiltingSpec:
     for part in m.group(1).split(","):
         if not part.strip():
             continue
-        e = re.fullmatch(r"\s*(\S+?)\s*:\s*(-?\d+)\s*", part)
+        e = re.fullmatch(r"\s*(\S+?)\s*:\s*(-?[0-9]+)\s*", part)
         if not e:
             raise ValueError(
                 f"header entry must be 'id:rank', got {part.strip()!r}")
@@ -276,18 +273,20 @@ def _the_summand(found: list, count: int, in_v: bool, where: str) -> Arc:
 
 
 def _push(espec: ExpansionSpec, spec: TiltingSpec, point: Optional[str]):
-    """The resolved point, the datum pushed forward at it, the pushed tube,
-    and whether the point is divisible."""
+    """The resolved point, its pushed-forward arcs, and whether it is in V."""
     point = _resolve_point(spec, point)
-    pushed_spec = _push_spec(espec, spec, point)
-    return point, pushed_spec, pushed_spec.tube(point), point in spec.divisible
+    td = spec.tube(point)
+    if td.rank != espec.n - 1:
+        raise ValueError(
+            f"tube at {point!r} has rank {td.rank}, expected {espec.n - 1}")
+    return point, frozenset(push_arcs(espec, td.arcs)), point in spec.divisible
 
 
-def _adjoin(pushed_spec: TiltingSpec, point: str, td: TubeData, new: Arc,
+def _adjoin(spec: TiltingSpec, point: str, pushed: frozenset, new: Arc,
             ctx: TubeCtx) -> Tuple[GlueOutcome, Arc, TiltingSpec]:
-    """The gluing result that adjoins the summand new to the pushed tube."""
+    """The gluing result that adjoins the summand new to the pushed arcs."""
     new = normalize(new, ctx)
-    out = pushed_spec.with_tube(point, TubeData(ctx.n, td.arcs | {new}))
+    out = spec.with_tube(point, TubeData(ctx.n, pushed | {new}))
     return (GlueOutcome.NEW_SUMMAND, new, out)
 
 
@@ -306,12 +305,12 @@ def glue_left(espec: ExpansionSpec, spec: TiltingSpec,
     lengths come from _free_lengths, so the cost does not depend on the
     rank.
     """
-    point, pushed_spec, td, in_v = _push(espec, spec, point)
+    point, pushed, in_v = _push(espec, spec, point)
     s, n = espec.lambda_arc.start, espec.n
     lengths, count = _tally(_free_lengths(
-        s, [(b.start, b.end) for b in td.arcs], n, n if in_v else n - 1))
+        s, [(b.start, b.end) for b in pushed], n, n if in_v else n - 1))
     found = [Arc(s, s + 1 + l if l < n else None) for l in lengths]
-    return _adjoin(pushed_spec, point, td,
+    return _adjoin(spec, point, pushed,
                    _the_summand(found, count, in_v, "socle"), espec.big)
 
 
@@ -329,12 +328,13 @@ def glue_right(espec: ExpansionSpec, spec: TiltingSpec,
     does not, the outcome is undetermined and the input is returned
     untouched.
     """
-    point, pushed_spec, td, in_v = _push(espec, spec, point)
+    point, pushed, in_v = _push(espec, spec, point)
     if not in_v:
-        case = _right_case(espec, td.finite_arcs())
+        case = _right_case(espec, pushed)
         if not case["rho_in_wing"]:
             if case["tau_rho_perp"]:
-                return (GlueOutcome.TORSION_UNCHANGED, None, pushed_spec)
+                return (GlueOutcome.TORSION_UNCHANGED, None, spec.with_tube(
+                    point, TubeData(espec.n, pushed)))
             if case["tau_rho_in_wing"]:
                 return (GlueOutcome.UNDETERMINED, None, spec)
             raise GlueCaseError("right gluing configuration matched no case")
@@ -344,9 +344,9 @@ def glue_right(espec: ExpansionSpec, spec: TiltingSpec,
     e = espec.rho_arc.start + 2
     lengths, count = _tally(_free_lengths(
         -e, [(None if b.end is None else -b.end, -b.start)
-             for b in td.arcs], espec.n, espec.n - 1))
+             for b in pushed], espec.n, espec.n - 1))
     found = [Arc(e - 1 - l, e) for l in lengths]
-    return _adjoin(pushed_spec, point, td,
+    return _adjoin(spec, point, pushed,
                    _the_summand(found, count, in_v, "top"), espec.big)
 
 
@@ -356,13 +356,13 @@ def right_case_predicates(espec: ExpansionSpec, spec: TiltingSpec,
     point, on the pushed branch: membership of the distinguished simple in
     the wing, orthogonality of its translate, membership of the translate.
     Used to check that the case split is a partition."""
-    _, _, td, _ = _push(espec, spec, point)
-    return _right_case(espec, td.finite_arcs())
+    return _right_case(espec, _push(espec, spec, point)[1])
 
 
-def _right_case(espec: ExpansionSpec, branch: list) -> dict:
-    """The predicates of right_case_predicates on a pushed branch."""
+def _right_case(espec: ExpansionSpec, pushed) -> dict:
+    """The predicates of right_case_predicates on the pushed arcs."""
     ctx = espec.big
+    branch = [a for a in pushed if a.end is not None]
     wing = [_residues(a, ctx.n) for a in branch]
     rho_res = espec.rho_arc.start + 1
     tau_rho = tau_arc(espec.rho_arc, ctx)
@@ -374,15 +374,6 @@ def _right_case(espec: ExpansionSpec, branch: list) -> dict:
         "tau_rho_in_wing": any(_within(rho_res - 1, iv, ctx.n)
                                for iv in wing),
     }
-
-
-def _push_spec(espec: ExpansionSpec, spec: TiltingSpec, point: str) -> TiltingSpec:
-    td = spec.tube(point)
-    if td.rank != espec.n - 1:
-        raise ValueError(
-            f"tube at {point!r} has rank {td.rank}, expected {espec.n - 1}")
-    pushed = frozenset(push_forward(espec, a) for a in td.arcs)
-    return spec.with_tube(point, TubeData(espec.n, pushed))
 
 
 # ---------------------------------------------------------------------------
@@ -409,28 +400,26 @@ def choose_seed(spec: TiltingSpec, point: str) -> Seed:
     td = spec.tube(point)
     if td.rank < 2:
         raise ValueError("no expansion exists for a tube of rank 1")
-    ctx = td.ctx
-    arcs = td.sorted_arcs()
-    branch = [a for a in arcs if a.end is not None]
-    if not arcs:
+    socles, tops, s1 = [], [], None  # s1: the simple of least start
+    for a in td.arcs:
+        socle, top = socle_top(a, td.rank)
+        socles.append(socle)
+        if top is not None:
+            tops.append(top)
+            if a.end == a.start + 2 and (s1 is None or a.start < s1.start):
+                s1 = a
+    if not socles:
         side, lam = "right", Arc(0, 2)
-    elif branch:
-        simples = [a for a in branch if a.length() == 1]
-        if not simples:
-            raise GlueCaseError("branch part without a simple summand")
-        s1 = simples[0]
-        others = [a for a in arcs if a != s1]
-        maps_onto = any(b.end is not None and hom_to_simple(b, s1, ctx) == 1
-                        for b in others)
-        maps_from = any(hom_simple_to(s1, b, ctx) == 1 for b in others)
-        if maps_onto and maps_from:
-            raise GlueCaseError("rigid collection maps both ways onto a simple")
-        if maps_from:
-            side, lam = "right", tau_arc_inverse(s1, ctx)
-        else:
-            side, lam = "left", s1
-    else:
+    elif not tops:
         side, lam = "left", Arc(0, 2)
+    elif s1 is None:
+        raise GlueCaseError("branch part without a simple summand")
+    else:  # s1 is its own socle and top: a count past 1 is another arc
+        maps_from = socles.count(s1.start) > 1
+        if maps_from and tops.count(s1.start) > 1:
+            raise GlueCaseError("rigid collection maps both ways onto a simple")
+        side, lam = (("right", tau_arc_inverse(s1, td.ctx)) if maps_from
+                     else ("left", s1))
     espec = ExpansionSpec(td.rank, lam)
     return Seed(side, espec, reduce_spec(spec, point, espec, side))
 
@@ -440,10 +429,8 @@ def reduce_spec(spec: TiltingSpec, point: str, espec: ExpansionSpec,
     """The datum with its tube at point reduced along espec by the left
     (side "left") or right adjoint of the expansion, one rank down."""
     td = spec.tube(point)
-    reducer = reduce_left if side == "left" else reduce_right
-    reduced = (reducer(espec, a) for a in td.arcs)
-    return spec.with_tube(point, TubeData(
-        td.rank - 1, frozenset(r for r in reduced if r is not None)))
+    reduced = frozenset(reduce_arcs(espec, td.arcs, side)) - {None}
+    return spec.with_tube(point, TubeData(td.rank - 1, reduced))
 
 
 def round_trip(spec: TiltingSpec, point: str) -> bool:
@@ -471,7 +458,7 @@ def enumerate_single_tube_specs(rank: int) -> list:
     everything found is cross-checked against the validity test.
     """
     from .tube import enumerate_maximal_rigid
-    ctx = TubeCtx(rank)
+    ctx = tube_ctx(rank)
     out = []
     for coll in enumerate_maximal_rigid(ctx, max_len=max(rank - 1, 1),
                                         include_infinite=True):

@@ -176,7 +176,7 @@ def render_object(x: KroneckerObject) -> str:
     raise TypeError(f"unknown object {x!r}")
 
 
-_POINT_RE = r"(\()?(-?\d+)\s*:\s*(-?\d+)(?(1)\))"
+_POINT_RE = r"(\()?(-?[0-9]+)\s*:\s*(-?[0-9]+)(?(1)\))"
 
 
 def parse_point(text: str) -> Point:
@@ -194,13 +194,13 @@ def parse_object(token: str) -> KroneckerObject:
         return Lukas()
     if t == "Generic":
         return Generic()
-    m = re.fullmatch(r"P(\d+)", t)
+    m = re.fullmatch(r"P([0-9]+)", t)
     if m:
         return Preprojective(int(m.group(1)))
-    m = re.fullmatch(r"Q(\d+)", t)
+    m = re.fullmatch(r"Q([0-9]+)", t)
     if m:
         return Preinjective(int(m.group(1)))
-    m = re.fullmatch(r"R\(([^(),]*),\s*(\d+)\s*\)", t)
+    m = re.fullmatch(r"R\(([^(),]*),\s*([0-9]+)\s*\)", t)
     if m:
         return Regular(parse_point(m.group(1)), int(m.group(2)))
     m = re.fullmatch(r"Pruefer\(([^()]*)\)", t)

@@ -276,7 +276,7 @@ def parse_row(text: str) -> KroneckerObject:
     """The module a row localizes at: P_i or Q_i for a compact row, the
     simple regular R(x, 1) for S(x)."""
     t = text.strip()
-    m = re.fullmatch(r"[PQ](\d+)", t)
+    m = re.fullmatch(r"[PQ]([0-9]+)", t)
     if m:
         if int(m.group(1)) < 1:
             raise ValueError(f"row index starts at 1: {text!r}")

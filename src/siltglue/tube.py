@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .frozen import frozen
@@ -52,6 +53,12 @@ class TubeCtx:
             raise ValueError("tube rank must be at least 1")
 
 
+@lru_cache(maxsize=64)
+def tube_ctx(n: int) -> TubeCtx:
+    """The one TubeCtx of rank n; ranks are user input, so few are kept."""
+    return TubeCtx(n)
+
+
 def arc_sort_key(a: Arc):
     return (a.start, 1, 0) if a.end is None else (a.start, 0, a.end)
 
@@ -68,10 +75,10 @@ def normalize(a: Arc, ctx: TubeCtx) -> Arc:
 
 def parse_arc(text: str) -> Arc:
     t = text.strip()
-    m = re.fullmatch(r"\[\s*(-?\d+)\s*,\s*(?:inf\)|inf\]|oo\))", t)
+    m = re.fullmatch(r"\[\s*(-?[0-9]+)\s*,\s*(?:inf\)|inf\]|oo\))", t)
     if m:
         return Arc(int(m.group(1)), None)
-    m = re.fullmatch(r"\[\s*(-?\d+)\s*,\s*(-?\d+)\s*\]", t)
+    m = re.fullmatch(r"\[\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*\]", t)
     if m:
         return Arc(int(m.group(1)), int(m.group(2)))
     raise ValueError(f"cannot parse arc {text!r}")
@@ -158,23 +165,26 @@ def hom_dim_arcs(a: Arc, b: Arc, ctx: TubeCtx) -> int:
     return ext_dim_arcs(tau_arc_inverse(b, ctx), a, ctx)
 
 
+def socle_top(a: Arc, n: int) -> tuple:
+    """The starts mod n of the socle and top simples of a (a Pruefer: None)."""
+    return a.start % n, None if a.end is None else (a.end - 2) % n
+
+
 def hom_simple_to(simple: Arc, b: Arc, ctx: TubeCtx) -> int:
     """dim Hom from a simple: 1 when b has the same socle, else 0 (the
     image of a nonzero map from a simple is the socle).  Valid for finite
     and infinite b."""
-    if simple.length() != 1:
+    if simple.end != simple.start + 2:
         raise ValueError("first argument must be a simple arc")
-    return 1 if b.start % ctx.n == simple.start % ctx.n else 0
+    return 1 if socle_top(b, ctx.n)[0] == simple.start % ctx.n else 0
 
 
 def hom_to_simple(a: Arc, simple: Arc, ctx: TubeCtx) -> int:
     """dim Hom into a simple: 1 when a is finite with the same top, else 0
     (Pruefer objects admit no nonzero map to a finite object)."""
-    if simple.length() != 1:
+    if simple.end != simple.start + 2:
         raise ValueError("second argument must be a simple arc")
-    if a.is_infinite():
-        return 0
-    return 1 if (a.end - 2) % ctx.n == simple.start % ctx.n else 0
+    return 1 if socle_top(a, ctx.n)[1] == simple.start % ctx.n else 0
 
 
 # ---------------------------------------------------------------------------

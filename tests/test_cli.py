@@ -134,6 +134,26 @@ def test_domain_error_exit_code(capsys):
             "than 12000 pairs\n")
 
 
+# a digit outside 0-9 (here Arabic-Indic three, two and zero) is not a digit
+# of any token
+@pytest.mark.parametrize("argv, error", [
+    (["ext", "--tube", "3", "[0,\u0662]", "[1,4]"],
+     "cannot parse arc '[0,\u0662]'"),
+    (["ext", "Q1", "P\u0663"], "cannot parse object 'P\u0663'"),
+    (["ext", "Q1", "R(1:0,\u0663)"], "cannot parse object 'R(1:0,\u0663)'"),
+    (["hom", "R(1:\u0660,1)", "R(1:0,2)"], "cannot parse point '1:\u0660'"),
+    (["glue-kronecker", "--row", "P\u0663", "--left", "P2", "--right", "P3"],
+     "unknown localization row 'P\u0663'"),
+    (["glue-kronecker", "--row", "P2", "--left", "[P1^\u0663 -> 0]",
+      "--right", "P2"], "cannot parse projective sum 'P1^\u0663 '"),
+    (["glue-kronecker", "--row", "P4", "--left",
+      "[P1^2+P2 -> P1+P2^3 | \u0663 (1,0) (0,1) (5,7); 0 (2,0) (0,2) (1,1); "
+      "0 0 0 1]", "--right", "P4"], "row 0: stray text '\u0663'"),
+], ids=["arc", "object", "regular", "point", "row", "power", "entry"])
+def test_only_ascii_digits_are_read(capsys, argv, error):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {error}\n")
+
+
 def test_error_text_names_the_arc_as_written(capsys):
     # an arc is checked as it is parsed, so it is named before the Hom rule
     # for Pruefer arcs
@@ -394,6 +414,8 @@ def test_spec_verbs_resolve_the_point_of_a_single_tube(tmp_path, capsys,
                  id="no-rank"),
     pytest.param("[x:abc]", "header entry must be 'id:rank', got 'x:abc'",
                  id="non-integer"),
+    pytest.param("[x:\u0663]", "header entry must be 'id:rank', got "
+                 "'x:\u0663'", id="unicode-digit"),
 ])
 def test_choose_seed_names_a_bad_header_entry(tmp_path, capsys, header,
                                               reason):

@@ -27,6 +27,11 @@ def test_spec_grammar():
     assert s.n == 4 and s.lambda_arc == Arc(1, 3)
     with pytest.raises(ValueError):
         parse_expansion_spec("expand lambda=[1,3]")
+    # only the ASCII digits 0-9, here against an Arabic-Indic four and one
+    with pytest.raises(ValueError, match="expected 'expand rank=N"):
+        parse_expansion_spec("expand rank=\u0664 lambda=[1,3]")
+    with pytest.raises(ValueError, match="cannot parse arc"):
+        parse_expansion_spec("expand rank=4 lambda=[\u0661,3]")
 
 
 def test_rho_is_translate():

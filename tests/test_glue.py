@@ -9,15 +9,17 @@ import time
 import pytest
 
 from siltglue import glue
-from siltglue.expansion import ExpansionSpec
+from siltglue.expansion import (ExpansionSpec, push_forward, reduce_left,
+                                reduce_right)
 from siltglue.glue import (GlueCaseError, GlueOutcome, TiltingSpec, TubeData,
                            choose_seed, enumerate_single_tube_specs,
                            glue_left, glue_right, parse_spec,
                            right_case_predicates, round_trip, serialize_spec,
                            verify_tilting_spec)
 from siltglue.tube import (Arc, TubeCtx, arc_sort_key, ext_dim_arcs,
-                           hom_to_simple, is_rigid, normalize, render_arc,
-                           rigid_candidates, tau_arc)
+                           hom_simple_to, hom_to_simple, is_rigid, normalize,
+                           render_arc, rigid_candidates, tau_arc,
+                           tau_arc_inverse)
 
 from test_kronecker import wall_budget
 
@@ -82,6 +84,10 @@ def infinite_arcs(td: TubeData) -> list:
     return [a for a in td.sorted_arcs() if a.is_infinite()]
 
 
+def finite_arcs(td: TubeData) -> list:
+    return [a for a in td.sorted_arcs() if not a.is_infinite()]
+
+
 def reference_verify_tilting_spec(spec: TiltingSpec) -> tuple:
     """verify_tilting_spec on residue sets and crossing counts."""
     reasons = []
@@ -97,7 +103,7 @@ def reference_verify_tilting_spec(spec: TiltingSpec) -> tuple:
                     reasons.append(
                         f"point {pid}: extensions between {render_arc(a)} "
                         f"and {render_arc(b)}")
-        finite = td.finite_arcs()
+        finite = finite_arcs(td)
         bases = frozenset().union(
             *[reference_factor_residues(a, n) for a in finite])
         comps = []
@@ -172,11 +178,21 @@ def _reference_pick(cands, pushed, ctx, in_v, where):
     return normalize(qualifying[0], ctx)
 
 
+def reference_push(espec, spec, point):
+    """The datum with its tube at point pushed forward arc by arc."""
+    td = spec.tube(point)
+    if td.rank != espec.n - 1:
+        raise ValueError(
+            f"tube at {point!r} has rank {td.rank}, expected {espec.n - 1}")
+    return spec.with_tube(point, TubeData(
+        espec.n, frozenset(push_forward(espec, a) for a in td.arcs)))
+
+
 def reference_glue_left(espec, spec, point=None):
     """glue_left by a scan over the n - 1 finite candidates with the
     required socle (and the Pruefer one on a divisible point)."""
     point = glue._resolve_point(spec, point)
-    pushed_spec = glue._push_spec(espec, spec, point)
+    pushed_spec = reference_push(espec, spec, point)
     ctx = espec.big
     td = pushed_spec.tube(point)
     lam = espec.lambda_arc
@@ -208,7 +224,7 @@ def reference_glue_right(espec, spec, point=None):
     """glue_right by a scan over the n - 1 candidates with the required
     top, and the case split on residue sets."""
     point = glue._resolve_point(spec, point)
-    pushed_spec = glue._push_spec(espec, spec, point)
+    pushed_spec = reference_push(espec, spec, point)
     ctx = espec.big
     td = pushed_spec.tube(point)
     end = espec.rho_arc.start + 2
@@ -222,7 +238,7 @@ def reference_glue_right(espec, spec, point=None):
 
     if in_v:
         return adjoin()
-    case = reference_right_case(espec, td.finite_arcs())
+    case = reference_right_case(espec, finite_arcs(td))
     if case["rho_in_wing"]:
         return adjoin()
     if case["tau_rho_perp"]:
@@ -250,8 +266,8 @@ def _same_as_reference(espec, spec, point="x"):
         serialize_spec(spec), espec)
     if point not in spec.divisible:
         assert right_case_predicates(espec, spec, point) == \
-            reference_right_case(espec, glue._push_spec(
-                espec, spec, point).tube(point).finite_arcs())
+            reference_right_case(espec, finite_arcs(reference_push(
+                espec, spec, point).tube(point)))
     return left, right
 
 
@@ -291,6 +307,16 @@ def test_tube_data_normalizes_its_arcs_when_built():
         TubeData(2, frozenset({Arc(0, 1)}))
     with pytest.raises(ValueError, match="^tube rank must be at least 1$"):
         TubeData(0, frozenset())
+
+
+def test_data_and_expansions_of_one_rank_share_one_context():
+    for n in (2, 3, 7):
+        a = TubeData(n, frozenset({Arc(0, None)}))
+        b = TubeData(n, frozenset({Arc(1, 3), Arc(n + 1, None)}))
+        espec = ExpansionSpec(n, Arc(1, 3))
+        assert a.ctx is b.ctx is espec.big
+        assert espec.reduced is TubeData(n - 1, frozenset()).ctx
+        assert a.ctx == TubeCtx(n)
 
 
 def test_built_data_are_not_normalized_again(monkeypatch):
@@ -496,7 +522,7 @@ def test_glue_left_returns_the_summand_it_adjoins():
             for lstart in range(rank + 1):
                 espec = ExpansionSpec(rank + 1, Arc(lstart, lstart + 2))
                 outcome, new, out = glue_left(espec, spec, "x")
-                pushed = glue._push_spec(espec, spec, "x").tube("x").arcs
+                pushed = reference_push(espec, spec, "x").tube("x").arcs
                 assert outcome is GlueOutcome.NEW_SUMMAND
                 assert new == normalize(new, espec.big)
                 assert new.start == lstart % (rank + 1)
@@ -604,6 +630,77 @@ def test_choose_seed_sides():
     seed = choose_seed(spec, "x")
     assert seed.side == "right"
     assert seed.espec.lambda_arc == Arc(1, 3)
+
+
+def reference_seed(spec, point):
+    """The side and the chosen simple of choose_seed, read off
+    hom_to_simple and hom_simple_to between the first simple of the
+    branch and each other arc."""
+    td = spec.tube(point)
+    ctx = td.ctx
+    arcs = td.sorted_arcs()
+    branch = [a for a in arcs if a.end is not None]
+    if not arcs:
+        return "right", Arc(0, 2)
+    if not branch:
+        return "left", Arc(0, 2)
+    simples = [a for a in branch if a.length() == 1]
+    if not simples:
+        raise GlueCaseError("branch part without a simple summand")
+    s1 = simples[0]
+    others = [a for a in arcs if a != s1]
+    maps_onto = any(b.end is not None and hom_to_simple(b, s1, ctx) == 1
+                    for b in others)
+    maps_from = any(hom_simple_to(s1, b, ctx) == 1 for b in others)
+    if maps_onto and maps_from:
+        raise GlueCaseError("rigid collection maps both ways onto a simple")
+    if maps_from:
+        return "right", tau_arc_inverse(s1, ctx)
+    return "left", s1
+
+
+def _seed_or_error(fn, spec):
+    try:
+        return fn(spec, "x")
+    except GlueCaseError as exc:
+        return str(exc)
+
+
+def test_choose_seed_matches_the_hom_reference():
+    specs = [s for rank in range(2, 8)
+             for s in enumerate_single_tube_specs(rank)]
+    errors = set()
+    for rank in range(2, 6):
+        # every finite rigid collection at a non-divisible point, the
+        # ones without a simple or with a simple mapped both ways included
+        ctx = TubeCtx(rank)
+        cands = rigid_candidates(ctx, rank - 1, include_infinite=False)
+        for size in range(rank):
+            for sub in itertools.combinations(cands, size):
+                if is_rigid(sub, ctx):
+                    specs.append(TiltingSpec.make(
+                        {"x": TubeData(rank, frozenset(sub)),
+                         "y": TubeData(1, frozenset({Arc(0, None)}))},
+                        {"y"}))
+    # not rigid: [2,5] maps onto the simple [0,2], which maps into [0,3]
+    specs.append(single(3, [Arc(0, 2), Arc(2, 5), Arc(0, 3)], False))
+    for spec in specs:
+        want = _seed_or_error(reference_seed, spec)
+        got = _seed_or_error(choose_seed, spec)
+        if isinstance(want, str):
+            errors.add(want)
+            assert got == want, serialize_spec(spec)
+            continue
+        side, lam = want
+        td = spec.tube("x")
+        espec = ExpansionSpec(td.rank, lam)
+        reducer = reduce_left if side == "left" else reduce_right
+        reduced = (reducer(espec, a) for a in td.arcs)
+        assert got == glue.Seed(side, espec, spec.with_tube("x", TubeData(
+            td.rank - 1, frozenset(r for r in reduced if r is not None)))), \
+            serialize_spec(spec)
+    assert set(errors) == {"branch part without a simple summand",
+                           "rigid collection maps both ways onto a simple"}
 
 
 def test_choose_seed_rejects_rank_one():

@@ -94,6 +94,6 @@ def test_every_cache_is_bounded():
                            "cyclic_oracle._hom_ext_oracle",
                            "kronecker.explicit_rep", "kronecker.hom_dim",
                            "silting._minimal_presentation",
-                           "silting._glue_base"}
+                           "silting._glue_base", "tube.tube_ctx"}
     for name, params in caches.items():
         assert params["maxsize"] is not None, name
