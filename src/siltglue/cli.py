@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 
@@ -146,6 +147,15 @@ def cmd_emit_quiver(args) -> int:
     return 0
 
 
+def integer(text: str) -> int:
+    """A numeric flag: ASCII digits after at most a minus sign.  int alone
+    would also read other Unicode digits, underscores, a plus sign and
+    surrounding spaces."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(text)
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="siltglue")
     sub = p.add_subparsers(dest="verb", required=True)
@@ -155,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
         for name in operands:
             sp.add_argument(name)
         g = sp.add_mutually_exclusive_group()
-        g.add_argument("--tube", type=int)
+        g.add_argument("--tube", type=integer)
         g.add_argument("--kronecker", action="store_true")
         sp.set_defaults(fn=fn)
 
@@ -189,23 +199,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_reduce)
 
     sp = sub.add_parser("enumerate-rigid")
-    sp.add_argument("--rank", type=int, required=True)
-    sp.add_argument("--max-len", type=int, default=8)
+    sp.add_argument("--rank", type=integer, required=True)
+    sp.add_argument("--max-len", type=integer, default=8)
     sp.add_argument("--pruefer", action="store_true")
     sp.set_defaults(fn=cmd_enumerate_rigid)
 
     sp = sub.add_parser("classify-silting")
-    sp.add_argument("--bound", type=int, default=6)
+    sp.add_argument("--bound", type=integer, default=6)
     sp.set_defaults(fn=cmd_classify_silting)
 
     sp = sub.add_parser("oracle-check")
-    sp.add_argument("--rank", type=int, required=True)
-    sp.add_argument("--max-len", type=int, default=5)
+    sp.add_argument("--rank", type=integer, required=True)
+    sp.add_argument("--max-len", type=integer, default=5)
     sp.set_defaults(fn=cmd_oracle_check)
 
     sp = sub.add_parser("emit-quiver")
-    sp.add_argument("--rank", type=int, required=True)
-    sp.add_argument("--max-len", type=int, default=4)
+    sp.add_argument("--rank", type=integer, required=True)
+    sp.add_argument("--max-len", type=integer, default=4)
     sp.set_defaults(fn=cmd_emit_quiver)
     return p
 

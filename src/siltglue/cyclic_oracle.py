@@ -64,19 +64,35 @@ class NilpRep:
 def _is_nilpotent(rep: "NilpRep") -> bool:
     """Every cycle passes the vertex v of least dimension d, and the cycle
     composites at all vertices, rotations of one product, share nonzero
-    eigenvalues: nilpotent iff the d x d composite C at v has C^d = 0."""
+    eigenvalues: nilpotent iff the d x d composite C at v has C^d = 0.
+    C is multiplied out on the sparse rows of _tables, where the 0/1 maps
+    of an arc stay ints."""
     d = min(rep.dims)
     v = rep.dims.index(d)
     if d == 0:
         return True
-    comp = Mat.identity(d)
+    rows = _tables(rep)[0]
+    comp = [((i, 1),) for i in range(d)]
     for t in range(rep.n):
-        comp = comp.mul(rep.maps[(v - t) % rep.n])
+        comp = _times(comp, rows[(v - t) % rep.n])
     exponent = 1
     while exponent < d:
-        comp = comp.mul(comp)
+        comp = _times(comp, comp)
         exponent *= 2
-    return comp.is_zero()
+    return not any(comp)
+
+
+def _times(a: list, b) -> list:
+    """The sparse product of a and b, each a sequence of rows of (column,
+    value) nonzeros."""
+    out = []
+    for row in a:
+        acc = {}
+        for k, x in row:
+            for j, y in b[k]:
+                acc[j] = acc.get(j, 0) + x * y
+        out.append(tuple((j, val) for j, val in acc.items() if val))
+    return out
 
 
 def rep_of_arc(a: Arc, ctx: TubeCtx) -> NilpRep:

@@ -16,13 +16,15 @@ from __future__ import annotations
 from enum import Enum
 from typing import Dict, Optional, Tuple
 
+import itertools
 import re
 
 from .expansion import ExpansionSpec, push_arcs, reduce_arcs
 from .frozen import frozen
 from .tube import (Arc, TubeCtx, arc_sort_key, ext_dim_arcs, ext_pairs,
-                   hom_to_simple, normalize, parse_arc, render_arc, socle_top,
-                   tau_arc, tau_arc_inverse, tube_ctx)
+                   hom_to_simple, normalize, parse_arc, render_arc,
+                   rigid_candidates, socle_top, tau_arc, tau_arc_inverse,
+                   tube_ctx)
 
 
 class GlueCaseError(RuntimeError):
@@ -449,23 +451,49 @@ def round_trip(spec: TiltingSpec, point: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _wings(g: int, memo: dict) -> list:
+    """The wings of a gap of g between neighbouring Pruefer starts s and
+    s + g: the outer arc [s, s+g] and a triangulation of the polygon on
+    s..s+g, g - 1 arcs in all, each as (start - s, length - 1).  The
+    triangle on the outer arc has its third vertex at s + k, and its other
+    two sides are the outer arcs of the wings of gaps k and g - k, so
+    there are Catalan(g - 1) of them."""
+    if g not in memo:
+        memo[g] = [()] if g == 1 else [
+            ((0, g - 2),) + left + tuple((k + off, w) for off, w in right)
+            for k in range(1, g)
+            for left in _wings(k, memo) for right in _wings(g - k, memo)]
+    return memo[g]
+
+
 def enumerate_single_tube_specs(rank: int) -> list:
     """All valid tilting data supported on one tube of the given rank, at
-    the point "x".
+    the point "x", in the order enumerate_maximal_rigid lists them.
 
-    Such a datum is a maximal rigid collection containing at least one
-    Pruefer arc (an all-finite collection can never reach the full rank);
-    everything found is cross-checked against the validity test.
+    Such a datum is the Pruefer arcs at a nonempty set of starts and, in
+    each cyclic gap between neighbouring starts, one of its wings: the
+    maximal rigid collections that hold a Pruefer arc.  Each is built as
+    its sorted indices into rigid_candidates, which sort as the arcs do;
+    everything built is cross-checked against the validity test.
     """
-    from .tube import enumerate_maximal_rigid
     ctx = tube_ctx(rank)
+    n = ctx.n
+    # at each start the n - 1 finite candidates by length, then the Pruefer
+    cands = rigid_candidates(ctx, max(n - 1, 1), True)
+    memo, found = {}, []
+    for mask in range(1, 1 << n):
+        starts = [s for s in range(n) if mask >> s & 1]
+        gaps = [(s, nxt - s) for s, nxt in zip(starts, starts[1:] +
+                                                [starts[0] + n])]
+        pruefer = [s * n + n - 1 for s in starts]
+        for parts in itertools.product(*(_wings(g, memo) for _, g in gaps)):
+            found.append(tuple(sorted(pruefer + [
+                (s + off) % n * n + w
+                for (s, _), wing in zip(gaps, parts) for off, w in wing])))
     out = []
-    for coll in enumerate_maximal_rigid(ctx, max_len=max(rank - 1, 1),
-                                        include_infinite=True):
-        if all(a.end is not None for a in coll):
-            continue
-        spec = TiltingSpec.make({"x": TubeData(rank, frozenset(coll))},
-                                {"x"})
+    for idx in sorted(found):
+        spec = TiltingSpec.make(
+            {"x": TubeData(n, frozenset(cands[i] for i in idx))}, {"x"})
         ok, reasons = verify_tilting_spec(spec)
         if not ok:
             raise GlueCaseError(

@@ -154,6 +154,34 @@ def test_only_ascii_digits_are_read(capsys, argv, error):
     assert run_cli(capsys, *argv) == (1, "", f"error: {error}\n")
 
 
+# a numeric flag is ASCII digits after at most a minus sign: int alone reads
+# Arabic-Indic three as 3, '1_0' as 10, and '+3' and ' 3' as 3
+@pytest.mark.parametrize("argv", [
+    ["enumerate-rigid", "--max-len", "2", "--rank", "\u0663"],
+    ["classify-silting", "--bound", "1_0"],
+    ["oracle-check", "--rank", "+3"],
+    ["emit-quiver", "--rank", " 3"],
+    ["emit-quiver", "--rank", "3", "--max-len", "2 "],
+    ["tau", "[1,3]", "--tube", "\u0663"],
+    ["ext", "[1,3]", "[0,2]", "--tube", "3_0"],
+], ids=["rank", "bound", "plus", "space", "trailing-space", "tube",
+        "underscore"])
+def test_numeric_flags_read_only_ascii_digits(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith(f"invalid integer value: {argv[-1]!r}\n")
+
+
+def test_negative_flags_still_fail_by_name(capsys):
+    for bound in ("0", "-1"):
+        assert run_cli(capsys, "enumerate-rigid", "--rank", "3", "--max-len",
+                       bound) == (1, "", "error: max_len must be at least 1\n")
+    assert run_cli(capsys, "tau", "[1,3]", "--tube", "-3") \
+        == (1, "", "error: tube rank must be at least 1\n")
+
+
 def test_error_text_names_the_arc_as_written(capsys):
     # an arc is checked as it is parsed, so it is named before the Hom rule
     # for Pruefer arcs

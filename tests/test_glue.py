@@ -16,10 +16,10 @@ from siltglue.glue import (GlueCaseError, GlueOutcome, TiltingSpec, TubeData,
                            glue_left, glue_right, parse_spec,
                            right_case_predicates, round_trip, serialize_spec,
                            verify_tilting_spec)
-from siltglue.tube import (Arc, TubeCtx, arc_sort_key, ext_dim_arcs,
-                           hom_simple_to, hom_to_simple, is_rigid, normalize,
-                           render_arc, rigid_candidates, tau_arc,
-                           tau_arc_inverse)
+from siltglue.tube import (Arc, TubeCtx, arc_sort_key, enumerate_maximal_rigid,
+                           ext_dim_arcs, hom_simple_to, hom_to_simple,
+                           is_rigid, normalize, render_arc, rigid_candidates,
+                           tau_arc, tau_arc_inverse)
 
 from test_kronecker import wall_budget
 
@@ -745,6 +745,62 @@ def test_rank_eight_census_under_three_seconds():
     t0 = time.process_time()
     assert len(enumerate_single_tube_specs(8)) == math.comb(15, 8)
     assert time.process_time() - t0 < 3.0
+
+
+# -- the census by wings against the clique search ----------------------------
+
+
+def reference_single_tube_specs(n: int) -> list:
+    """The census by Bron-Kerbosch: the maximal rigid collections of arcs
+    of length below n that hold a Pruefer arc, each wrapped and verified."""
+    out = []
+    for coll in enumerate_maximal_rigid(TubeCtx(n), max(n - 1, 1), True):
+        if all(a.end is not None for a in coll):
+            continue
+        spec = single(n, coll)
+        assert verify_tilting_spec(spec) == (True, []), serialize_spec(spec)
+        out.append(spec)
+    return out
+
+
+def test_the_census_by_wings_is_the_clique_census_in_order():
+    # compared by value and by text, not by repr: a frozenset of Pruefer
+    # arcs, which hash None, iterates in an order that varies by process
+    for n in range(1, 9):
+        got = enumerate_single_tube_specs(n)
+        want = reference_single_tube_specs(n)
+        assert len(got) == math.comb(2 * n - 1, n)
+        assert got == want
+        assert [serialize_spec(s) for s in got] \
+            == [serialize_spec(s) for s in want]
+
+
+def test_a_wing_of_gap_g_is_one_of_catalan_g_minus_one():
+    memo = {}
+    for g in range(1, 11):
+        wings = glue._wings(g, memo)
+        assert len(wings) == math.comb(2 * g - 2, g - 1) // g
+        assert len(set(map(frozenset, wings))) == len(wings)
+        for wing in wings:
+            arcs = {Arc(off, off + w + 2) for off, w in wing}
+            assert len(arcs) == g - 1 and is_rigid(arcs, TubeCtx(g))
+
+
+def test_the_census_verifies_every_datum(monkeypatch):
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return verify_tilting_spec(spec)
+
+    monkeypatch.setattr(glue, "verify_tilting_spec", counting)
+    specs = enumerate_single_tube_specs(4)
+    assert specs == calls and len(specs) == 35
+    monkeypatch.setattr(glue, "verify_tilting_spec",
+                        lambda spec: (False, ["planted"]))
+    with pytest.raises(GlueCaseError, match=r"enumerated maximal rigid "
+                       r"collection is not a tilting datum: \['planted'\]"):
+        enumerate_single_tube_specs(3)
 
 
 def test_seed_routing_never_hits_the_undetermined_case():

@@ -393,6 +393,70 @@ def test_one_cycle_nilpotency_matches_the_all_vertex_check(case):
             NilpRep(rep.maps)
 
 
+def seeded_rep(rng, dims, kind):
+    """A cyclic-quiver representation with the given dimensions and seeded
+    entries from 0 and SCALARS, most of them non-integral.  "flag" arrows
+    only lower a seeded level of each basis vector, so the rep is
+    nilpotent; "cycle" carries basis vector 0 around the cycle by nonzero
+    scalars as a direct summand, so it is not; "random" may be either."""
+    n = len(dims)
+    levels = [[rng.randrange(4) for _ in range(d)] for d in dims]
+    maps = []
+    for v in range(n):
+        w = (v - 1) % n
+        rows = [[0] * dims[w] for _ in range(dims[v])]
+        for r in range(dims[v]):
+            for c in range(dims[w]):
+                if kind == "cycle" and 0 in (r, c):
+                    rows[r][c] = rng.choice(SCALARS) if r == c else 0
+                elif kind != "flag" or levels[w][c] < levels[v][r]:
+                    rows[r][c] = rng.choice([0] + SCALARS)
+        maps.append(Mat.from_rows(rows, cols=dims[w]))
+    return SimpleNamespace(n=n, dims=tuple(dims), maps=tuple(maps))
+
+
+@pytest.mark.parametrize("low, high", [(1, 3), (0, 3), (3, 4)],
+                         ids=["fractions", "zero-vertex", "least-dim-3"])
+def test_sparse_nilpotency_matches_the_all_vertex_check(low, high):
+    # the least dimension d is at most 3 and at least 3 in the last case,
+    # where C is squared twice; a zero-dimensional vertex breaks every cycle
+    rng = random.Random(low * 10 + high)
+    seen = set()
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        dims = [rng.randint(low, high) for _ in range(n)]
+        if low == 0:
+            dims[rng.randrange(n)] = 0
+        kind = rng.choice(["random", "flag", "cycle"] if low else
+                          ["random", "flag"])
+        rep = seeded_rep(rng, dims, kind)
+        want = reference_is_nilpotent(rep)
+        assert _is_nilpotent(rep) == want, (kind, rep)
+        assert want or kind != "flag"
+        assert not want or kind != "cycle"
+        seen.add(want)
+    assert seen == {True, False} if low else seen == {True}
+
+
+def test_sparse_nilpotency_sees_cancellation():
+    # a change of basis spreads the uniserial maps over dense rows of
+    # fractions, whose cycle composites vanish only by cancellation
+    rng = random.Random(13)
+    for _ in range(100):
+        n = rng.randint(1, 4)
+        rep = changed_basis(uniserial_sum(rng, n), rng)
+        assert _is_nilpotent(rep) and reference_is_nilpotent(rep)
+
+
+def test_a_non_nilpotent_rep_is_refused():
+    rng = random.Random(5)
+    for n in (1, 2, 3):
+        rep = seeded_rep(rng, [3] * n, "cycle")
+        assert not _is_nilpotent(rep)
+        with pytest.raises(ValueError, match="not nilpotent"):
+            NilpRep(rep.maps)
+
+
 @given(st.integers(min_value=1, max_value=4).flatmap(
     lambda n: st.tuples(cyclic_reps(n), cyclic_reps(n))))
 @settings(max_examples=200, deadline=None)
