@@ -279,11 +279,11 @@ def chain_map_basis_shift1(c: TwoTermComplex, d: TwoTermComplex) -> list:
     """Representatives of a basis of Hom_K(c, d[1]): canonical morphisms
     c.deg_m1 -> d.deg_0 supported at the free coordinates of the homotopy
     span, the image of delta(c, d)."""
-    rows, _ = delta_map(c, d)
+    rows, n = delta_map(c, d)
     return [morphism_from_flat(c.deg_m1, d.deg_0,
                                tuple(QONE if i == t else QZERO
                                      for i in range(len(rows))))
-            for t in cokernel_coordinates(rows)]
+            for t in cokernel_coordinates(rows, n)]
 
 
 def chain_endo_basis(c: TwoTermComplex) -> list:
@@ -408,6 +408,8 @@ def _parse_proj_sum(text: str) -> ProjSum:
         m = re.fullmatch(r"\s*P([12])(?:\^([0-9]+))?\s*", part)
         if not m:
             raise ValueError(f"cannot parse projective sum {text!r}")
+        if m[2] is not None and not int(m[2]):
+            raise ValueError("multiplicities must be positive")
         mult[m[1]] += int(m[2] or 1)
     return ProjSum(mult["1"], mult["2"])
 

@@ -8,9 +8,11 @@ down by one).
 
 Hom dimensions come from the kernel of the full intertwiner system; first
 extensions from its Euler characteristic, which is valid because any
-extension of nilpotent representations is nilpotent.  This module is the
-ground truth the arc-side crossing combinatorics is validated against and
-depends on nothing from the arc side.
+extension of nilpotent representations is nilpotent.  The maps' row and
+column tables and the nilpotency test run on exactlin's sparse_product
+and sparse_transpose.  This module is the ground truth the arc-side
+crossing combinatorics is validated against and depends on nothing from
+the arc side.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactlin import Mat, sparse_rank
+from .exactlin import Mat, sparse_product, sparse_rank, sparse_transpose
 from .frozen import frozen
 from .tube import Arc, TubeCtx, normalize
 
@@ -65,34 +67,19 @@ def _is_nilpotent(rep: "NilpRep") -> bool:
     """Every cycle passes the vertex v of least dimension d, and the cycle
     composites at all vertices, rotations of one product, share nonzero
     eigenvalues: nilpotent iff the d x d composite C at v has C^d = 0.
-    C is multiplied out on the sparse rows of _tables, where the 0/1 maps
-    of an arc stay ints."""
+    C is multiplied out by sparse_product on the rows of _tables, where the
+    0/1 maps of an arc stay ints."""
     d = min(rep.dims)
     v = rep.dims.index(d)
     if d == 0:
         return True
     rows = _tables(rep)[0]
-    comp = [((i, 1),) for i in range(d)]
+    comp = [{i: 1} for i in range(d)]
     for t in range(rep.n):
-        comp = _times(comp, rows[(v - t) % rep.n])
-    exponent = 1
-    while exponent < d:
-        comp = _times(comp, comp)
-        exponent *= 2
+        comp = sparse_product(comp, rows[(v - t) % rep.n])
+    for _ in range((d - 1).bit_length()):  # squared to C^k, k >= d
+        comp = sparse_product(comp, [r.items() for r in comp])
     return not any(comp)
-
-
-def _times(a: list, b) -> list:
-    """The sparse product of a and b, each a sequence of rows of (column,
-    value) nonzeros."""
-    out = []
-    for row in a:
-        acc = {}
-        for k, x in row:
-            for j, y in b[k]:
-                acc[j] = acc.get(j, 0) + x * y
-        out.append(tuple((j, val) for j, val in acc.items() if val))
-    return out
 
 
 def rep_of_arc(a: Arc, ctx: TubeCtx) -> NilpRep:
@@ -139,19 +126,16 @@ def ext_dim_oracle(x: NilpRep, y: NilpRep) -> int:
 
 def _tables(rep: NilpRep) -> tuple:
     """(rows, cols): rows[v][i] the (column, value) nonzeros of row i of
-    maps[v] and cols[v][j] the (row, value) nonzeros of its column j, as
-    tuples, an integral value as an int.  Kept on the rep, as its hash."""
+    maps[v] and cols[v][j] those of its column j, as tuples, read off its
+    sparse_rows and their sparse_transpose.  Kept on the rep, as its hash."""
     kept = rep.__dict__.get("_tables")
     if kept is None:
         rows, cols = [], []
         for m in rep.maps:
-            nz = [(*divmod(t, m.cols), val.numerator
-                   if val.denominator == 1 else val)
-                  for t, val in enumerate(m.entries) if val]
-            rows.append(tuple(tuple((j, val) for i, j, val in nz if i == r)
-                              for r in range(m.rows)))
-            cols.append(tuple(tuple((i, val) for i, j, val in nz if j == c)
-                              for c in range(m.cols)))
+            sparse = m.sparse_rows()
+            rows.append(tuple(tuple(r.items()) for r in sparse))
+            cols.append(tuple(tuple(c.items())
+                              for c in sparse_transpose(sparse, m.cols)))
         kept = tuple(rows), tuple(cols)
         object.__setattr__(rep, "_tables", kept)
     return kept

@@ -13,7 +13,9 @@ models.  Determinants alone use their own loop, Bareiss elimination, since
 content-reduced rows lose the determinant.
 Pivots are leftmost nonzero columns, so pivot columns, reduced echelon
 forms and kernel bases are deterministic across runs and platforms, and
-equal to those of rational Gauss-Jordan.  Mat is immutable and row-major.
+equal to those of rational Gauss-Jordan.  Mat is immutable and row-major,
+with no product: the package's one product and one transpose,
+sparse_product and sparse_transpose, act on sparse rows.
 """
 
 from __future__ import annotations
@@ -112,28 +114,7 @@ class Mat:
                  for j, v in enumerate(self.row(i)) if v}
                 for i in range(self.rows)]
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
-
     # -- arithmetic ---------------------------------------------------------
-
-    def mul(self, other: "Mat") -> "Mat":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        out = [QZERO] * (self.rows * other.cols)
-        for i in range(self.rows):
-            base = i * self.cols
-            for k in range(self.cols):
-                a = self.entries[base + k]
-                if a == 0:
-                    continue
-                obase = k * other.cols
-                rbase = i * other.cols
-                for j in range(other.cols):
-                    b = other.entries[obase + j]
-                    if b != 0:
-                        out[rbase + j] += a * b
-        return Mat(self.rows, other.cols, tuple(out))
 
     def add(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -244,9 +225,8 @@ def _nonzeros(m) -> tuple:
     # triples on the instance, as __hash__ keeps its hash
     nz = m.__dict__.get("_nonzeros")
     if nz is None:
-        nz = tuple((t // m.cols, t % m.cols,
-                    v.numerator if v.denominator == 1 else v)
-                   for t, v in enumerate(m.entries) if v)
+        nz = tuple((i, j, v) for i, row in enumerate(m.sparse_rows())
+                   for j, v in row.items())
         object.__setattr__(m, "_nonzeros", nz)
     return m.rows, m.cols, nz
 
@@ -411,21 +391,35 @@ def quotient_pencil(a: Sequence[dict], b: Sequence[dict], kept: Iterable[int],
     return qa, qb, len(col)
 
 
-def sparse_transpose(rows: Iterable[dict]) -> dict:
-    """The nonzero columns of a sparse matrix given as dicts col -> value,
-    each as a dict row -> value, keyed by column."""
-    cols: dict = {}
+def sparse_product(a: Sequence[dict], b: Sequence) -> list:
+    """The product of sparse matrices: a as dicts col -> value, each row of
+    b as (column, value) pairs, so a dict row is passed as its .items().
+    Returns one dict col -> value per row of a, zeros dropped."""
+    out = []
+    for row in a:
+        acc: dict = {}
+        for k, x in row.items():
+            for j, y in b[k]:
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: v for j, v in acc.items() if v})
+    return out
+
+
+def sparse_transpose(rows: Iterable[dict], n: int) -> list:
+    """The n columns of a sparse matrix given as dicts col -> value, each
+    as a dict row -> value."""
+    cols: list = [{} for _ in range(n)]
     for i, row in enumerate(rows):
         for j, v in row.items():
-            cols.setdefault(j, {})[i] = v
+            cols[j][i] = v
     return cols
 
 
-def cokernel_coordinates(rows: Sequence[dict]) -> list:
-    """The outputs of a sparse map, one dict col -> value per output, that
+def cokernel_coordinates(rows: Sequence[dict], n: int) -> list:
+    """The outputs of a sparse map on n unknowns, one dict per output, that
     are not pivots of its image: the free columns of rref of its sparse
     transpose.  Their unit vectors span a complement of the image."""
-    pivots = echelon(sparse_transpose(rows).values())
+    pivots = echelon(sparse_transpose(rows, n))
     return [i for i in range(len(rows)) if i not in pivots]
 
 

@@ -13,6 +13,9 @@ Conventions, fixed once for the whole package:
   row vectors, i.e. the arrows map the d1-component into the d2-component
   (the right-module convention).  With this choice dim Hom(P1, P2) = 2 and
   Ext^1(Q1, P1) has dimension 2, which pins the convention uniquely.
+
+Decomposition runs on sparse integer rows, multiplied and transposed by
+exactlin's sparse_product and sparse_transpose.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from typing import Optional, Sequence, Union
 
 from .exactlin import (Mat, QONE, QZERO, block, cokernel_coordinates, det,
                        diag, echelon, kernel_basis, quotient_pencil,
-                       reduce_row, sparse_rank, sparse_transpose,
-                       sylvester_rows)
+                       reduce_row, sparse_product, sparse_rank,
+                       sparse_transpose, sylvester_rows)
 from .frozen import frozen
 
 # ---------------------------------------------------------------------------
@@ -500,11 +503,11 @@ def quotient_by_idempotent_trace(e: int) -> KroneckerObject:
 
 
 def _int_arrows(y: ExplicitRep) -> tuple:
-    """The arrows of y as integer rows, scaled by one common denominator."""
-    den = math.lcm(*[x.denominator
-                     for x in y.m_alpha.entries + y.m_beta.entries])
-    return tuple([[x.numerator * (den // x.denominator) for x in m.row(i)]
-                  for i in range(y.dim.d1)] for m in (y.m_alpha, y.m_beta))
+    """The arrows of y as sparse integer rows over one common denominator."""
+    sa, sb = y.m_alpha.sparse_rows(), y.m_beta.sparse_rows()
+    den = math.lcm(*[x.denominator for r in sa + sb for x in r.values()])
+    return tuple([{j: x.numerator * (den // x.denominator)
+                   for j, x in r.items()} for r in m] for m in (sa, sb))
 
 
 def regular_support_points(y: ExplicitRep) -> list:
@@ -694,27 +697,11 @@ def _rational_roots(poly: list) -> list:
     return sorted(roots)
 
 
-def _times(vecs: list, rows: list) -> list:
-    """Each sparse vector of vecs times the matrix of the sparse rows."""
-    out = [{} for _ in vecs]
-    for v, acc in zip(vecs, out):
-        for i, x in v.items():
-            for j, z in rows[i].items():
-                acc[j] = acc.get(j, 0) + x * z
-    return out
-
-
 def _pencil(a: list, b: list, s: int, t: int) -> list:
     """The sparse rows of t*a - s*b, the pencil at the point (s:t)."""
     return [{j: v for j in ra.keys() | rb.keys()
              if (v := t * ra.get(j, 0) - s * rb.get(j, 0))}
             for ra, rb in zip(a, b)]
-
-
-def _transpose(rows: list, n: int) -> list:
-    """The n columns of a sparse matrix as sparse rows."""
-    cols = sparse_transpose(rows)
-    return [cols.get(j, {}) for j in range(n)]
 
 
 def _chain(f: list, g: list, n: int) -> tuple:
@@ -727,9 +714,10 @@ def _chain(f: list, g: list, n: int) -> tuple:
     the g-images of its basis."""
     piv = echelon({**r, n + i: 1} for i, r in enumerate(f))
     new, steps, images = [r for c, r in piv.items() if c >= n], [], []
+    g = [r.items() for r in g]
     while new:
         steps.append(len(new))
-        ws = _times([{c - n: x for c, x in r.items()} for r in new], g)
+        ws = sparse_product([{c - n: x for c, x in r.items()} for r in new], g)
         images += ws
         new = [r for w in ws if (r := reduce_row(piv, w)) and min(r) >= n]
     counts = [x - y for x, y in zip(steps, steps[1:] + [0])]
@@ -773,11 +761,10 @@ def _regular_block(y: ExplicitRep) -> tuple:
     deflation step splits off the preinjectives; the same step on the
     transposed quotient splits off the preprojectives, which transposition
     turns into preinjectives, and leaves the transposed regular block."""
-    sa, sb = ([{j: x for j, x in enumerate(r) if x} for r in m]
-              for m in _int_arrows(y))
-    qs, a, b, n, k = _deflate(sa, sb, y.dim.d2, 0)
-    ps, a, b, n, _ = _deflate(_transpose(a, n), _transpose(b, n), len(a), k)
-    return ps, qs, _transpose(a, n), _transpose(b, n)
+    qs, a, b, n, k = _deflate(*_int_arrows(y), y.dim.d2, 0)
+    ps, a, b, n, _ = _deflate(sparse_transpose(a, n), sparse_transpose(b, n),
+                              len(a), k)
+    return ps, qs, sparse_transpose(a, n), sparse_transpose(b, n)
 
 
 def decompose(y: ExplicitRep) -> ObjectSum:
@@ -824,10 +811,10 @@ def ext_cocycle_basis(t: ExplicitRep, u: ExplicitRep) -> list:
     each a d1(t) x d2(u) matrix: the standard cocycles at the free
     coordinates of the image of the map sending (f1, f2) to
     (T_a f2 - f1 U_a)_a."""
-    rows, _, _ = _intertwiner_rows(t, u)
+    rows, n, _ = _intertwiner_rows(t, u)
     neq, d1, d2 = len(rows) // 2, t.dim.d1, u.dim.d2
     units = [tuple(QONE if i == c else QZERO for i in range(len(rows)))
-             for c in cokernel_coordinates(rows)]
+             for c in cokernel_coordinates(rows, n)]
     return [(Mat(d1, d2, e[:neq]), Mat(d1, d2, e[neq:])) for e in units]
 
 

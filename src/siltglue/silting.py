@@ -350,24 +350,27 @@ def glue_kronecker(row, left, right) -> GlueOutcomeKronecker:
     lefts, rights = _side_tokens(n - 1), _side_tokens(n)
 
     def resolve(arg, allowed, side) -> int:
-        """Position in allowed of the token arg names or is equivalent to."""
+        """Position in allowed of the token arg names, in any spelling (P06,
+        pres(P07)), or the complex it names is equivalent to."""
         if isinstance(arg, str) and not arg.strip().startswith("["):
             name = _module_token(arg)
-            if name not in allowed:
-                raise GlueError(
-                    f"object {arg!r} is not a silting complex of the {side} "
-                    f"for row {render_object(row)}; admissible: "
-                    f"{', '.join(allowed)}")
-            return allowed.index(name)
-        summands = identify_summands(
-            complex_from_token(arg) if isinstance(arg, str) else arg)
+            if name in allowed:
+                return allowed.index(name)
+            try:
+                got = ((_token_summand(arg), 1),)
+            except ValueError:
+                got = None
+            what = f"object {arg!r} is not"
+        else:
+            got = identify_summands(
+                complex_from_token(arg) if isinstance(arg, str) else arg)
+            what = "the given complex is not equivalent to"
         for pos, tok in enumerate(allowed):
-            if summands == ((_token_summand(tok), 1),):
+            if got == ((_token_summand(tok), 1),):
                 return pos
         raise GlueError(
-            f"the given complex is not equivalent to a silting complex of "
-            f"the {side} for row {render_object(row)}; admissible: "
-            f"{', '.join(allowed)}")
+            f"{what} a silting complex of the {side} for row "
+            f"{render_object(row)}; admissible: {', '.join(allowed)}")
 
     at_left = resolve(left, lefts, "subcategory side")
     at_right = resolve(right, rights, "localized side")

@@ -97,6 +97,44 @@ def test_glue_kronecker_inadmissible_is_domain_error(capsys):
     assert code == 1 and "not a silting complex" in err
 
 
+@pytest.mark.parametrize("left, right", [
+    ("P06", "P7"), ("P6", "pres(P07)"), (" pres( P006 ) ", "P0007")])
+def test_glue_kronecker_reads_any_spelling_of_an_admissible_token(
+        capsys, left, right):
+    # the gluing sides read the object grammar that --row and ext read
+    assert run_cli(capsys, "glue-kronecker", "--row", "P7", "--left", left,
+                   "--right", right) == (0, "P6 + P7\n", "")
+
+
+@pytest.mark.parametrize("row, left, right, side, admissible", [
+    ("Q5", "Q5", "Q5", "subcategory", "Q6"),
+    ("P7", "P07[1]", "P7", "subcategory", "P6"),
+    ("P7", "pres(pres(P6))", "P7", "subcategory", "P6"),
+    ("P7", "P6", "P007x", "localized", "P7"),
+    ("P7", "P6", "P0", "localized", "P7"),
+    ("P5", "P3", "P5", "subcategory", "P4"),
+    ("P2", "P01[1]", "P2", "subcategory", "P1, P1[1]"),
+])
+def test_a_token_naming_no_admissible_generator_keeps_its_error(
+        capsys, row, left, right, side, admissible):
+    arg = left if side == "subcategory" else right
+    assert run_cli(capsys, "glue-kronecker", "--row", row, "--left", left,
+                   "--right", right) == (
+        1, "", f"error: object {arg!r} is not a silting complex of the "
+        f"{side} side for row {row}; admissible: {admissible}\n")
+
+
+def test_a_zero_power_in_a_complex_literal_is_refused(capsys):
+    # as in an object sum: P2^0 names no summand, so it is refused
+    for literal in ("[P2^0+P2 -> 0]", "[P1 -> P2^00 | ]", "[0 -> P1^0]"):
+        assert run_cli(capsys, "glue-kronecker", "--row", "P3", "--left",
+                       literal, "--right", "P3") \
+            == (1, "", "error: multiplicities must be positive\n")
+    assert run_cli(capsys, "glue-kronecker", "--row", "P3", "--left",
+                   "[P2^1 -> 0]", "--right", "P3") \
+        == (0, "0 w.r.t. P1[1] + P2[1]\n", "")
+
+
 @pytest.mark.parametrize("row, left", [("P0", "P1"), ("Q0", "Q1")])
 def test_glue_kronecker_row_zero_is_domain_error(capsys, row, left):
     code, out, err = run_cli(capsys, "glue-kronecker", "--row", row,

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siltglue.exactlin import (Mat, block, det, diag, echelon, kernel_basis,
-                               rank, reduce_row, rref, solve, sparse_rank,
-                               sylvester_rows)
+                               rank, reduce_row, rref, solve, sparse_product,
+                               sparse_rank, sparse_transpose, sylvester_rows)
 from siltglue.kronecker import _poly_det
 
 
@@ -115,6 +115,26 @@ def transpose(m: Mat) -> Mat:
                                      for i in range(m.rows)))
 
 
+def mat_mul(a: Mat, b: Mat) -> Mat:
+    """The dense product a b, in place of a product on Mat: row i of a
+    times b, skipping the zero entries of both."""
+    assert a.cols == b.rows, "shape mismatch in matrix product"
+    out = []
+    for i in range(a.rows):
+        acc = [Fraction(0)] * b.cols
+        for k, x in enumerate(a.row(i)):
+            if x:
+                for j, y in enumerate(b.row(k)):
+                    if y:
+                        acc[j] += x * y
+        out += acc
+    return Mat(a.rows, b.cols, tuple(out))
+
+
+def is_zero(m: Mat) -> bool:
+    return not any(m.entries)
+
+
 def left_kernel_basis(m: Mat) -> list:
     """Basis of {v : v m = 0}, i.e. the kernel of the row action."""
     return kernel_basis(transpose(m))
@@ -125,8 +145,7 @@ def test_left_kernel():
     basis = left_kernel_basis(m)
     assert len(basis) == 2
     for v in basis:
-        prod = Mat(1, 3, tuple(v)).mul(m)
-        assert prod.is_zero()
+        assert is_zero(mat_mul(Mat(1, 3, tuple(v)), m))
 
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -163,8 +182,7 @@ def test_rank_invariant_under_permutation(m, rng):
 @settings(max_examples=60, deadline=None)
 def test_kernel_vectors_annihilate(m):
     for v in kernel_basis(m):
-        out = m.mul(Mat(m.cols, 1, tuple(v)))
-        assert out.is_zero()
+        assert is_zero(mat_mul(m, Mat(m.cols, 1, tuple(v))))
 
 
 @given(matrices())
@@ -226,7 +244,7 @@ def test_sylvester_rows_apply_the_sum_of_products(case):
     want = [Fraction(0)] * neqs
     for out, var, sign, a, b in mats:
         xv = Mat(a.cols, b.rows, tuple(x[var:var + a.cols * b.rows]))
-        for t, v in enumerate(a.mul(xv).mul(b).scale(sign).entries):
+        for t, v in enumerate(mat_mul(mat_mul(a, xv), b).scale(sign).entries):
             want[out + t] += v
     rows = sylvester_rows(neqs, terms)
     assert len(rows) == neqs
@@ -407,7 +425,7 @@ def test_kernel_solve_and_projection_are_the_reference_constructions(m, data):
     if data.draw(st.booleans()):
         x = data.draw(st.lists(dense_fractions, min_size=m.cols,
                                max_size=m.cols))
-        b = m.mul(Mat(m.cols, 1, tuple(x))).entries
+        b = mat_mul(m, Mat(m.cols, 1, tuple(x))).entries
     else:
         b = tuple(data.draw(st.lists(dense_fractions, min_size=m.rows,
                                      max_size=m.rows)))
@@ -529,3 +547,83 @@ def test_equal_mats_hash_equal_and_share_a_cache_entry(m):
     assert hash(twin) == hash(m) == hash((m.rows, m.cols, m.entries))
     cached(twin)
     assert len(calls) == 1 and cached.cache_info().hits == 1
+
+
+# -- the sparse product and transpose against the dense reference ------------
+
+
+def dense_product(a: list, b: list, cols: int) -> list:
+    """Entry (i, j) of a b as the sum over k of a[i][k] b[k][j], zeros
+    included."""
+    return [[sum((row[k] * b[k][j] for k in range(len(b))), 0)
+             for j in range(cols)] for row in a]
+
+
+def dict_rows(dense: list) -> list:
+    return [{j: v for j, v in enumerate(row) if v} for row in dense]
+
+
+# ints, proper fractions and zeros, few values so that sums cancel often
+product_entries = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2),
+                                   Fraction(-1, 2), Fraction(2, 3)])
+
+
+@st.composite
+def product_cases(draw):
+    """Dense r x m and m x c lists, each size 0 to 4: no rows, no columns
+    and no inner dimension all occur."""
+    r, m, c = (draw(st.integers(min_value=0, max_value=4)) for _ in range(3))
+
+    def dense(rows, cols):
+        return [draw(st.lists(product_entries, min_size=cols,
+                              max_size=cols)) for _ in range(rows)]
+
+    return dense(r, m), dense(m, c), m, c
+
+
+@given(product_cases())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_sparse_product_and_transpose_match_the_dense_reference(case):
+    a, b, m, c = case
+    want = dense_product(a, b, c)
+    got = sparse_product(dict_rows(a), [r.items() for r in dict_rows(b)])
+    assert got == dict_rows(want)
+    assert all(v for row in got for v in row.values())  # zeros dropped
+    # right-hand rows as tuples of pairs, as the oracle's tables hold them
+    assert sparse_product(dict_rows(a),
+                          [tuple(r.items()) for r in dict_rows(b)]) == got
+    assert sparse_transpose(dict_rows(b), c) == dict_rows(
+        [[row[j] for row in b] for j in range(c)])
+    # the test-local dense product that stands in for a product on Mat
+    assert mat_mul(Mat.from_rows(a, cols=m), Mat.from_rows(b, cols=c)) == \
+        Mat.from_rows(want, cols=c)
+
+
+def test_sparse_product_drops_what_cancels_and_keeps_fractions():
+    b = [((0, 2), (1, Fraction(1, 3))), ((0, -2), (1, Fraction(2, 3))), ()]
+    got = sparse_product([{0: 1, 1: 1}, {}, {2: 5}, {0: 1}], b)
+    assert got == [{1: 1}, {}, {}, {0: 2, 1: Fraction(1, 3)}]
+    assert type(got[0][1]) is Fraction and type(got[3][0]) is int
+    assert sparse_product([{0: 1, 1: -1}], [((0, 3),), ((0, 3),)]) == [{}]
+    assert sparse_product([], b) == []
+    # zero columns: every right-hand row is empty
+    assert sparse_product([{0: 1}, {}], [()]) == [{}, {}]
+
+
+def test_sparse_transpose_lists_every_column():
+    assert sparse_transpose([{}, {}], 3) == [{}, {}, {}]
+    assert sparse_transpose([], 0) == []
+    assert sparse_transpose([{2: Fraction(1, 2)}, {0: 4, 2: -1}], 3) == [
+        {1: 4}, {}, {0: Fraction(1, 2), 1: -1}]
+    with pytest.raises(IndexError):
+        sparse_transpose([{3: 1}], 3)
+
+
+def test_mat_mul_helper_on_known_products():
+    a = Mat.from_rows([[1, 2], [0, Fraction(1, 2)]])
+    b = Mat.from_rows([[0, 1, -1], [3, 0, 2]])
+    assert mat_mul(a, b) == Mat.from_rows([[6, 1, 3], [Fraction(3, 2), 0, 1]])
+    assert mat_mul(Mat.identity(2), a) == a == mat_mul(a, Mat.identity(2))
+    assert mat_mul(Mat(2, 0, ()), Mat(0, 3, ())) == Mat.zeros(2, 3)
+    assert is_zero(mat_mul(a, Mat.zeros(2, 4)))
+    assert not is_zero(a)

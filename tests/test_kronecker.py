@@ -10,14 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from siltglue.exactlin import (Mat, block, echelon, rank, sparse_rank,
-                               sparse_transpose)
+from siltglue.exactlin import (Mat, block, echelon, rank, sparse_product,
+                               sparse_rank, sparse_transpose)
 from siltglue import kronecker
 from siltglue.kronecker import (DimVector, ExplicitRep, Generic,
                                 KroneckerObject, Lukas, ObjectSum,
                                 Preinjective, Preprojective, Pruefer, Regular,
                                 _deflate, _int_arrows, _poly_det, _poly_mul,
-                                _rational_roots, _times,
+                                _rational_roots,
                                 ar_translate,
                                 bongartz_extension, decompose, dim_vector,
                                 euler_form, explicit_rep, ext_cocycle_basis,
@@ -32,7 +32,7 @@ from siltglue.kronecker import (DimVector, ExplicitRep, Generic,
 
 P = Preprojective
 Q = Preinjective
-from test_exactlin import (reference_kernel_basis, reference_rref,
+from test_exactlin import (mat_mul, reference_kernel_basis, reference_rref,
                            rows_are_multiples)
 
 R = Regular
@@ -206,8 +206,8 @@ def reference_quotient_rep(y: ExplicitRep, span1: Mat,
     proj2 = Mat.from_rows([[v[c] for v in kernel2] for c in range(y.dim.d2)],
                           cols=len(kernel2))
     return ExplicitRep(DimVector(len(free1), len(kernel2)),
-                       sect1.mul(y.m_alpha).mul(proj2),
-                       sect1.mul(y.m_beta).mul(proj2))
+                       mat_mul(mat_mul(sect1, y.m_alpha), proj2),
+                       mat_mul(mat_mul(sect1, y.m_beta), proj2))
 
 
 @st.composite
@@ -225,7 +225,7 @@ def subrep_cases(draw):
     d1, d2 = draw(st.integers(0, 4)), draw(st.integers(0, 4))
     y = ExplicitRep(DimVector(d1, d2), mat(d1, d2), mat(d1, d2))
     span1 = mat(draw(st.integers(0, 3)), d1)
-    span2 = block([[span1.mul(y.m_alpha)], [span1.mul(y.m_beta)],
+    span2 = block([[mat_mul(span1, y.m_alpha)], [mat_mul(span1, y.m_beta)],
                    [mat(draw(st.integers(0, 2)), d2)]])
     return y, span1, span2
 
@@ -470,8 +470,8 @@ def test_pruefer_token_grammar(token, want):
 def test_hom_basis_members_intertwine():
     x, y = explicit_rep(P(2)), explicit_rep(Q(2))
     for f1, f2 in hom_basis(x, y):
-        assert x.m_alpha.mul(f2) == f1.mul(y.m_alpha)
-        assert x.m_beta.mul(f2) == f1.mul(y.m_beta)
+        assert mat_mul(x.m_alpha, f2) == mat_mul(f1, y.m_alpha)
+        assert mat_mul(x.m_beta, f2) == mat_mul(f1, y.m_beta)
 
 
 # -- bounded-time regular support ---------------------------------------------
@@ -570,8 +570,8 @@ def unimodular(rng: random.Random, n: int) -> Mat:
 
 def changed_basis(rng: random.Random, y: ExplicitRep) -> ExplicitRep:
     s, u = unimodular(rng, y.dim.d1), unimodular(rng, y.dim.d2)
-    return ExplicitRep(y.dim, s.mul(y.m_alpha).mul(u),
-                       s.mul(y.m_beta).mul(u))
+    return ExplicitRep(y.dim, mat_mul(mat_mul(s, y.m_alpha), u),
+                       mat_mul(mat_mul(s, y.m_beta), u))
 
 
 small_coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=3)
@@ -811,7 +811,8 @@ def reference_minor_support_points(y: ExplicitRep) -> list:
     if d1 == 0 or d2 == 0:
         return []
     k = min(d1, d2)
-    ia, ib = _int_arrows(y)
+    ia, ib = ([[r.get(j, 0) for j in range(d2)] for r in m]
+              for m in _int_arrows(y))
     samples = [[dict(enumerate(a - t * b for a, b in zip(ra, rb)))
                 for ra, rb in zip(ia, ib)] for t in range(2, k + 4)]
     ranks = [sparse_rank(rows) for rows in samples]
@@ -844,7 +845,8 @@ def chain_to_limit(f: list, g: list, n: int, x: list) -> tuple:
     changing, each step a fresh elimination: the list of dimensions and
     the last space."""
     dims = [len(x)]
-    while len(x := chain_preimage(f, _times(x, g), n)) != dims[-1]:
+    g = [r.items() for r in g]
+    while len(x := chain_preimage(f, sparse_product(x, g), n)) != dims[-1]:
         dims.append(len(x))
     return dims, x
 
@@ -862,7 +864,8 @@ def chain_preinjective_counts(a: list, b: list, n: int) -> list:
     chain on the limit of L_0 = everything, L_j = {v : v b in L_(j-1) a},
     which holds the preinjectives but no preprojective or regular at (0:1)."""
     lim = chain_to_limit(b, a, n, [{i: 1} for i in range(len(a))])[1]
-    return chain_kernel_counts(_times(lim, a), _times(lim, b), n)
+    return chain_kernel_counts(*(sparse_product(lim, [r.items() for r in m])
+                                 for m in (a, b)), n)
 
 
 def reference_chain_decompose(y: ExplicitRep) -> ObjectSum:
@@ -873,13 +876,10 @@ def reference_chain_decompose(y: ExplicitRep) -> ObjectSum:
     pencil counts the preinjectives and the regulars there, and the
     preinjectives are subtracted."""
     d2 = y.dim.d2
-    ia, ib = _int_arrows(y)
-    sa, sb = ([{j: x for j, x in enumerate(r) if x} for r in m]
-              for m in (ia, ib))
+    sa, sb = _int_arrows(y)
     qs = chain_preinjective_counts(sa, sb, d2)
-    ps = chain_preinjective_counts(*([sparse_transpose(m).get(j, {})
-                                      for j in range(d2)] for m in (sa, sb)),
-                                   y.dim.d1)
+    ps = chain_preinjective_counts(sparse_transpose(sa, d2),
+                                   sparse_transpose(sb, d2), y.dim.d1)
     if min(qs + ps, default=0) < 0:
         raise ArithmeticError("negative preprojective/preinjective count")
     parts = ([(P(i), m) for i, m in enumerate(ps, 1)]
@@ -887,8 +887,9 @@ def reference_chain_decompose(y: ExplicitRep) -> ObjectSum:
     covered = sum((dim_vector(x).scaled(m) for x, m in parts), DimVector(0, 0))
     if covered != y.dim:
         for a, b in reference_minor_support_points(y):
-            pencil = [{j: v for j, (x, z) in enumerate(zip(ra, rb))
-                       if (v := b * x - a * z)} for ra, rb in zip(ia, ib)]
+            pencil = [{j: v for j in ra.keys() | rb.keys()
+                       if (v := b * ra.get(j, 0) - a * rb.get(j, 0))}
+                      for ra, rb in zip(sa, sb)]
             counts = chain_kernel_counts(pencil, sb if b else sa, d2)
             for l, m in enumerate(counts, 1):
                 m -= qs[l - 1] if l <= len(qs) else 0
@@ -947,7 +948,8 @@ def test_changed_basis_94_dimensional_sum_decomposes_under_three_seconds():
     assert size(y.dim) == 94
     rng = random.Random(0)
     s, u = upper_unimodular(rng, y.dim.d1), upper_unimodular(rng, y.dim.d2)
-    y = ExplicitRep(y.dim, s.mul(y.m_alpha).mul(u), s.mul(y.m_beta).mul(u))
+    y = ExplicitRep(y.dim, mat_mul(mat_mul(s, y.m_alpha), u),
+                    mat_mul(mat_mul(s, y.m_beta), u))
     t0 = time.process_time()
     with wall_budget(60):
         assert decompose(y) == object_sum((o, 1) for o in parts)
@@ -1000,9 +1002,7 @@ def test_deflation_steps_past_the_support_points():
              Q(2)]
     y = changed_basis(random.Random(5),
                       rep_direct_sum([explicit_rep(o) for o in parts]))
-    sa, sb = ([{j: x for j, x in enumerate(r) if x} for r in m]
-              for m in _int_arrows(y))
-    qs, a, b, n, k = _deflate(sa, sb, y.dim.d2, 0)
+    qs, a, b, n, k = _deflate(*_int_arrows(y), y.dim.d2, 0)
     # (0:1), (1:0), (1:1) and (2:1) carry regulars; (3:1) is the fifth point
     assert (qs, k) == ([0, 1], 4)
     # the quotient is P3 + the regular part: (2, 3) + (5, 5)
@@ -1017,7 +1017,8 @@ def test_changed_basis_208_dimensional_sum_decomposes_under_three_seconds():
     assert size(y.dim) == 208
     rng = random.Random(0)
     s, u = upper_unimodular(rng, y.dim.d1), upper_unimodular(rng, y.dim.d2)
-    y = ExplicitRep(y.dim, s.mul(y.m_alpha).mul(u), s.mul(y.m_beta).mul(u))
+    y = ExplicitRep(y.dim, mat_mul(mat_mul(s, y.m_alpha), u),
+                    mat_mul(mat_mul(s, y.m_beta), u))
     t0 = time.process_time()
     with wall_budget(120):
         assert decompose(y) == object_sum((o, 1) for o in parts)

@@ -14,6 +14,8 @@ from siltglue.exactlin import Mat, diag, echelon, sparse_rank, sylvester_rows
 from siltglue.tube import (Arc, TubeCtx, ext_dim_arcs, hom_dim_arcs,
                            normalize, tau_arc)
 
+from test_exactlin import is_zero, mat_mul
+
 
 def test_rep_of_arc_simple():
     rep = rep_of_arc(Arc(0, 2), TubeCtx(3))
@@ -333,9 +335,9 @@ def reference_is_nilpotent(rep) -> bool:
         comp = Mat.identity(rep.dims[v])
         w = v
         for _ in range(total):
-            comp = comp.mul(rep.maps[w])
+            comp = mat_mul(comp, rep.maps[w])
             w = (w - 1) % rep.n
-        if not comp.is_zero():
+        if not is_zero(comp):
             return False
     return True
 

@@ -15,7 +15,8 @@ from siltglue.complexes import (ProjMorphism, ProjSum, TwoTermComplex,
                                 universal_extension)
 from siltglue.exactlin import Mat, block
 from siltglue.kronecker import (DimVector, ExplicitRep, Preinjective,
-                                Preprojective, Pruefer, Regular, explicit_rep,
+                                Preprojective, Pruefer, Regular,
+                                bongartz_extension, decompose, explicit_rep,
                                 ext_dim_objects, hom_dim_objects, object_sum,
                                 render_object_sum)
 from siltglue.silting import (GlueError, GlueOutcomeKronecker,
@@ -539,6 +540,22 @@ def test_base_row_gluing_matches_the_unreduced_route():
     for row, left, right in pairs:
         assert glue_kronecker(row, left, right) == \
             reference_glue(row, left, right), (row, left, right)
+
+
+def test_the_module_and_complex_universal_extensions_agree():
+    # the Bongartz extension of modules and the universal extension of
+    # their presentations are two routes to one object: its H^0 summands
+    objects = ([P(i) for i in range(1, 7)] + [Q(i) for i in range(1, 6)]
+               + [R((1, 0), 1), R((1, 0), 2), R((0, 1), 1), R((1, 1), 2)])
+    pairs = [(t, u) for t in objects if ext_dim_objects(t, t) == 0
+             for u in objects]
+    assert len(pairs) == 165
+    for t, u in pairs:
+        summands = identify_summands(universal_extension(
+            presentation_of_object(t), presentation_of_object(u)))
+        assert all(s.shifted is None for s, _ in summands), (t, u)
+        assert decompose(bongartz_extension(explicit_rep(t), explicit_rep(u))) \
+            == object_sum((s.h0, m) for s, m in summands), (t, u)
 
 
 def _package_caches():
