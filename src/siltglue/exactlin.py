@@ -13,9 +13,8 @@ models.  Determinants alone use their own loop, Bareiss elimination, since
 content-reduced rows lose the determinant.
 Pivots are leftmost nonzero columns, so pivot columns, reduced echelon
 forms and kernel bases are deterministic across runs and platforms, and
-equal to those of rational Gauss-Jordan.  Mat is immutable and row-major,
-with no product: the package's one product and one transpose,
-sparse_product and sparse_transpose, act on sparse rows.
+equal to those of rational Gauss-Jordan.  Mat is immutable, row-major and
+has no product: sparse_product and sparse_transpose act on sparse rows.
 """
 
 from __future__ import annotations
@@ -225,8 +224,9 @@ def _nonzeros(m) -> tuple:
     # triples on the instance, as __hash__ keeps its hash
     nz = m.__dict__.get("_nonzeros")
     if nz is None:
-        nz = tuple((i, j, v) for i, row in enumerate(m.sparse_rows())
-                   for j, v in row.items())
+        nz = tuple((t // m.cols, t % m.cols,
+                    v.numerator if v.denominator == 1 else v)
+                   for t, v in enumerate(m.entries) if v)
         object.__setattr__(m, "_nonzeros", nz)
     return m.rows, m.cols, nz
 

@@ -114,6 +114,7 @@ def test_glue_kronecker_reads_any_spelling_of_an_admissible_token(
     ("P7", "P6", "P0", "localized", "P7"),
     ("P5", "P3", "P5", "subcategory", "P4"),
     ("P2", "P01[1]", "P2", "subcategory", "P1, P1[1]"),
+    ("P2", "Q1", "P2", "subcategory", "P1, P1[1]"),
 ])
 def test_a_token_naming_no_admissible_generator_keeps_its_error(
         capsys, row, left, right, side, admissible):
