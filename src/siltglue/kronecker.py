@@ -357,30 +357,45 @@ def explicit_rep(x: KroneckerObject) -> ExplicitRep:
 
 
 def _intertwiner_rows(x: ExplicitRep, y: ExplicitRep) -> tuple:
-    """The map (f1, f2) -> (X_a f2 - f1 Y_a)_a on the flat layout [f1 | f2]
-    of Hom(x_1, y_1) + Hom(x_2, y_2), into the arrow layout [alpha | beta]
-    of two d1(x) x d2(y) blocks.  Its kernel is Hom(x, y), its cokernel
-    Ext^1(x, y).  Returns (rows, number of unknowns, size of the f1 part)."""
-    n1 = x.dim.d1 * y.dim.d1
-    neq = x.dim.d1 * y.dim.d2
+    """The map (f1, f2) -> (X_a f2 - f1 Y_a)_a on the unknowns of
+    Hom(x_1, y_1) + Hom(x_2, y_2), into the arrow layout [alpha | beta] of
+    two d1(x) x d2(y) blocks.  Its kernel is Hom(x, y), its cokernel
+    Ext^1(x, y).  Returns (rows, number of unknowns, where f1 starts, where
+    f2 starts).
+
+    The rank does not depend on the order of the unknowns, but the cost of
+    elimination, which clears the lowest column first, does.  The 2 d2(y)
+    equations of an output row share the d1(y) unknowns of that row of f1,
+    and the 2 d1(x) equations of an output column share the d2(x) unknowns
+    of that column of f2.  So eliminating f1 first leaves about
+    d1(x) (2 d2(y) - d1(y)) equations on f2, and f2 first about
+    d2(y) (2 d1(x) - d2(x)) on f1; f2 comes first when that count is the
+    smaller, as for preprojective-like pairs, and [f1 | f2] is kept
+    otherwise.  The pivot equations of the transposed system span the
+    image whatever the order, so ext_cocycle_basis does not depend on it."""
+    a1, a2, b1, b2 = x.dim.d1, x.dim.d2, y.dim.d1, y.dim.d2
+    neq = a1 * b2
+    at1, at2 = ((a2 * b2, 0) if b2 * (2 * a1 - a2) < a1 * (2 * b2 - b1)
+                else (0, a1 * b1))
     rows = sylvester_rows(2 * neq, [
-        (0, n1, 1, x.m_alpha, y.dim.d2), (0, 0, -1, x.dim.d1, y.m_alpha),
-        (neq, n1, 1, x.m_beta, y.dim.d2), (neq, 0, -1, x.dim.d1, y.m_beta)])
-    return rows, n1 + x.dim.d2 * y.dim.d2, n1
+        (0, at2, 1, x.m_alpha, b2), (0, at1, -1, a1, y.m_alpha),
+        (neq, at2, 1, x.m_beta, b2), (neq, at1, -1, a1, y.m_beta)])
+    return rows, a1 * b1 + a2 * b2, at1, at2
 
 
 @lru_cache(maxsize=4096)
 def hom_dim(x: ExplicitRep, y: ExplicitRep) -> int:
     """Dimension of the space of representation morphisms x -> y."""
-    rows, n, _ = _intertwiner_rows(x, y)
+    rows, n, _, _ = _intertwiner_rows(x, y)
     return n - sparse_rank(rows)
 
 
 def hom_basis(x: ExplicitRep, y: ExplicitRep) -> list:
     """Basis of Hom(x, y) as pairs of matrices (f1, f2)."""
-    rows, n, n1 = _intertwiner_rows(x, y)
-    return [(Mat(x.dim.d1, y.dim.d1, vec[:n1]),
-             Mat(x.dim.d2, y.dim.d2, vec[n1:]))
+    rows, n, at1, at2 = _intertwiner_rows(x, y)
+    n1, n2 = x.dim.d1 * y.dim.d1, x.dim.d2 * y.dim.d2
+    return [(Mat(x.dim.d1, y.dim.d1, vec[at1:at1 + n1]),
+             Mat(x.dim.d2, y.dim.d2, vec[at2:at2 + n2]))
             for vec in kernel_basis(Mat.from_sparse(rows, n))]
 
 
@@ -561,10 +576,12 @@ def _poly_det(grid: list) -> list:
     degree).  The grid is scaled by the lcm den of its denominators, so each
     evaluation is an integer determinant, den**n times the wanted value, and
     the interpolation runs on integers over the common denominator D! of its
-    basis polynomials."""
+    basis polynomials.  A 1 x 1 grid is its one entry, trimmed."""
     n = len(grid)
     if n == 0:
         return [QONE]
+    if n == 1:
+        return _poly_trim([Fraction(c) for c in grid[0][0]])
     maxdeg = n * max(max(len(e) for e in row) - 1 for row in grid)
     den = math.lcm(*[c.denominator for row in grid for e in row for c in e])
     igrid = [[[c.numerator * (den // c.denominator) for c in e] for e in row]
@@ -663,7 +680,8 @@ def _rational_roots(poly: list) -> list:
     g mod p, p the smallest odd prime with g mod p squarefree, is a simple
     root and lifts by Newton-Hensel steps to a unique root mod p**(2**j) >
     2B; read as the residue of least absolute value, it is kept when g
-    vanishes there exactly (Loos 1983).
+    vanishes there exactly (Loos 1983).  A linear f = f1 t + f0 has the one
+    root -f0/f1, read off directly, so the search starts at degree 2.
     """
     poly = _poly_trim(list(poly))
     if len(poly) == 1:
@@ -675,6 +693,8 @@ def _rational_roots(poly: list) -> list:
     if low == len(ints) - 1:
         return roots
     f = _squarefree(_primitive(ints[low:]))
+    if len(f) == 2:
+        return sorted(roots + [Fraction(-f[0], f[1])])
     d, a = len(f) - 1, f[-1]
     g = [c * a ** (d - 1 - i) for i, c in enumerate(f[:-1])] + [1]
     dg = [i * c for i, c in enumerate(g)][1:]
@@ -811,7 +831,7 @@ def ext_cocycle_basis(t: ExplicitRep, u: ExplicitRep) -> list:
     each a d1(t) x d2(u) matrix: the standard cocycles at the free
     coordinates of the image of the map sending (f1, f2) to
     (T_a f2 - f1 U_a)_a."""
-    rows, n, _ = _intertwiner_rows(t, u)
+    rows, n, _, _ = _intertwiner_rows(t, u)
     neq, d1, d2 = len(rows) // 2, t.dim.d1, u.dim.d2
     units = [tuple(QONE if i == c else QZERO for i in range(len(rows)))
              for c in cokernel_coordinates(rows, n)]

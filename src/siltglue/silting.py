@@ -297,9 +297,10 @@ def _module_token(token: str) -> str:
 
 def _token_summand(token: str) -> ComplexSummand:
     """The indecomposable a token names: a shifted projective P1[1] / P2[1],
-    or a module X or pres(X), standing for the presentation of X."""
+    its index read with leading zeros as parse_object reads it, or a module
+    X or pres(X), standing for the presentation of X."""
     t = _module_token(token)
-    m = re.fullmatch(r"P([12])\[1\]", t)
+    m = re.fullmatch(r"P0*([12])\[1\]", t)
     if m:
         return ComplexSummand(None, int(m.group(1)))
     return ComplexSummand(parse_object(t), None)

@@ -106,6 +106,14 @@ def test_glue_kronecker_reads_any_spelling_of_an_admissible_token(
                    "--right", right) == (0, "P6 + P7\n", "")
 
 
+@pytest.mark.parametrize("left", ["P1[1]", "P01[1]", " P001[1] "])
+def test_glue_kronecker_reads_a_shifted_projective_with_leading_zeros(
+        capsys, left):
+    # the index of P1[1] is read as parse_object reads the index of P01
+    assert run_cli(capsys, "glue-kronecker", "--row", "P2", "--left", left,
+                   "--right", "P2") == (0, "Q1 w.r.t. P1[1] + pres(Q1)\n", "")
+
+
 @pytest.mark.parametrize("row, left, right, side, admissible", [
     ("Q5", "Q5", "Q5", "subcategory", "Q6"),
     ("P7", "P07[1]", "P7", "subcategory", "P6"),
@@ -113,7 +121,7 @@ def test_glue_kronecker_reads_any_spelling_of_an_admissible_token(
     ("P7", "P6", "P007x", "localized", "P7"),
     ("P7", "P6", "P0", "localized", "P7"),
     ("P5", "P3", "P5", "subcategory", "P4"),
-    ("P2", "P01[1]", "P2", "subcategory", "P1, P1[1]"),
+    ("P2", "P0[1]", "P2", "subcategory", "P1, P1[1]"),
     ("P2", "Q1", "P2", "subcategory", "P1, P1[1]"),
 ])
 def test_a_token_naming_no_admissible_generator_keeps_its_error(

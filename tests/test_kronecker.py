@@ -10,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from siltglue.exactlin import (Mat, block, echelon, rank, sparse_product,
-                               sparse_rank, sparse_transpose)
+from siltglue.exactlin import (Mat, block, cokernel_coordinates, echelon,
+                               rank, sparse_product, sparse_rank,
+                               sparse_transpose, sylvester_rows)
 from siltglue import kronecker
 from siltglue.kronecker import (DimVector, ExplicitRep, Generic,
                                 KroneckerObject, Lukas, ObjectSum,
@@ -472,6 +473,79 @@ def test_hom_basis_members_intertwine():
     for f1, f2 in hom_basis(x, y):
         assert mat_mul(x.m_alpha, f2) == mat_mul(f1, y.m_alpha)
         assert mat_mul(x.m_beta, f2) == mat_mul(f1, y.m_beta)
+
+
+def reference_intertwiner_rows(x: ExplicitRep, y: ExplicitRep) -> tuple:
+    """The intertwiner system on the fixed layout [f1 | f2], whatever the
+    dimensions: (rows, number of unknowns)."""
+    n1, neq = x.dim.d1 * y.dim.d1, x.dim.d1 * y.dim.d2
+    rows = sylvester_rows(2 * neq, [
+        (0, n1, 1, x.m_alpha, y.dim.d2), (0, 0, -1, x.dim.d1, y.m_alpha),
+        (neq, n1, 1, x.m_beta, y.dim.d2), (neq, 0, -1, x.dim.d1, y.m_beta)])
+    return rows, n1 + x.dim.d2 * y.dim.d2
+
+
+LAYOUT_PARTS = ([P(i) for i in range(1, 6)] + [Q(i) for i in range(1, 6)]
+                + [R(pt, l) for pt in ((1, 0), (0, 1), (1, 1), (2, 3))
+                   for l in (1, 2)])
+
+
+def layout_reps(seed: int) -> list:
+    """Changed-basis direct sums of one to three of LAYOUT_PARTS, of
+    dimension at most (8, 8)."""
+    rng, out = random.Random(seed), []
+    while len(out) < 8:
+        parts = rng.sample(LAYOUT_PARTS, rng.randint(1, 3))
+        y = rep_direct_sum([explicit_rep(o) for o in parts])
+        if y.dim.d1 <= 8 and y.dim.d2 <= 8:
+            out.append(changed_basis(rng, y))
+    return out + [explicit_rep(P(1)), explicit_rep(Q(1))]
+
+
+def test_both_layouts_give_the_hom_dims_and_cocycles_of_the_fixed_one():
+    # f2 comes first on some pairs, f1 on others, and some pairs tie;
+    # the rank and the cocycles must not see which
+    orders = set()
+    for seed in range(3):
+        reps = layout_reps(seed)
+        for x, y in itertools.product(reps, reps):
+            _, n, at1, at2 = kronecker._intertwiner_rows(x, y)
+            a1, a2, b1, b2 = x.dim.d1, x.dim.d2, y.dim.d1, y.dim.d2
+            cmp = b2 * (2 * a1 - a2) - a1 * (2 * b2 - b1)
+            orders.add((cmp > 0) - (cmp < 0))
+            assert (at1, at2) == ((a2 * b2, 0) if cmp < 0 else (0, a1 * b1))
+            rows, m = reference_intertwiner_rows(x, y)
+            assert n == m
+            assert hom_dim.__wrapped__(x, y) == m - sparse_rank(rows)
+            assert ext_cocycle_basis(x, y) == [
+                (Mat(a1, b2, e[:len(rows) // 2]),
+                 Mat(a1, b2, e[len(rows) // 2:]))
+                for e in (tuple(Fraction(i == c) for i in range(len(rows)))
+                          for c in cokernel_coordinates(rows, m))]
+    assert orders == {-1, 0, 1}
+
+
+def test_hom_basis_spans_hom_in_either_layout():
+    for x, y in itertools.product(layout_reps(7), repeat=2):
+        basis = hom_basis(x, y)
+        assert len(basis) == hom_dim(x, y)
+        for f1, f2 in basis:
+            assert mat_mul(x.m_alpha, f2) == mat_mul(f1, y.m_alpha)
+            assert mat_mul(x.m_beta, f2) == mat_mul(f1, y.m_beta)
+        flat = [f1.entries + f2.entries for f1, f2 in basis]
+        assert rank(Mat.from_rows(flat, cols=x.dim.d1 * y.dim.d1
+                                  + x.dim.d2 * y.dim.d2)) == len(basis)
+
+
+@pytest.mark.parametrize("i", range(1, 7))
+def test_bongartz_completes_the_almost_split_sequences(i):
+    # 0 -> P_i -> P_(i+1)^2 -> P_(i+2) -> 0 and
+    # 0 -> Q_(i+2) -> Q_(i+1)^2 -> Q_i -> 0, in changed bases
+    rng = random.Random(i)
+    for t, u, mid in ((P(i + 2), P(i), P(i + 1)), (Q(i), Q(i + 2), Q(i + 1))):
+        out = bongartz_extension(changed_basis(rng, explicit_rep(t)),
+                                 changed_basis(rng, explicit_rep(u)))
+        assert decompose(out) == object_sum([(mid, 2)])
 
 
 # -- bounded-time regular support ---------------------------------------------
