@@ -363,16 +363,16 @@ def _intertwiner_rows(x: ExplicitRep, y: ExplicitRep) -> tuple:
     Ext^1(x, y).  Returns (rows, number of unknowns, where f1 starts, where
     f2 starts).
 
-    The rank does not depend on the order of the unknowns, but the cost of
-    elimination, which clears the lowest column first, does.  The 2 d2(y)
-    equations of an output row share the d1(y) unknowns of that row of f1,
-    and the 2 d1(x) equations of an output column share the d2(x) unknowns
-    of that column of f2.  So eliminating f1 first leaves about
+    The order of the unknowns does not change the rank, but it does change
+    the cost of elimination, which clears the lowest column first.  The
+    2 d2(y) equations of an output row share the d1(y) unknowns of that row
+    of f1, and the 2 d1(x) equations of an output column share the d2(x)
+    unknowns of that column of f2.  So eliminating f1 first leaves about
     d1(x) (2 d2(y) - d1(y)) equations on f2, and f2 first about
-    d2(y) (2 d1(x) - d2(x)) on f1; f2 comes first when that count is the
-    smaller, as for preprojective-like pairs, and [f1 | f2] is kept
-    otherwise.  The pivot equations of the transposed system span the
-    image whatever the order, so ext_cocycle_basis does not depend on it."""
+    d2(y) (2 d1(x) - d2(x)) on f1.  f2 comes first when that count is the
+    smaller, as for preprojective-like pairs, else [f1 | f2].  The pivots
+    of the transposed system depend only on its row space, so the cocycles
+    of ext_cocycle_basis do not depend on the order."""
     a1, a2, b1, b2 = x.dim.d1, x.dim.d2, y.dim.d1, y.dim.d2
     neq = a1 * b2
     at1, at2 = ((a2 * b2, 0) if b2 * (2 * a1 - a2) < a1 * (2 * b2 - b1)

@@ -523,6 +523,8 @@ linear_grids = st.integers(min_value=0, max_value=4).flatmap(
 @settings(max_examples=100, deadline=None)
 def test_poly_det_evaluates_to_det_of_evaluated_grid(grid):
     poly = _poly_det(grid)
+    # trimmed: _support reads a degree drop as a summand at (1:0)
+    assert len(poly) == 1 or poly[-1] != 0
     for t in (Fraction(0), Fraction(3), Fraction(-7), Fraction(5, 2),
               Fraction(-1, 3)):
         value = sum((c * t ** k for k, c in enumerate(poly)), Fraction(0))
