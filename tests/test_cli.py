@@ -26,6 +26,21 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def usage_error(capsys, argv) -> str:
+    """The stderr of a usage error on argv, checked: exit 2, nothing on
+    stdout, and two lines on stderr, the usage and the reason."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    usage, reason = err.splitlines()
+    verb = argv[0] if argv and argv[0] in VERBS else None
+    assert usage.startswith(f"usage: siltglue {verb or ''}".rstrip())
+    assert reason.startswith("siltglue: error: " if verb is None
+                             else f"siltglue {verb}: error: ")
+    return err
+
+
 def test_ext_kronecker(capsys):
     code, out, _ = run_cli(capsys, "ext", "Q1", "P1", "--kronecker")
     assert code == 0 and out == "2\n"
@@ -214,10 +229,7 @@ def test_only_ascii_digits_are_read(capsys, argv, error):
 ], ids=["rank", "bound", "plus", "space", "trailing-space", "tube",
         "underscore"])
 def test_numeric_flags_read_only_ascii_digits(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    out, err = capsys.readouterr()
-    assert (exc.value.code, out) == (2, "")
+    err = usage_error(capsys, argv)
     assert err.endswith(f"invalid integer value: {argv[-1]!r}\n")
 
 
@@ -268,16 +280,26 @@ def test_a_reader_closing_the_pipe_ends_the_listing_quietly(unbuffered):
 def test_a_pipe_closed_before_the_answer_is_not_a_domain_error(unbuffered):
     # buffered, the one-line answer meets the closed pipe only when main
     # flushes it; unbuffered, when it is printed
+    assert into_a_closed_pipe(unbuffered, "tau", "Q1") == (141, b"")
+
+
+def test_help_into_a_closed_pipe_exits_quietly():
+    # the usage text is written inside main's guarded region too
+    assert into_a_closed_pipe(False, "--help") == (141, b"")
+
+
+def into_a_closed_pipe(unbuffered, *argv):
+    """Exit code and stderr of a CLI child whose stdout reader is gone."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         out = subprocess.run(
-            [sys.executable, "-m", "siltglue.cli", "tau", "Q1"],
+            [sys.executable, "-m", "siltglue.cli", *argv],
             stdout=write_end, stderr=subprocess.PIPE, env=_env(unbuffered),
             timeout=10)
     finally:
         os.close(write_end)
-    assert out.returncode == 141 and out.stderr == b""
+    return out.returncode, out.stderr
 
 
 def test_usage_error_exit_code():
@@ -289,11 +311,72 @@ def test_usage_error_exit_code():
 @pytest.mark.parametrize("argv", [
     ["tau", "Q1", "Q2"], ["tau", "[0,2]", "[0,3]", "--tube", "3"],
     ["ext", "P1"], ["hom", "[0,2]", "--tube", "3"], ["ext", "P1", "P2", "P3"],
+    ["tau"], ["enumerate-rigid", "3", "--rank", "3"],
 ])
 def test_each_verb_takes_its_own_operand_count(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2 and capsys.readouterr().out == ""
+    usage_error(capsys, argv)
+
+
+VERBS = ["ext", "hom", "tau", "glue-kronecker", "glue-tube", "choose-seed",
+         "reduce", "enumerate-rigid", "classify-silting", "oracle-check",
+         "emit-quiver"]
+RIGID_2_2 = "{[0,2], [0,inf)}\n{[0,inf), [1,inf)}\n{[1,3], [1,inf)}\n"
+SPEC = ["--spec", "datum.txt"]
+
+
+# flags are read as argparse read them: --name value or --name=value, in any
+# order around the operands, a negative integer as a value or an operand,
+# the last of a repeated flag; any other token that starts with - is a
+# flag, and a long name is never abbreviated (argparse took --ran for
+# --rank); -h and --help print usage to stdout and exit 0
+@pytest.mark.parametrize("argv, code, want", [
+    (["enumerate-rigid", "--rank=2", "--max-len=2", "--pruefer"], 0,
+     RIGID_2_2),
+    (["enumerate-rigid", "--pruefer", "--max-len", "2", "--rank", "2"], 0,
+     RIGID_2_2),
+    (["ext", "--tube", "3", "[1,3]", "[0,2]"], 0, "1\n"),
+    (["ext", "[1,3]", "--tube=3", "[0,2]"], 0, "1\n"),
+    (["tau", "[1,3]", "--tube", "5", "--tube", "3"], 0, "[0,2]\n"),
+    (["tau", "[1,3]", "--tube", "-3"], 1, ""),
+    (["tau", "[1,3]", "--tube=-3"], 1, ""),
+    (["ext", "-3", "P1"], 1, ""),
+    (["-h"], 0, VERBS), (["--help"], 0, VERBS), (["--help", "ext"], 0, VERBS),
+    (["ext", "-h"], 0, ["ext"]), (["tau", "Q1", "--help"], 0, ["tau"]),
+    (["reduce", *SPEC, "-h", "--frob"], 0, ["reduce"]),
+    ([], 2, None), (["frobnicate"], 2, None), (["-3"], 2, None),
+    (["--tube", "3", "ext", "P1", "P2"], 2, None),
+    (["enumerate-rigid", "--ran", "3"], 2, None),
+    (["enumerate-rigid", "--rank", "3", "--max", "2"], 2, None),
+    (["enumerate-rigid", "--rank", "3", "--pruefer=yes"], 2, None),
+    (["ext", "P1", "P2", "--frob"], 2, None),
+    (["tau", "-Q1"], 2, None), (["tau", "Q1", "-"], 2, None),
+    (["tau", "Q1", "--tube"], 2, None),
+    (["emit-quiver", "--rank", "-x"], 2, None),
+    (["glue-kronecker", "--row", "--left", "P3", "--right", "P4"], 2, None),
+    (["glue-kronecker", "--row", "--help", "--left", "P3", "--right", "P4"],
+     2, None),
+    (["classify-silting", "--bound", "\u0663"], 2, None),
+    (["glue-tube", *SPEC, "--side", "up", "--lambda", "[1,3]"], 2, None),
+    (["reduce", *SPEC, "--lambda", "[1,3]", "--adjoint=Left"], 2, None),
+    (["glue-tube", *SPEC, "--lambda", "[1,3]"], 2, None),
+    (["choose-seed", *SPEC], 2, None), (["enumerate-rigid"], 2, None),
+    (["ext", "P1", "P2", "--tube", "3", "--kronecker"], 2, None),
+    (["tau", "P3", "--kronecker", "--tube=3"], 2, None),
+])
+def test_the_argument_reader(capsys, argv, code, want):
+    if code == 2:
+        usage_error(capsys, argv)
+        return
+    got = main(argv)
+    out, err = capsys.readouterr()
+    assert got == code
+    if isinstance(want, list):
+        assert err == "" and [line.split()[2] for line in
+                              out.splitlines()] == want
+        assert all(line.startswith("usage: siltglue ")
+                   for line in out.splitlines())
+    else:
+        assert out == want and bool(err) == bool(code)
 
 
 def test_enumerate_rigid(capsys):
@@ -607,8 +690,8 @@ def test_large_index_answers_in_start_up_time(argv, want):
 
 def _modules_after(*argv):
     """The siltglue modules a fresh interpreter holds after importing the
-    CLI and running it on argv (no verb: import only), and which of
-    dataclasses and inspect it holds."""
+    CLI and running it on argv (no verb: import only), and which of the
+    HEAVY standard modules it holds."""
     code = ("import io, json, sys, contextlib, siltglue.cli\n"
             "argv = sys.argv[1:]\n"
             "if argv:\n"
@@ -616,7 +699,7 @@ def _modules_after(*argv):
             "        assert siltglue.cli.main(argv) == 0\n"
             "print(json.dumps([sorted(m for m in sys.modules\n"
             "                         if m.split('.')[0] == 'siltglue'),\n"
-            "                  [m for m in ('dataclasses', 'inspect')\n"
+            f"                  [m for m in {HEAVY!r}\n"
             "                   if m in sys.modules]]))\n")
     out = subprocess.run([sys.executable, "-c", code, *argv],
                          capture_output=True, text=True, check=True)
@@ -624,26 +707,31 @@ def _modules_after(*argv):
     return set(ours), heavy
 
 
+# standard modules no token or tube verb needs: dataclasses and inspect
+# (replaced by frozen), argparse with its gettext and locale (replaced by
+# the table reader), and fractions with decimal, which only the explicit
+# representations use
+HEAVY = ("dataclasses", "inspect", "argparse", "gettext", "locale",
+         "fractions")
 CLI_ONLY = {"siltglue", "siltglue.cli"}
-KRONECKER = CLI_ONLY | {"siltglue.exactlin", "siltglue.frozen",
-                        "siltglue.kronecker"}
+OBJECTS = CLI_ONLY | {"siltglue.frozen", "siltglue.objects"}
 
 
-@pytest.mark.parametrize("argv, want", [
-    pytest.param([], CLI_ONLY, id="no-verb"),
+@pytest.mark.parametrize("argv, want, heavy", [
+    pytest.param([], CLI_ONLY, [], id="no-verb"),
     pytest.param(["tau", "[1,3]", "--tube", "3"],
-                 CLI_ONLY | {"siltglue.frozen", "siltglue.tube"},
+                 CLI_ONLY | {"siltglue.frozen", "siltglue.tube"}, [],
                  id="tau-tube"),
-    pytest.param(["tau", "Q1"], KRONECKER, id="tau-kronecker"),
-    pytest.param(["ext", "Q1", "P1"], KRONECKER, id="ext-kronecker"),
+    pytest.param(["tau", "Q1"], OBJECTS, [], id="tau-kronecker"),
+    pytest.param(["ext", "Q1", "P1"], OBJECTS, [], id="ext-kronecker"),
     pytest.param(["glue-kronecker", "--row", "P4", "--left", "P3",
                   "--right", "P4"],
-                 KRONECKER | {"siltglue.complexes", "siltglue.silting"},
-                 id="glue-kronecker"),
+                 OBJECTS | {"siltglue.complexes", "siltglue.exactlin",
+                            "siltglue.kronecker", "siltglue.silting"},
+                 ["fractions"], id="glue-kronecker"),
 ])
-def test_each_verb_imports_only_its_modules(argv, want):
-    ours, heavy = _modules_after(*argv)
-    assert ours == want and heavy == []
+def test_each_verb_imports_only_its_modules(argv, want, heavy):
+    assert _modules_after(*argv) == (want, heavy)
 
 
 def test_spec_file_verb_imports_only_the_tube_half(tmp_path):

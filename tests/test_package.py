@@ -97,3 +97,16 @@ def test_every_cache_is_bounded():
                            "silting._glue_base", "tube.tube_ctx"}
     for name, params in caches.items():
         assert params["maxsize"] is not None, name
+
+
+def test_kronecker_holds_every_name_of_the_object_calculus():
+    # the closed forms moved to objects; kronecker imports each name back,
+    # so code and tracers that reach them through kronecker see one object
+    from siltglue import kronecker, objects
+    imported = {"annotations", "math", "re", "Optional", "Union", "frozen"}
+    names = [n for n in vars(objects)
+             if not n.startswith("__") and n not in imported]
+    assert {"hom_dim_objects", "is_tilting_module", "_ext_from_hom",
+            "_sort_key", "parse_point", "LocalizedRing"} <= set(names)
+    for name in names:
+        assert getattr(kronecker, name) is getattr(objects, name), name
