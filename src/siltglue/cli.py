@@ -148,12 +148,12 @@ def integer(text: str) -> int:
 
 # verb: (handler, operands, flags).  A flag maps to its kind (str, integer,
 # a tuple of choices, or bool for a switch) and its default, ... if required.
-_ON = {"--tube": (integer, None), "--kronecker": (bool, False)}
+_SIDE = {"--tube": (integer, None), "--kronecker": (bool, False)}
 _RANK = {"--rank": (integer, ...)}
 VERBS = {
-    "ext": (cmd_ext_hom, ("a", "b"), _ON),
-    "hom": (cmd_ext_hom, ("a", "b"), _ON),
-    "tau": (cmd_tau, ("a",), _ON),
+    "ext": (cmd_ext_hom, ("a", "b"), _SIDE),
+    "hom": (cmd_ext_hom, ("a", "b"), _SIDE),
+    "tau": (cmd_tau, ("a",), _SIDE),
     "glue-kronecker": (cmd_glue_kronecker, (), {
         "--row": (str, ...), "--left": (str, ...), "--right": (str, ...)}),
     "glue-tube": (cmd_glue_tube, (), {
@@ -220,7 +220,7 @@ def parse(argv) -> tuple:
             _usage_error(verb, f"unrecognized arguments: {token}")
         elif kind is bool:
             given[name] = True
-        elif not eq and _is_flag(value := next(rest, "-")):  # or none left
+        elif not eq and _is_flag(value := next(rest, "-")):  # "-": none left
             _usage_error(verb, f"argument {name}: expected one argument")
         else:
             try:  # tuple.index raises ValueError too
